@@ -8,6 +8,12 @@ then by her binary outcome.  Payments exist for the tree exactly when
 the weighted graph over these classes has no negative cycle; shortest
 path labels from an added zero-source then price every leaf.
 
+The graph never pairs profiles: the edges at a query to the agent join
+the classes of the leaves under one child with those of the leaves under
+another.  Shortest paths run on the weights scaled to integers by their
+least common denominator; labels and cycle weights are mapped back to
+Fractions at the end.
+
 Outcomes must be binary throughout this module.
 """
 
@@ -16,15 +22,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .model import (
     ImplementationTree,
     LeafNode,
     MechanismError,
     QueryNode,
+    first_divergence,
     normalize_horizon,
     scale_guard,
+    validate_tree,
 )
 from .rational import Rat
 from .verifier import classify_query, is_k_limited, require_binary_outcomes
@@ -67,23 +75,27 @@ class NegativeCycleWitness:
     weight: Rat
 
 
+def _bit_below(tree: ImplementationTree, nid: int, prof, agent: int) -> int:
+    """The agent's outcome bit at the leaf that prof reaches from nid."""
+    node = tree.nodes[nid]
+    while not isinstance(node, LeafNode):
+        node = tree.nodes[node.children[tree.route(node.id, prof[node.agent])]]
+    return int(node.outcome[agent])
+
+
 def _tail_split(tree: ImplementationTree, u: int, agent: int):
     """Split the domain at a (k+2)-th query into effective and pooled
     types: the pooled side is the largest group of types with pointwise
     identical outcomes, ties resolved by the only-extreme form."""
     own = tree.domain_at[u][agent]
-    others = [
-        tree.domain_at[u][j] for j in range(tree.agents) if j != agent
-    ]
-    combos = list(itertools.product(*others))
+    box = list(tree.domain_at[u])
     sig: dict[tuple, list[Rat]] = {}
     for t in own:
-        key = []
-        for x in combos:
-            prof = list(x)
-            prof.insert(agent, t)
-            key.append(tree.leaf_of(tuple(prof)).outcome[agent])
-        sig.setdefault(tuple(key), []).append(t)
+        box[agent] = (t,)
+        key = tuple(
+            _bit_below(tree, u, prof, agent) for prof in itertools.product(*box)
+        )
+        sig.setdefault(key, []).append(t)
     groups = sorted(sig.values(), key=lambda g: (-len(g), g[0]))
     if len(groups) == 1:
         return (), tuple(own)
@@ -116,18 +128,20 @@ def build_profile_classes(
         count *= len(d)
     scale_guard(count)
 
-    keyed: dict[tuple, list[tuple[Rat, ...]]] = {}
+    # members come out sorted: each is a product of sorted coordinates
+    keyed: dict[tuple, tuple] = {}
     order: list[tuple] = []
     tail_sides: dict[int, tuple] = {}
+    anchor_of: dict[int, int] = {}  # leaf -> its (k+2)-th query, if any
 
     for nid in tree.preorder:
         node = tree.nodes[nid]
         if isinstance(node, LeafNode):
             if k != inf and tree.query_depth[nid][agent] > k + 1:
                 continue
-            box = list(itertools.product(*tree.domain_at[nid]))
+            box = tree.domain_at[nid]
             key = (nid, SETTLED, int(node.outcome[agent]))
-            keyed[key] = box
+            keyed[key] = (tuple(itertools.product(*box)), box[agent])
             order.append(key)
             continue
         if k == inf or node.agent != agent:
@@ -136,37 +150,29 @@ def build_profile_classes(
             continue
         effective, pooled = _tail_split(tree, nid, agent)
         tail_sides[nid] = (frozenset(effective), frozenset(pooled))
-        others = [
-            tree.domain_at[nid][j]
-            for j in range(tree.agents)
-            if j != agent
-        ]
-        combos = list(itertools.product(*others))
+        anchor_of.update(dict.fromkeys(tree.leaves_under[nid], nid))
+        box = list(tree.domain_at[nid])
         for kind, side in (
             (TAIL_EFFECTIVE, effective),
             (TAIL_NEUTRAL, pooled),
         ):
             buckets: dict[int, list[tuple[Rat, ...]]] = {0: [], 1: []}
-            for t in side:
-                for x in combos:
-                    prof = list(x)
-                    prof.insert(agent, t)
-                    prof = tuple(prof)
-                    buckets[int(tree.leaf_of(prof).outcome[agent])].append(
-                        prof
-                    )
+            box[agent] = side
+            for prof in itertools.product(*box):
+                buckets[_bit_below(tree, nid, prof, agent)].append(prof)
             for bit in (0, 1):
                 if buckets[bit]:
                     key = (nid, kind, bit)
-                    keyed[key] = buckets[bit]
+                    members = tuple(buckets[bit])
+                    types = tuple(sorted({m[agent] for m in members}))
+                    keyed[key] = (members, types)
                     order.append(key)
 
     classes = []
     index: dict[tuple, int] = {}
     for key in order:
         nid, kind, bit = key
-        members = tuple(sorted(keyed[key]))
-        types = tuple(sorted({m[agent] for m in members}))
+        members, types = keyed[key]
         index[key] = len(classes)
         classes.append(
             ProfileClass(
@@ -181,17 +187,7 @@ def build_profile_classes(
 
     leaf_class: dict[int, int] = {}
     for leaf in tree.leaf_ids:
-        anchor = None
-        nid = tree.parent[leaf]
-        while nid is not None:
-            node = tree.nodes[nid]
-            if (
-                k != inf
-                and node.agent == agent
-                and tree.query_depth[nid][agent] == k + 2
-            ):
-                anchor = nid
-            nid = tree.parent[nid]
+        anchor = anchor_of.get(leaf)
         bit = int(tree.nodes[leaf].outcome[agent])
         if anchor is None:
             leaf_class[leaf] = index[(leaf, SETTLED, bit)]
@@ -214,87 +210,84 @@ def build_profile_classes(
     )
 
 
-def _pair_divergences(tree: ImplementationTree, profiles):
-    """Yield (x, y, node) for every unordered profile pair, where node is
-    the query at which their walks part; same-leaf pairs are skipped."""
-    stack = [(tree.root, list(profiles))]
-    while stack:
-        nid, profs = stack.pop()
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            continue
-        buckets: dict[int, list] = {}
-        for x in profs:
-            buckets.setdefault(tree.route(nid, x[node.agent]), []).append(x)
-        idxs = sorted(buckets)
-        for pos, ia in enumerate(idxs):
-            for ib in idxs[pos + 1 :]:
-                for x in buckets[ia]:
-                    for y in buckets[ib]:
-                        yield x, y, nid
-        for ia in idxs:
-            stack.append((node.children[ia], buckets[ia]))
-
-
 def build_k_osp_graph(tree: ImplementationTree, k, agent: int) -> OspGraph:
     """Weighted class graph for one agent.
 
     An edge joins two classes holding profiles separated at a query to
-    the agent; its weight is the smallest product of a member type of the
-    source with the outcome difference, so a worse outcome prices at the
-    largest type and a better one at the smallest.
+    the agent.  Every profile reaching a child of such a query ends at a
+    leaf below that child, and every leaf there is reached, so the edges
+    at one query are all pairs of distinct leaf classes under two
+    different children.  Its weight is the smallest product of a member
+    type of the source with the outcome difference, so a worse outcome
+    prices at the largest type and a better one at the smallest.
     """
-    k = normalize_horizon(k)
-    part = build_profile_classes(tree, k, agent)
-    profiles = list(itertools.product(*tree.domains))
-    leaf_of_prof = {p: tree.path_of(p)[-1] for p in profiles}
+    _require_valid(tree)
+    return _class_graph(tree, build_profile_classes(tree, k, agent))
 
+
+def _require_valid(tree: ImplementationTree) -> None:
+    """Refuse trees with defects: leaf boxes split the profiles, as the
+    class graph assumes, only when the blocks partition every domain."""
+    problems = validate_tree(tree)
+    if problems:
+        raise MechanismError(f"malformed mechanism: {problems[0]}")
+
+
+def _class_graph(tree: ImplementationTree, part: ClassPartition) -> OspGraph:
+    # an edge's weight depends only on its source and the target's bit:
+    # weight[source][target bit]
+    zero = Fraction(0)
+    weight = [
+        (zero, v.types[0]) if v.bit == 0 else (-v.types[-1], zero)
+        for v in part.classes
+    ]
     exists: set[tuple[int, int]] = set()
-    for x, y, nid in _pair_divergences(tree, profiles):
-        if tree.nodes[nid].agent != agent:
+    for nid in tree.internal_ids:
+        node = tree.nodes[nid]
+        if node.agent != part.agent:
             continue
-        cx = part.leaf_class[leaf_of_prof[x]]
-        cy = part.leaf_class[leaf_of_prof[y]]
-        if cx == cy:
-            continue
-        exists.add((cx, cy))
-        exists.add((cy, cx))
+        sides = [
+            {part.leaf_class[leaf] for leaf in tree.leaves_under[cid]}
+            for cid in node.children
+        ]
+        for pos, sa in enumerate(sides):
+            for sb in sides[pos + 1 :]:
+                exists.update(itertools.product(sa, sb))
+                exists.update(itertools.product(sb, sa))
 
-    edges = []
-    for ca, cb in sorted(exists):
-        va = part.classes[ca]
-        vb = part.classes[cb]
-        df = vb.bit - va.bit
-        if df > 0:
-            w = va.types[0]
-        elif df < 0:
-            w = -va.types[-1]
-        else:
-            w = Fraction(0)
-        edges.append((ca, cb, Fraction(w)))
-
-    return OspGraph(
-        agent=agent,
-        horizon=k,
-        vertices=part.classes,
-        edges=tuple(edges),
+    classes = part.classes
+    edges = tuple(
+        (ca, cb, weight[ca][classes[cb].bit])
+        for ca, cb in sorted(exists)
+        if ca != cb
     )
+    return OspGraph(part.agent, part.horizon, classes, edges)
 
 
 def _bellman(graph: OspGraph):
     """Shortest path labels from an implicit zero-source; on a negative
-    cycle returns (None, witness)."""
+    cycle returns (None, witness).
+
+    Relaxation runs on the weights scaled by the least common denominator,
+    all integers; a positive scale changes no comparison, so the labels,
+    predecessors and witness are those of the rational run."""
     n = len(graph.vertices)
     if n == 0:
         return [], None
-    dist = [Fraction(0)] * n
+    lcd = 1
+    for _, _, w in graph.edges:
+        lcd = lcm(lcd, w.denominator)
+    edges = [
+        (a, b, w.numerator * (lcd // w.denominator)) for a, b, w in graph.edges
+    ]
+    dist = [0] * n
     pred: list[int | None] = [None] * n
     last = None
 
     def relax_round():
         nonlocal last
         changed = False
-        for a, b, w in graph.edges:
+        for a, b, w in edges:
             cand = dist[a] + w
             if cand < dist[b]:
                 dist[b] = cand
@@ -305,11 +298,11 @@ def _bellman(graph: OspGraph):
 
     for _ in range(n):
         if not relax_round():
-            return dist, None
+            return [Fraction(d, lcd) for d in dist], None
 
     # A cycle exists; walk predecessors until one closes on itself,
     # relaxing further if the chain still ends at an untouched vertex.
-    weight_of = {(a, b): w for a, b, w in graph.edges}
+    weight_of = {(a, b): w for a, b, w in edges}
     for _ in range(n + 1):
         x = last
         seen: dict[int, int] = {}
@@ -321,13 +314,13 @@ def _bellman(graph: OspGraph):
         if x is not None:
             back = order[seen[x] :]
             cycle = tuple(reversed(back))
-            total = Fraction(0)
+            total = 0
             for pos, a in enumerate(cycle):
                 b = cycle[(pos + 1) % len(cycle)]
                 total += weight_of[(a, b)]
             assert total < 0, "backtracked cycle must be negative"
             return None, NegativeCycleWitness(
-                agent=graph.agent, cycle=cycle, weight=total
+                agent=graph.agent, cycle=cycle, weight=Fraction(total, lcd)
             )
         relax_round()
     raise AssertionError("failed to close a negative cycle")
@@ -350,10 +343,11 @@ class SynthesisResult:
 
 def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
     """Price every leaf so the tree passes the k-step check, when cycle
-    monotonicity allows it.  The input must be k-limited with binary
-    outcomes and is never modified; on failure the negative cycles are
+    monotonicity allows it.  The input must be a valid k-limited tree
+    with binary outcomes and is never modified; on failure the negative cycles are
     returned instead of a tree."""
     k = normalize_horizon(k)
+    _require_valid(tree)
     limited = is_k_limited(tree, k)
     if not limited.ok:
         raise MechanismError(
@@ -362,16 +356,14 @@ def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
     per_agent_payment: dict[int, dict[int, Rat]] = {}
     failures = []
     for agent in range(tree.agents):
-        graph = build_k_osp_graph(tree, k, agent)
+        part = build_profile_classes(tree, k, agent)
+        graph = _class_graph(tree, part)
         dist, witness = _bellman(graph)
         if witness is not None:
             failures.append(witness)
             continue
-        for a, b, w in graph.edges:
-            assert dist[b] <= dist[a] + w
-        part_leaf = build_profile_classes(tree, k, agent).leaf_class
         per_agent_payment[agent] = {
-            leaf: dist[part_leaf[leaf]] for leaf in tree.leaf_ids
+            leaf: dist[part.leaf_class[leaf]] for leaf in tree.leaf_ids
         }
     if failures:
         return SynthesisResult(False, None, tuple(failures))
@@ -414,18 +406,7 @@ def sticky_edges_check(tree: ImplementationTree, k) -> StickyResult:
             shared = None
             for x in va.members:
                 for y in vb.members:
-                    nid = tree.root
-                    where = None
-                    while True:
-                        node = tree.nodes[nid]
-                        if isinstance(node, LeafNode):
-                            break
-                        ix = tree.route(nid, x[node.agent])
-                        iy = tree.route(nid, y[node.agent])
-                        if ix != iy:
-                            where = nid
-                            break
-                        nid = node.children[ix]
+                    where = first_divergence(tree, x, y)
                     if where is None or tree.nodes[where].agent != agent:
                         return StickyResult(
                             False, (agent, ca, cb, x, y, shared, where)

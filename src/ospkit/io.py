@@ -70,10 +70,12 @@ def loads_mechanism(text: str) -> ImplementationTree:
     except (TypeError, ValueError) as exc:
         raise MechanismFormatError(f"bad header: {exc}") from exc
 
+    if not isinstance(data["nodes"], list):
+        raise MechanismFormatError("'nodes' must be a list of node objects")
     nodes: dict[int, QueryNode | LeafNode] = {}
     for ordinal, entry in enumerate(data["nodes"]):
-        where = _line_of_node(text, ordinal)
-        loc = f" (line {where})" if where else ""
+        if not isinstance(entry, dict):
+            raise MechanismFormatError(f"nodes[{ordinal}] must be a node object")
         try:
             nid = int(entry["id"])
             kind = entry["kind"]
@@ -99,12 +101,10 @@ def loads_mechanism(text: str) -> ImplementationTree:
                     children=children,
                 )
             else:
-                raise MechanismFormatError(
-                    f"node {entry.get('id')}{loc}: unknown kind {kind!r}"
-                )
-        except MechanismFormatError:
-            raise
+                raise MechanismFormatError(f"unknown kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
+            where = _line_of_node(text, ordinal)
+            loc = f" (line {where})" if where else ""
             raise MechanismFormatError(
                 f"node {entry.get('id')}{loc}: {exc}"
             ) from exc
@@ -176,28 +176,41 @@ def loads_instance(text: str):
         raise MechanismFormatError(
             f"invalid json at line {exc.lineno}: {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise MechanismFormatError("instance file must hold a json object")
     for key in ("kind", "n", "domain"):
         if key not in data:
             raise MechanismFormatError(f"missing key {key!r}")
     kind = data["kind"]
-    n = int(data["n"])
-    domain = tuple(sorted(parse_rational(v) for v in data["domain"]))
     params = data.get("params", {}) or {}
-    if kind == "single_item":
-        ps = PSystem.single_item(n)
-    elif kind == "uniform":
-        ps = PSystem.uniform(n, int(params["rank"]))
-    elif kind == "graphic":
-        edges = [tuple(e) for e in params["edges"]]
-        if len(edges) != n:
-            raise MechanismFormatError(
-                f"{len(edges)} edges for {n} elements"
+    try:
+        n = int(data["n"])
+        domain = tuple(sorted(parse_rational(v) for v in data["domain"]))
+        if kind == "single_item":
+            ps = PSystem.single_item(n)
+        elif kind == "uniform":
+            ps = PSystem.uniform(n, int(params["rank"]))
+        elif kind == "graphic":
+            edges = [tuple(e) for e in params["edges"]]
+            if len(edges) != n:
+                raise MechanismFormatError(
+                    f"{len(edges)} edges for {n} elements"
+                )
+            ps = PSystem.graphic(edges)
+        elif kind == "explicit":
+            ps = PSystem.explicit(
+                n, [frozenset(s) for s in params["maximal_sets"]]
             )
-        ps = PSystem.graphic(edges)
-    elif kind == "explicit":
-        ps = PSystem.explicit(n, [frozenset(s) for s in params["maximal_sets"]])
-    else:
-        raise MechanismFormatError(f"unknown instance kind {kind!r}")
+        else:
+            raise MechanismFormatError(f"unknown instance kind {kind!r}")
+    except MechanismFormatError:
+        raise
+    except KeyError as exc:
+        raise MechanismFormatError(
+            f"{kind} instance needs params.{exc.args[0]}"
+        ) from exc
+    except (TypeError, ValueError) as exc:
+        raise MechanismFormatError(f"bad {kind} instance: {exc}") from exc
     return ps, domain
 
 

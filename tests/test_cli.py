@@ -129,6 +129,49 @@ class TestErrorPaths:
         code, _, err = run(capsys, "experiment", "--instance", "appendix_b")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "nodes,message",
+        [([5], "nodes[0] must be a node object"), (5, "'nodes' must be a list")],
+    )
+    def test_malformed_nodes_exit_2(self, capsys, tmp_path, nodes, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(
+            {"agents": 1, "domains": [["1"]], "root": 0, "nodes": nodes}
+        ))
+        code, _, err = run(capsys, "verify", "--mechanism", str(p), "--k", "0")
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "kind,param",
+        [("uniform", "rank"), ("graphic", "edges"), ("explicit", "maximal_sets")],
+    )
+    def test_instance_without_params_exits_2(self, capsys, tmp_path, kind, param):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"kind": kind, "n": 2, "domain": ["1", "2"]}))
+        code, _, err = run(capsys, "approx", "--instance", str(p))
+        assert code == 2
+        assert f"params.{param}" in err
+
+    @pytest.mark.parametrize("verb", ["payments", "cmon"])
+    def test_short_outcome_vector_exits_2(self, capsys, tmp_path, verb):
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps({
+            "agents": 2, "domains": [["1", "2"], ["1"]], "root": 0,
+            "nodes": [
+                {"id": 0, "kind": "query", "agent": 0,
+                 "blocks": [["1"], ["2"]], "children": [1, 2]},
+                {"id": 1, "kind": "leaf", "outcome": ["0"]},
+                {"id": 2, "kind": "leaf", "outcome": ["1", "0"]},
+            ],
+        }))
+        code, _, err = run(
+            capsys, verb, "--mechanism", str(p), "--k", "0",
+            "--out", str(tmp_path / "out.json"),
+        )
+        assert code == 2
+        assert "leaf 1: outcome length 1" in err
+
     def test_help_exits_clean(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

@@ -20,8 +20,8 @@ from ospkit import (
     sticky_edges_check,
     synthesize_payments,
 )
-from ospkit.cmon import OspGraph, ProfileClass
-from ospkit.model import random_k_limited_tree, tree_from_nested
+from ospkit.cmon import OspGraph, ProfileClass, _bellman
+from ospkit.model import LeafNode, random_k_limited_tree, tree_from_nested
 
 
 def F(v):
@@ -41,6 +41,139 @@ def dummy_graph(edges):
         for i in range(1 + max(max(a, b) for a, b, _ in edges))
     )
     return OspGraph(0, 0, verts, tuple((a, b, F(w)) for a, b, w in edges))
+
+
+def pair_divergences(tree, profiles):
+    """Yield (x, y, node) for every unordered profile pair, where node is
+    the query at which their walks part; same-leaf pairs are skipped."""
+    stack = [(tree.root, list(profiles))]
+    while stack:
+        nid, profs = stack.pop()
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            continue
+        buckets = {}
+        for x in profs:
+            buckets.setdefault(tree.route(nid, x[node.agent]), []).append(x)
+        idxs = sorted(buckets)
+        for pos, ia in enumerate(idxs):
+            for ib in idxs[pos + 1 :]:
+                for x in buckets[ia]:
+                    for y in buckets[ib]:
+                        yield x, y, nid
+        for ia in idxs:
+            stack.append((node.children[ia], buckets[ia]))
+
+
+def oracle_edges(tree, k, agent):
+    """Class graph edges from the definition: an edge for every profile
+    pair parting at a query to the agent, weighted by the smallest member
+    type of the source times the change of outcome bit."""
+    part = build_profile_classes(tree, k, agent)
+    profiles = list(itertools.product(*tree.domains))
+    leaf_of_prof = {p: tree.path_of(p)[-1] for p in profiles}
+    exists = set()
+    for x, y, nid in pair_divergences(tree, profiles):
+        if tree.nodes[nid].agent != agent:
+            continue
+        cx = part.leaf_class[leaf_of_prof[x]]
+        cy = part.leaf_class[leaf_of_prof[y]]
+        if cx == cy:
+            continue
+        exists.add((cx, cy))
+        exists.add((cy, cx))
+    edges = []
+    for ca, cb in sorted(exists):
+        va = part.classes[ca]
+        df = part.classes[cb].bit - va.bit
+        edges.append((ca, cb, min(t * df for t in va.types)))
+    return tuple(edges)
+
+
+def reference_bellman(graph):
+    """Bellman-Ford on Fractions: (labels, None), or (None, (cycle,
+    weight)) for the negative cycle closed by walking predecessors back
+    from the last relaxed vertex."""
+    n = len(graph.vertices)
+    if n == 0:
+        return [], None
+    dist = [F(0)] * n
+    pred = [None] * n
+    last = None
+
+    def relax_round():
+        nonlocal last
+        changed = False
+        for a, b, w in graph.edges:
+            cand = dist[a] + w
+            if cand < dist[b]:
+                dist[b] = cand
+                pred[b] = a
+                changed = True
+                last = b
+        return changed
+
+    for _ in range(n):
+        if not relax_round():
+            return dist, None
+    weight_of = {(a, b): w for a, b, w in graph.edges}
+    for _ in range(n + 1):
+        x = last
+        seen = {}
+        order = []
+        while x is not None and x not in seen:
+            seen[x] = len(order)
+            order.append(x)
+            x = pred[x]
+        if x is not None:
+            cycle = tuple(reversed(order[seen[x] :]))
+            total = sum(
+                (weight_of[(a, cycle[(pos + 1) % len(cycle)])]
+                 for pos, a in enumerate(cycle)),
+                F(0),
+            )
+            return None, (cycle, total)
+        relax_round()
+    raise AssertionError("failed to close a negative cycle")
+
+
+FRACTION_TYPES = [Fraction(v) for v in ("1/2", "1", "4/3", "2", "5/2", "3")]
+
+
+def random_graph_cases(seeds):
+    """(tree, k, agent) over seeded k-limited trees with 2-3 agents and
+    domains of 2-4 types.  Half the trees take fractional types, so the
+    integer scaling in _bellman works with common denominators above 1."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        agents = rng.randint(2, 3)
+        if seed % 2:
+            domains = [
+                sorted(rng.sample(FRACTION_TYPES, rng.randint(2, 4)))
+                for _ in range(agents)
+            ]
+        else:
+            domains = [
+                list(range(1, rng.randint(2, 4) + 1)) for _ in range(agents)
+            ]
+        k = rng.choice([0, 1, 2, inf])
+        tree = random_k_limited_tree(rng, agents, domains, k)
+        for agent in range(agents):
+            yield tree, k, agent
+
+
+def assert_bellman_matches_reference(graph):
+    dist, witness = _bellman(graph)
+    ref_dist, ref_witness = reference_bellman(graph)
+    if ref_witness is None:
+        assert witness is None
+        assert dist == ref_dist
+        assert all(type(d) is Fraction for d in dist)
+        assert all(dist[b] <= dist[a] + w for a, b, w in graph.edges)
+    else:
+        assert dist is None
+        assert (witness.cycle, witness.weight) == ref_witness
+    return ref_witness is not None
 
 
 def enumerate_min_cycle(graph):
@@ -82,6 +215,20 @@ class TestBellmanFord:
         w = has_negative_cycle(g)
         assert w is not None and w.weight == -1
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 1), (1, 2, -1), (2, 0, -1)],
+            [(0, 1, 1), (1, 2, -1), (2, 0, 0)],
+            [(0, 0, -1)],
+            [(0, 1, "1/2"), (1, 2, "-1/3"), (2, 0, "-1/4")],
+            [(0, 1, "1/2"), (1, 2, "-1/3"), (2, 0, "-1/6")],
+            [(0, 1, "-7/6"), (1, 0, "3/2"), (1, 2, "-5/4"), (2, 1, 2)],
+        ],
+    )
+    def test_integer_run_matches_fraction_reference(self, edges):
+        assert_bellman_matches_reference(dummy_graph(edges))
+
     def test_matches_enumeration_on_real_graphs(self):
         trees = [
             english_auction_tree(2, [1, 2, 3]),
@@ -94,6 +241,55 @@ class TestBellmanFord:
                     cheapest = enumerate_min_cycle(g)
                     verdict = has_negative_cycle(g) is not None
                     assert verdict == (cheapest is not None and cheapest < 0)
+
+
+class TestGraphOracle:
+    """The leaf-class construction and the integer Bellman-Ford against
+    the profile-pair definition and a Fraction run, on 1000 seeded
+    trees.  The trees are cut into slices to keep each test short."""
+
+    @pytest.mark.parametrize("start", range(0, 1000, 250))
+    def test_edges_and_labels_match_oracles(self, start):
+        graphs = cycles = 0
+        for t, k, agent in random_graph_cases(range(start, start + 250)):
+            g = build_k_osp_graph(t, k, agent)
+            assert g.edges == oracle_edges(t, k, agent)
+            cycles += assert_bellman_matches_reference(g)
+            graphs += 1
+        assert graphs >= 500
+        assert 0 < cycles < graphs
+
+    def test_fixture_graphs_with_tail_classes(self):
+        cases = [
+            (english_auction_tree(3, [1, 2, 3]), 0),
+            (compress(extract_tree(PSystem.single_item(3), [1, 2, 3, 4, 5])), 1),
+            (compress(extract_tree(PSystem.uniform(4, 2), [1, 2, 3, 4])), 0),
+        ]
+        tails = 0
+        for t, k in cases:
+            for agent in range(t.agents):
+                g = build_k_osp_graph(t, k, agent)
+                assert g.edges == oracle_edges(t, k, agent)
+                assert_bellman_matches_reference(g)
+                for cls in g.vertices:
+                    tails += cls.slice_kind != "settled"
+                    assert cls.members == tuple(sorted(cls.members))
+                    assert cls.types == tuple(
+                        sorted({m[agent] for m in cls.members})
+                    )
+        assert tails > 0
+
+    def test_malformed_tree_is_refused(self):
+        t = tree_from_nested(1, [[1, 2]], (
+            "q", 0, [
+                ([1], ("leaf", (0,), None)),
+                ([1, 2], ("leaf", (1,), None)),
+            ],
+        ))
+        with pytest.raises(MechanismError, match="in two blocks"):
+            build_k_osp_graph(t, 0, 0)
+        with pytest.raises(MechanismError):
+            synthesize_payments(t, 0)
 
 
 class TestClassPartition:

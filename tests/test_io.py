@@ -115,6 +115,35 @@ class TestMechanismFiles:
             loads_mechanism(text)
 
 
+    def test_bad_node_deep_in_file_names_its_line(self):
+        data = mechanism_to_data(english_auction_tree(3, [1, 2, 3, 4]))
+        bad = data["nodes"][-3]
+        bad["kind"] = "sideways"
+        text = json.dumps(data, sort_keys=True, indent=2)
+        want = text.splitlines().index(f'      "id": {bad["id"]},') + 1
+        assert want > 1000
+        with pytest.raises(
+            MechanismFormatError,
+            match=rf"node {bad['id']} \(line {want}\): unknown kind 'sideways'",
+        ):
+            loads_mechanism(text)
+
+    @pytest.mark.parametrize(
+        "nodes,message",
+        [
+            ([5], r"nodes\[0\] must be a node object"),
+            (5, "'nodes' must be a list"),
+            ({"id": 0}, "'nodes' must be a list"),
+        ],
+    )
+    def test_node_shape_errors(self, nodes, message):
+        text = json.dumps(
+            {"agents": 1, "domains": [["1"]], "root": 0, "nodes": nodes}
+        )
+        with pytest.raises(MechanismFormatError, match=message):
+            loads_mechanism(text)
+
+
 class TestInstanceFiles:
     @pytest.mark.parametrize(
         "ps,domain",
@@ -136,6 +165,31 @@ class TestInstanceFiles:
     def test_unknown_kind(self):
         with pytest.raises(MechanismFormatError, match="unknown instance kind"):
             loads_instance('{"kind": "nope", "n": 1, "domain": ["1"]}')
+
+    @pytest.mark.parametrize(
+        "kind,param", [
+            ("uniform", "rank"),
+            ("graphic", "edges"),
+            ("explicit", "maximal_sets"),
+        ],
+    )
+    def test_missing_params_are_named(self, kind, param):
+        text = json.dumps({"kind": kind, "n": 2, "domain": ["1"]})
+        with pytest.raises(MechanismFormatError, match=f"params.{param}"):
+            loads_instance(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"kind, n and domain"',
+            '{"kind": "uniform", "n": 2, "domain": ["1"], "params": 3}',
+            '{"kind": "uniform", "n": "x", "domain": ["1"], "params": {"rank": 1}}',
+            '{"kind": "uniform", "n": 2, "domain": ["1"], "params": {"rank": []}}',
+        ],
+    )
+    def test_shape_errors(self, text):
+        with pytest.raises(MechanismFormatError):
+            loads_instance(text)
 
     def test_graphic_edge_count_must_match(self):
         text = json.dumps(
