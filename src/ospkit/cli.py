@@ -41,7 +41,7 @@ from .io import (
     render_report,
     write_report,
 )
-from .model import MechanismError, query_count
+from .model import MechanismError, query_count, require_valid
 from .rational import format_rational, parse_rational
 
 EXPERIMENT_COLUMNS = [
@@ -86,6 +86,7 @@ def _max_queries(tree) -> int:
 
 def cmd_verify(args) -> int:
     tree = load_mechanism(args.mechanism)
+    require_valid(tree)
     k = parse_horizon(args.k)
     result = verifier.check_k_step_osp(tree, k)
 

@@ -31,8 +31,8 @@ from .model import (
     QueryNode,
     first_divergence,
     normalize_horizon,
+    require_valid,
     scale_guard,
-    validate_tree,
 )
 from .rational import Rat
 from .verifier import classify_query, is_k_limited, require_binary_outcomes
@@ -221,16 +221,10 @@ def build_k_osp_graph(tree: ImplementationTree, k, agent: int) -> OspGraph:
     type of the source with the outcome difference, so a worse outcome
     prices at the largest type and a better one at the smallest.
     """
-    _require_valid(tree)
+    # leaf boxes split the profiles, as the class graph assumes, only
+    # when the blocks partition every domain
+    require_valid(tree)
     return _class_graph(tree, build_profile_classes(tree, k, agent))
-
-
-def _require_valid(tree: ImplementationTree) -> None:
-    """Refuse trees with defects: leaf boxes split the profiles, as the
-    class graph assumes, only when the blocks partition every domain."""
-    problems = validate_tree(tree)
-    if problems:
-        raise MechanismError(f"malformed mechanism: {problems[0]}")
 
 
 def _class_graph(tree: ImplementationTree, part: ClassPartition) -> OspGraph:
@@ -347,7 +341,7 @@ def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
     with binary outcomes and is never modified; on failure the negative cycles are
     returned instead of a tree."""
     k = normalize_horizon(k)
-    _require_valid(tree)
+    require_valid(tree)
     limited = is_k_limited(tree, k)
     if not limited.ok:
         raise MechanismError(

@@ -286,6 +286,13 @@ def validate_tree(tree: ImplementationTree) -> list[str]:
     return problems
 
 
+def require_valid(tree: ImplementationTree) -> None:
+    """Raise MechanismError naming the first defect `validate_tree` finds."""
+    problems = validate_tree(tree)
+    if problems:
+        raise MechanismError(f"malformed mechanism: {problems[0]}")
+
+
 def leaf_of(tree: ImplementationTree, profile) -> LeafNode:
     return tree.leaf_of(profile)
 

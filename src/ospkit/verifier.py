@@ -3,9 +3,12 @@
 `check_k_step_osp` tests the pairwise payment inequalities that
 characterize truthful play under k-step planning: whenever two profiles
 part ways at a query node, every type the agent may still believe
-possible must weakly prefer her own branch.  The checker walks ordered
-leaf pairs grouped by their divergence node, which covers every
-constraint exactly once; reported witnesses are concrete profile pairs.
+possible must weakly prefer her own branch.  Every constraint belongs to
+one ordered leaf pair below one divergence node.  The checker finds all
+commitment sets in one pass over the leaves' root paths, then decides
+each node from each child's largest payment per outcome level, and lists
+leaf pairs one by one only in the rows where that envelope shows a gain;
+reported witnesses are concrete profile pairs.
 
 The remaining entry points probe structure rather than payments: the
 ordering of commitment ranges across branches, the taxonomy of a single
@@ -76,6 +79,33 @@ def commitment_types(tree: ImplementationTree, node_id: int, leaf_id: int, k):
     return tree.domain_at[h][i]
 
 
+def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, tuple]]:
+    """Every commitment set at once: sets[u][leaf] is
+    `commitment_types(tree, u, leaf, k)` for each query node u and each
+    leaf below it.
+
+    Walks each leaf's root path once.  Where u is the m-th query to agent
+    i on that path, the set is i's domain at the node just after the
+    (m+k)-th query to i, or at the leaf when fewer queries remain."""
+    sets: dict[int, dict[int, tuple]] = {u: {} for u in tree.internal_ids}
+    for leaf in tree.leaf_ids:
+        path = []
+        nid = leaf
+        while nid is not None:
+            path.append(nid)
+            nid = tree.parent[nid]
+        path.reverse()
+        asked: dict[int, list[int]] = {}  # agent -> path positions of her queries
+        for pos in range(len(path) - 1):
+            asked.setdefault(tree.nodes[path[pos]].agent, []).append(pos)
+        for i, positions in asked.items():
+            for m, pos in enumerate(positions):
+                end = m + k
+                h = leaf if end >= len(positions) else path[positions[end] + 1]
+                sets[path[pos]][leaf] = tree.domain_at[h][i]
+    return sets
+
+
 @dataclass(frozen=True)
 class Constraint:
     """One violated inequality: type c at the divergence node would gain
@@ -101,14 +131,26 @@ class CheckResult:
         return self.ok
 
 
+def _would_gain(dp, df, cmin, cmax) -> bool:
+    """Whether some type c in [cmin, cmax] has dp > c * df: the payment
+    change dp outweighs the cost change c * df of the outcome change df."""
+    if df == 0:
+        return dp > 0
+    if df > 0:
+        return dp > cmin * df
+    return dp > cmax * df
+
+
 def check_k_step_osp(
     tree: ImplementationTree, k, max_violations: int = 1000
 ) -> CheckResult:
     """Decide k-step obvious strategyproofness of a priced tree.
 
     Payments must be present at every leaf.  On failure the result
-    carries every violated constraint in canonical order, capped at
-    max_violations.
+    carries every violated constraint in canonical order (divergence
+    node, own child, other child, own leaf, other leaf, type), capped at
+    max_violations.  `checked` counts the ordered leaf pairs covered
+    before any truncation, the truncating pair included.
     """
     k = normalize_horizon(k)
     missing = [
@@ -117,15 +159,13 @@ def check_k_step_osp(
     if missing:
         raise MechanismError(f"payments missing at leaves {missing[:5]}")
 
+    sets = _commitment_sets(tree, k)
     violations: list[Constraint] = []
     checked = 0
     for u in tree.internal_ids:
         node = tree.nodes[u]
         i = node.agent
-        csets = {
-            leaf: commitment_types(tree, u, leaf, k)
-            for leaf in tree.leaves_under[u]
-        }
+        csets = sets[u]
         rows = [
             [
                 (leaf, tree.nodes[leaf].outcome[i], tree.nodes[leaf].payment[i])
@@ -133,24 +173,33 @@ def check_k_step_osp(
             ]
             for cid in node.children
         ]
+        # the largest payment per outcome level below each child: a leaf
+        # pair can gain only if its level's maximum gains
+        tops = []
+        for side in rows:
+            top: dict[Rat, Rat] = {}
+            for _, f, p in side:
+                if f not in top or p > top[f]:
+                    top[f] = p
+            tops.append(tuple(top.items()))
         for ia, side_a in enumerate(rows):
             for ib, side_b in enumerate(rows):
                 if ia == ib:
                     continue
+                top_b = tops[ib]
                 for la, fa, pa in side_a:
                     cset = csets[la]
                     cmin, cmax = cset[0], cset[-1]
+                    if not any(
+                        _would_gain(p - pa, f - fa, cmin, cmax) for f, p in top_b
+                    ):
+                        checked += len(side_b)
+                        continue
                     for lb, fb, pb in side_b:
                         checked += 1
                         df = fb - fa
                         dp = pb - pa
-                        if df == 0:
-                            bad = dp > 0
-                        elif df > 0:
-                            bad = dp > cmin * df
-                        else:
-                            bad = dp > cmax * df
-                        if not bad:
+                        if not _would_gain(dp, df, cmin, cmax):
                             continue
                         a = tree.box_min(la)
                         b = tree.box_min(lb)
@@ -182,17 +231,16 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
     Whenever profiles a and b part at a node and the agent's outcome at a
     exceeds her outcome at b, every type she might still hold on a's plan
     must lie strictly below every type on b's plan.  The witness quotes
-    the node, both profiles, and the two offending types c >= d.
+    the node, both profiles, and the two offending types c >= d; it is
+    the first failing leaf pair in the order of `check_k_step_osp`.
     """
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
+    sets = _commitment_sets(tree, k)
     for u in tree.internal_ids:
         node = tree.nodes[u]
         i = node.agent
-        csets = {
-            leaf: commitment_types(tree, u, leaf, k)
-            for leaf in tree.leaves_under[u]
-        }
+        csets = sets[u]
         rows = [
             [
                 (leaf, tree.nodes[leaf].outcome[i])
@@ -200,17 +248,25 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
             ]
             for cid in node.children
         ]
+        # the smallest commitment type over each child's outcome-0 leaves;
+        # with binary outcomes only outcome-1 leaves face those
+        floors = [
+            min((csets[lb][0] for lb, fb in side if fb == 0), default=None)
+            for side in rows
+        ]
         for ia, side_a in enumerate(rows):
             for ib, side_b in enumerate(rows):
-                if ia == ib:
+                if ia == ib or floors[ib] is None:
                     continue
                 for la, fa in side_a:
+                    if fa != 1:
+                        continue
+                    cmax_a = csets[la][-1]
+                    if cmax_a < floors[ib]:
+                        continue
                     for lb, fb in side_b:
-                        if fa <= fb:
-                            continue
-                        cmax_a = csets[la][-1]
                         cmin_b = csets[lb][0]
-                        if cmax_a >= cmin_b:
+                        if fb == 0 and cmax_a >= cmin_b:
                             return AlmostOrderedResult(
                                 False,
                                 (
@@ -226,7 +282,12 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
 
 def _value_table(tree: ImplementationTree, node_id: int):
     """(f_i, p_i) for every (own type, others' types) available at a query
-    node.  Payment-free leaves count as paying zero."""
+    node.  Payment-free leaves count as paying zero.
+
+    Splits the node's box down its subtree by each query's blocks, as
+    `route` does: a value in two blocks goes to the first, a value in no
+    block or an edge to an unknown child raises.  Each leaf fills the
+    table with the product of its box."""
     node = tree.nodes[node_id]
     i = node.agent
     dom = tree.domain_at[node_id]
@@ -238,13 +299,43 @@ def _value_table(tree: ImplementationTree, node_id: int):
     scale_guard(count)
     combos = list(itertools.product(*others))
     table: dict[tuple, tuple[Rat, Rat]] = {}
-    for t in own:
-        for x in combos:
-            prof = list(x)
-            prof.insert(i, t)
-            leaf = tree.leaf_of(tuple(prof))
-            pay = Fraction(0) if leaf.payment is None else leaf.payment[i]
-            table[(t, x)] = (leaf.outcome[i], pay)
+    if not count:
+        return own, combos, table
+    for j, d in enumerate(dom):
+        for t in d:
+            if t not in tree.domains[j]:
+                raise MechanismError(f"type {t} not in domain of agent {j}")
+    zero = Fraction(0)
+    stack = [(node_id, dom)]
+    while stack:
+        nid, box = stack.pop()
+        sub = tree.nodes[nid]
+        if isinstance(sub, LeafNode):
+            value = (
+                sub.outcome[i],
+                zero if sub.payment is None else sub.payment[i],
+            )
+            rest = box[:i] + box[i + 1 :]
+            for x in itertools.product(*rest):
+                for t in box[i]:
+                    table[(t, x)] = value
+            continue
+        j = sub.agent
+        parts: list[list[Rat]] = [[] for _ in sub.blocks]
+        for v in box[j]:
+            for idx, blk in enumerate(sub.blocks):
+                if v in blk:
+                    parts[idx].append(v)
+                    break
+            else:
+                raise MechanismError(f"value {v} not in any block of node {nid}")
+        for idx, part in enumerate(parts):
+            if not part:
+                continue
+            cid = sub.children[idx] if idx < len(sub.children) else None
+            if cid not in tree.parent:
+                raise MechanismError(f"walk entered defective edge at node {nid}")
+            stack.append((cid, box[:j] + (tuple(part),) + box[j + 1 :]))
     return own, combos, table
 
 

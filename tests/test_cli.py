@@ -153,7 +153,7 @@ class TestErrorPaths:
         assert code == 2
         assert f"params.{param}" in err
 
-    @pytest.mark.parametrize("verb", ["payments", "cmon"])
+    @pytest.mark.parametrize("verb", ["verify", "payments", "cmon"])
     def test_short_outcome_vector_exits_2(self, capsys, tmp_path, verb):
         p = tmp_path / "short.json"
         p.write_text(json.dumps({
