@@ -29,13 +29,19 @@ from .model import (
     LeafNode,
     MechanismError,
     QueryNode,
-    first_divergence,
     normalize_horizon,
+    parting_node,
+    profile_leaves,
     require_valid,
     scale_guard,
 )
 from .rational import Rat
-from .verifier import classify_query, is_k_limited, require_binary_outcomes
+from .verifier import (
+    _value_table,
+    is_k_limited,
+    query_class,
+    require_binary_outcomes,
+)
 
 SETTLED = "settled"
 TAIL_EFFECTIVE = "tail_effective"
@@ -75,26 +81,16 @@ class NegativeCycleWitness:
     weight: Rat
 
 
-def _bit_below(tree: ImplementationTree, nid: int, prof, agent: int) -> int:
-    """The agent's outcome bit at the leaf that prof reaches from nid."""
-    node = tree.nodes[nid]
-    while not isinstance(node, LeafNode):
-        node = tree.nodes[node.children[tree.route(node.id, prof[node.agent])]]
-    return int(node.outcome[agent])
-
-
-def _tail_split(tree: ImplementationTree, u: int, agent: int):
+def _tail_split(tree: ImplementationTree, u: int, own, combos, table):
     """Split the domain at a (k+2)-th query into effective and pooled
     types: the pooled side is the largest group of types with pointwise
-    identical outcomes, ties resolved by the only-extreme form."""
-    own = tree.domain_at[u][agent]
-    box = list(tree.domain_at[u])
+    identical outcomes, ties resolved by the only-extreme form.  own,
+    combos and table are `_value_table(tree, u)`."""
+    node = tree.nodes[u]
+    agent = node.agent
     sig: dict[tuple, list[Rat]] = {}
     for t in own:
-        box[agent] = (t,)
-        key = tuple(
-            _bit_below(tree, u, prof, agent) for prof in itertools.product(*box)
-        )
+        key = tuple(table[(t, x)][0] for x in combos)
         sig.setdefault(key, []).append(t)
     groups = sorted(sig.values(), key=lambda g: (-len(g), g[0]))
     if len(groups) == 1:
@@ -102,7 +98,7 @@ def _tail_split(tree: ImplementationTree, u: int, agent: int):
     if len(groups[0]) > len(groups[1]):
         pooled = set(groups[0])
         return tuple(v for v in own if v not in pooled), tuple(groups[0])
-    qc = classify_query(tree, u)
+    qc = query_class(u, agent, own, tree.domains[agent], node.blocks, table)
     if (len(own) == 2 or qc.is_prefix) and own[-1] in qc.only_types:
         return (own[-1],), tuple(own[:-1])
     if qc.is_suffix and own[0] in qc.only_types:
@@ -148,7 +144,8 @@ def build_profile_classes(
             continue
         if tree.query_depth[nid][agent] != k + 2:
             continue
-        effective, pooled = _tail_split(tree, nid, agent)
+        own, combos, table = _value_table(tree, nid)
+        effective, pooled = _tail_split(tree, nid, own, combos, table)
         tail_sides[nid] = (frozenset(effective), frozenset(pooled))
         anchor_of.update(dict.fromkeys(tree.leaves_under[nid], nid))
         box = list(tree.domain_at[nid])
@@ -159,7 +156,8 @@ def build_profile_classes(
             buckets: dict[int, list[tuple[Rat, ...]]] = {0: [], 1: []}
             box[agent] = side
             for prof in itertools.product(*box):
-                buckets[_bit_below(tree, nid, prof, agent)].append(prof)
+                f, _ = table[(prof[agent], prof[:agent] + prof[agent + 1 :])]
+                buckets[int(f)].append(prof)
             for bit in (0, 1):
                 if buckets[bit]:
                     key = (nid, kind, bit)
@@ -268,12 +266,15 @@ def _bellman(graph: OspGraph):
     n = len(graph.vertices)
     if n == 0:
         return [], None
-    lcd = 1
-    for _, _, w in graph.edges:
-        lcd = lcm(lcd, w.denominator)
-    edges = [
-        (a, b, w.numerator * (lcd // w.denominator)) for a, b, w in graph.edges
-    ]
+    # edges share their weight objects, one per source class and target
+    # bit, so each object is scaled once; keying by identity avoids
+    # hashing a Fraction per edge
+    distinct = {id(w): w for _, _, w in graph.edges}
+    lcd = lcm(*(w.denominator for w in distinct.values()))
+    scaled = {
+        key: w.numerator * (lcd // w.denominator) for key, w in distinct.items()
+    }
+    edges = [(a, b, scaled[id(w)]) for a, b, w in graph.edges]
     dist = [0] * n
     pred: list[int | None] = [None] * n
     last = None
@@ -389,6 +390,7 @@ def sticky_edges_check(tree: ImplementationTree, k) -> StickyResult:
     one piece: every member pair parts at one and the same query node.
     Returns the first counterexample otherwise."""
     k = normalize_horizon(k)
+    leaf_at = profile_leaves(tree, tree.root)
     for agent in range(tree.agents):
         graph = build_k_osp_graph(tree, k, agent)
         for ca, cb, _ in graph.edges:
@@ -400,7 +402,7 @@ def sticky_edges_check(tree: ImplementationTree, k) -> StickyResult:
             shared = None
             for x in va.members:
                 for y in vb.members:
-                    where = first_divergence(tree, x, y)
+                    where = parting_node(tree, leaf_at[x], leaf_at[y])
                     if where is None or tree.nodes[where].agent != agent:
                         return StickyResult(
                             False, (agent, ca, cb, x, y, shared, where)

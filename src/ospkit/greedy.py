@@ -18,11 +18,18 @@ from .model import (
     MechanismError,
     QueryNode,
     normalize_horizon,
+    profile_leaves,
     scale_guard,
+    split_box,
     tree_from_nested,
 )
 from .rational import Rat, parse_rational
-from .verifier import is_k_limited, require_binary_outcomes
+from .verifier import (
+    _value_table,
+    is_k_limited,
+    query_class,
+    require_binary_outcomes,
+)
 
 
 class PSystem:
@@ -504,14 +511,12 @@ def is_revealable(tree: ImplementationTree, node_id: int) -> bool:
     agent = node.agent
     own = tree.domain_at[node_id][agent]
     low_won, high_lost = True, True
-    for prof in tree.available_profiles(node_id):
-        out = tree.leaf_of(prof).outcome[agent]
-        if prof[agent] < own[-1] and out != 1:
+    for leaf, box in split_box(tree, node_id):
+        out = tree.nodes[leaf].outcome[agent]
+        if box[agent][0] < own[-1] and out != 1:
             low_won = False
-        if prof[agent] > own[0] and out != 0:
+        if box[agent][-1] > own[0] and out != 0:
             high_lost = False
-        if not (low_won or high_lost):
-            return False
     return low_won or high_lost
 
 
@@ -718,11 +723,12 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
         if tuple(dm) != cost_dom:
             raise MechanismError("tree domain does not mirror the valuation domain")
     scale_guard(len(dom0) ** n, "valuation profiles")
+    leaf_at = profile_leaves(tree, tree.root)
     maximal = ps.maximal_sets()
     worst: Fraction | None = None
     witness = None
     for prof in itertools.product(dom0, repeat=n):
-        outcome = tree.leaf_of(tuple(-v for v in prof)).outcome
+        outcome = tree.nodes[leaf_at[tuple(-v for v in prof)]].outcome
         got = sum(v for v, f in zip(prof, outcome) if f)
         best = max(sum(prof[e] for e in t) for t in maximal)
         ratio = Fraction(1) if best == 0 else Fraction(got) / best
@@ -765,6 +771,7 @@ def search_two_way_greedy(
         raise MechanismError("search is limited to two agents and four types")
     kk = normalize_horizon(k)
     target = parse_rational(target_ratio)
+    cost_dom = tuple(sorted(-v for v in dom0))
     maximal = ps.maximal_sets()
     opt_cache: dict[tuple, Fraction] = {}
     greedy_cache: dict[tuple, frozenset] = {}
@@ -791,54 +798,14 @@ def search_two_way_greedy(
             out |= leaf_values(sub, agent)
         return out
 
-    def evaluate(nested, prof):
-        while nested[0] == "q":
-            _, agent, branches = nested
-            nested = next(sub for vals, sub in branches if prof[agent] in vals)
-        return nested[1]
-
-    def special_ok(agent: int, own, other_dom, nested) -> bool:
-        # mirror of the budget check's allowed extra-query forms, stated
-        # over valuations: cost maxima are valuation minima and the
-        # prefix/suffix roles swap
-        table = {}
-        for t in own:
-            for y in other_dom:
-                prof = (t, y) if agent == 0 else (y, t)
-                table[(t, y)] = evaluate(nested, prof)[agent]
-        removed = [v for v in dom0 if v not in own]
-        val_prefix = not removed or own[-1] < min(removed)
-        val_suffix = not removed or own[0] > max(removed)
-        blocks = [vals for vals, _ in nested[2]]
-        revelation = all(len(b) == 1 for b in blocks)
-        singles = [b for b in blocks if len(b) == 1]
-        sep_min = len(blocks) == 2 and (own[0],) in singles
-        sep_max = len(blocks) == 2 and (own[-1],) in singles
-        strongly_ineffective = len(set(table.values())) == 1
-
-        def only(extreme: Rat, strong: bool) -> bool:
-            rest = [s for s in own if s != extreme]
-            if not all(
-                len({table[(s, y)] for s in rest}) == 1 for y in other_dom
-            ):
-                return False
-            if strong and len({table[(s, y)] for s in rest for y in other_dom}) > 1:
-                return False
-            return any(
-                table[(extreme, y)] != table[(rest[0], y)] for y in other_dom
-            )
-
-        top = (len(own) == 2 or val_suffix) and (
-            (revelation and strongly_ineffective)
-            or (revelation and only(own[0], strong=True))
-            or (sep_min and only(own[0], strong=False))
-        )
-        bottom = val_prefix and (
-            (revelation and strongly_ineffective)
-            or (revelation and only(own[-1], strong=True))
-            or (sep_max and only(own[-1], strong=False))
-        )
-        return top or bottom
+    def extra_allowed(agent: int, doms, node) -> bool:
+        # the budget check's forms, asked of the candidate mirrored into
+        # the cost convention
+        cand = as_cost_tree(tree_from_nested(2, doms, node))
+        own, _, table = _value_table(cand, cand.root)
+        blocks = cand.nodes[cand.root].blocks
+        qc = query_class(cand.root, agent, own, cost_dom, blocks, table)
+        return qc.extra_allowed
 
     def search(state):
         nonlocal explored
@@ -929,7 +896,7 @@ def search_two_way_greedy(
                         if not (hi_won or lo_lost):
                             continue
                         node = ("q", agent, [((lo,), subs[0]), ((hi,), subs[1])])
-                    if special and not special_ok(agent, own, doms[other], node):
+                    if special and not extra_allowed(agent, doms, node):
                         continue
                     result = node
                     break

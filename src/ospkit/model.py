@@ -11,6 +11,14 @@ of her own future moves an agent plans ahead when she evaluates a query.
 `k_step_neighborhood` and `equivalence_class` expose the induced structure:
 the nodes covered by a k-step plan, and the profiles an agent cannot yet
 tell apart from a given one.
+
+Two routines answer every bulk question about where profiles go.
+`split_box` splits the box of profiles available at a node down its
+subtree and yields each leaf with the box that reaches it; every table
+keyed by profile or by (own type, opponents) is built from it, so no
+consumer walks from the root once per profile.  `parting_node` finds
+where the walks to two leaves part: at their lowest common ancestor.
+`ImplementationTree.path_of` and `leaf_of` remain the single-profile walk.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 
 from .rational import Rat, parse_rational
 
@@ -33,7 +41,13 @@ class MechanismError(ValueError):
 
 def scale_guard(count: int, what: str = "profiles") -> None:
     """Refuse enumerations larger than OSPKIT_SCALE_GUARD (default 100000)."""
-    limit = int(os.environ.get("OSPKIT_SCALE_GUARD", DEFAULT_SCALE_GUARD))
+    raw = os.environ.get("OSPKIT_SCALE_GUARD", DEFAULT_SCALE_GUARD)
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise MechanismError(
+            f"OSPKIT_SCALE_GUARD must be an integer, not {raw!r}"
+        ) from None
     if count > limit:
         raise MechanismError(
             f"enumeration of {count} {what} exceeds scale guard {limit}; "
@@ -293,10 +307,6 @@ def require_valid(tree: ImplementationTree) -> None:
         raise MechanismError(f"malformed mechanism: {problems[0]}")
 
 
-def leaf_of(tree: ImplementationTree, profile) -> LeafNode:
-    return tree.leaf_of(profile)
-
-
 def query_count(tree: ImplementationTree, agent: int, leaf_id: int) -> int:
     """Number of queries to agent on the path from the root to leaf_id."""
     if leaf_id not in tree.query_depth:
@@ -371,6 +381,73 @@ def k_step_neighborhood(tree: ImplementationTree, node_id: int, k):
     return frozenset(covered), frozenset(endpoints)
 
 
+def split_box(tree: ImplementationTree, node_id: int):
+    """Yield (leaf id, box) for every leaf reached from node_id, where box
+    holds, per agent, the types available at node_id that reach the leaf.
+
+    Each query splits the box by its blocks as `route` does: a value in
+    two blocks goes to the first, and a value in no block, an edge to an
+    unknown child or a type outside the agents' domains raises.  The
+    yielded boxes partition the node's box; a box with no profile reaches
+    no leaf."""
+    box = tree.domain_at[node_id]
+    if not all(box):
+        return
+    for j, d in enumerate(box):
+        for t in d:
+            if t not in tree.domains[j]:
+                raise MechanismError(f"type {t} not in domain of agent {j}")
+    stack = [(node_id, box)]
+    while stack:
+        nid, box = stack.pop()
+        sub = tree.nodes[nid]
+        if isinstance(sub, LeafNode):
+            yield nid, box
+            continue
+        j = sub.agent
+        parts: list[list[Rat]] = [[] for _ in sub.blocks]
+        for v in box[j]:
+            for idx, blk in enumerate(sub.blocks):
+                if v in blk:
+                    parts[idx].append(v)
+                    break
+            else:
+                raise MechanismError(f"value {v} not in any block of node {nid}")
+        for idx, part in enumerate(parts):
+            if not part:
+                continue
+            cid = sub.children[idx] if idx < len(sub.children) else None
+            if cid not in tree.parent:
+                raise MechanismError(f"walk entered defective edge at node {nid}")
+            stack.append((cid, box[:j] + (tuple(part),) + box[j + 1 :]))
+
+
+def profile_leaves(tree: ImplementationTree, node_id: int) -> dict[tuple, int]:
+    """The leaf each profile available at node_id reaches, from one split
+    of the node's box."""
+    scale_guard(prod(len(d) for d in tree.domain_at[node_id]))
+    return {
+        prof: leaf
+        for leaf, box in split_box(tree, node_id)
+        for prof in itertools.product(*box)
+    }
+
+
+def parting_node(tree: ImplementationTree, x: int, y: int) -> int | None:
+    """The query node where the walks ending at leaves x and y part: their
+    lowest common ancestor.  None when x == y, as such walks never part."""
+    if x == y:
+        return None
+    while tree.depth[x] > tree.depth[y]:
+        x = tree.parent[x]
+    while tree.depth[y] > tree.depth[x]:
+        y = tree.parent[y]
+    while x != y:
+        x = tree.parent[x]
+        y = tree.parent[y]
+    return x
+
+
 def equivalence_class(tree: ImplementationTree, node_id: int, profile, k):
     """Profiles the queried agent cannot distinguish from `profile` at
     node_id under a k-step plan.
@@ -388,38 +465,19 @@ def equivalence_class(tree: ImplementationTree, node_id: int, profile, k):
         raise MechanismError(f"profile {prof} not available at node {node_id}")
     covered, _ = k_step_neighborhood(tree, node_id, k)
     forbidden = covered | {node_id}
-    members = []
-    for cand in tree.available_profiles(node_id):
-        nid = node_id
-        while True:
-            cur = tree.nodes[nid]
-            if isinstance(cur, LeafNode):
-                members.append(cand)
-                break
-            ia = tree.route(nid, prof[cur.agent])
-            ib = tree.route(nid, cand[cur.agent])
-            if ia != ib:
-                if nid not in forbidden:
-                    members.append(cand)
-                break
-            nid = cur.children[ia]
+    leaf_at = profile_leaves(tree, node_id)
+    own = leaf_at[prof]
+    members = [
+        cand
+        for cand, leaf in leaf_at.items()
+        if parting_node(tree, own, leaf) not in forbidden
+    ]
     return tuple(sorted(members))
 
 
 def first_divergence(tree: ImplementationTree, a, b):
     """Node id where the walks of profiles a and b part, None if never."""
-    pa = tree.as_profile(a)
-    pb = tree.as_profile(b)
-    nid = tree.root
-    while True:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            return None
-        ia = tree.route(nid, pa[node.agent])
-        ib = tree.route(nid, pb[node.agent])
-        if ia != ib:
-            return nid
-        nid = node.children[ia]
+    return parting_node(tree, tree.path_of(a)[-1], tree.path_of(b)[-1])
 
 
 def tree_from_nested(agents: int, domains, nested) -> ImplementationTree:

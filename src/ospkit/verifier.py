@@ -14,6 +14,11 @@ The remaining entry points probe structure rather than payments: the
 ordering of commitment ranges across branches, the taxonomy of a single
 query, per-path query budgets, taxation patterns forced by third types,
 and the rewrite that turns the last allowed query into a revelation.
+Their (own type, opponents) -> (f, p) tables and profile -> leaf maps
+come from one split of a node's box (`model.split_box`), and the node
+where two profiles part from `model.parting_node`.  `query_class` states
+the allowed forms of an extra query once, as a function of the query's
+parts; `is_k_limited` and the search in `greedy` both call it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 
 from .model import (
     ImplementationTree,
@@ -29,7 +34,10 @@ from .model import (
     MechanismError,
     QueryNode,
     normalize_horizon,
+    parting_node,
+    profile_leaves,
     scale_guard,
+    split_box,
 )
 from .rational import Rat, format_rational
 
@@ -282,61 +290,21 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
 
 def _value_table(tree: ImplementationTree, node_id: int):
     """(f_i, p_i) for every (own type, others' types) available at a query
-    node.  Payment-free leaves count as paying zero.
-
-    Splits the node's box down its subtree by each query's blocks, as
-    `route` does: a value in two blocks goes to the first, a value in no
-    block or an edge to an unknown child raises.  Each leaf fills the
-    table with the product of its box."""
-    node = tree.nodes[node_id]
-    i = node.agent
+    node, filled from the leaf boxes of `split_box`.  Payment-free leaves
+    count as paying zero."""
+    i = tree.nodes[node_id].agent
     dom = tree.domain_at[node_id]
-    own = dom[i]
-    others = [dom[j] for j in range(tree.agents) if j != i]
-    count = len(own)
-    for d in others:
-        count *= len(d)
-    scale_guard(count)
-    combos = list(itertools.product(*others))
+    scale_guard(prod(len(d) for d in dom))
+    combos = list(itertools.product(*(dom[:i] + dom[i + 1 :])))
     table: dict[tuple, tuple[Rat, Rat]] = {}
-    if not count:
-        return own, combos, table
-    for j, d in enumerate(dom):
-        for t in d:
-            if t not in tree.domains[j]:
-                raise MechanismError(f"type {t} not in domain of agent {j}")
     zero = Fraction(0)
-    stack = [(node_id, dom)]
-    while stack:
-        nid, box = stack.pop()
-        sub = tree.nodes[nid]
-        if isinstance(sub, LeafNode):
-            value = (
-                sub.outcome[i],
-                zero if sub.payment is None else sub.payment[i],
-            )
-            rest = box[:i] + box[i + 1 :]
-            for x in itertools.product(*rest):
-                for t in box[i]:
-                    table[(t, x)] = value
-            continue
-        j = sub.agent
-        parts: list[list[Rat]] = [[] for _ in sub.blocks]
-        for v in box[j]:
-            for idx, blk in enumerate(sub.blocks):
-                if v in blk:
-                    parts[idx].append(v)
-                    break
-            else:
-                raise MechanismError(f"value {v} not in any block of node {nid}")
-        for idx, part in enumerate(parts):
-            if not part:
-                continue
-            cid = sub.children[idx] if idx < len(sub.children) else None
-            if cid not in tree.parent:
-                raise MechanismError(f"walk entered defective edge at node {nid}")
-            stack.append((cid, box[:j] + (tuple(part),) + box[j + 1 :]))
-    return own, combos, table
+    for leaf, box in split_box(tree, node_id):
+        sub = tree.nodes[leaf]
+        value = (sub.outcome[i], zero if sub.payment is None else sub.payment[i])
+        for x in itertools.product(*(box[:i] + box[i + 1 :])):
+            for t in box[i]:
+                table[(t, x)] = value
+    return dom[i], combos, table
 
 
 @dataclass(frozen=True)
@@ -346,7 +314,9 @@ class QueryClass:
     Shape: revelation (all blocks singleton), extremal side when binary
     with an extreme singled out, prefix/suffix position of the current
     domain within the full one.  Effect: whether answers can still move
-    the agent's own outcome or payment, and for which single types."""
+    the agent's own outcome or payment, and for which single types.
+    `extra_allowed` tells whether the query has one of the harmless forms
+    a (k+2)-th query to the agent on a path may take."""
 
     node: int
     agent: int
@@ -359,6 +329,7 @@ class QueryClass:
     only_types: tuple[Rat, ...]
     strongly_only_types: tuple[Rat, ...]
     kind: str
+    extra_allowed: bool
 
 
 def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
@@ -366,10 +337,18 @@ def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
     if not isinstance(node, QueryNode):
         raise MechanismError(f"node {node_id} is not a query node")
     i = node.agent
-    own, combos, table = _value_table(tree, node_id)
+    own, _, table = _value_table(tree, node_id)
+    return query_class(node_id, i, own, tree.domains[i], node.blocks, table)
 
+
+def query_class(node_id, agent, own, domain, blocks, table) -> QueryClass:
+    """Classify a query from its parts alone: the agent's current types
+    `own` and her full `domain` (both sorted), the query's `blocks`, and
+    `table`, which maps every (own type, column of opponent types) to
+    her (f, p).  Types and blocks follow the cost convention."""
+    columns = {x for _, x in table}
     ineffective = all(
-        len({table[(t, x)] for t in own}) == 1 for x in combos
+        len({table[(t, x)] for t in own}) == 1 for x in columns
     )
     strongly_ineffective = len(set(table.values())) == 1
 
@@ -379,24 +358,24 @@ def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
         for t in own:
             rest = [s for s in own if s != t]
             per_column = all(
-                len({table[(s, x)] for s in rest}) == 1 for x in combos
+                len({table[(s, x)] for s in rest}) == 1 for x in columns
             )
             if not per_column:
                 continue
             effective = any(
-                table[(t, x)][0] != table[(rest[0], x)][0] for x in combos
+                table[(t, x)][0] != table[(rest[0], x)][0] for x in columns
             )
             if not effective:
                 continue
             only_types.append(t)
-            cross = len({table[(s, x)] for s in rest for x in combos}) == 1
+            cross = len({table[(s, x)] for s in rest for x in columns}) == 1
             if cross:
                 strongly_only.append(t)
 
-    is_revelation = all(len(b) == 1 for b in node.blocks)
+    is_revelation = all(len(b) == 1 for b in blocks)
     extremal_side = None
-    if len(node.blocks) == 2:
-        singles = [b for b in node.blocks if len(b) == 1]
+    if len(blocks) == 2:
+        singles = [b for b in blocks if len(b) == 1]
         has_min = any(b == (own[0],) for b in singles)
         has_max = any(b == (own[-1],) for b in singles)
         if has_min and has_max:
@@ -407,9 +386,25 @@ def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
             extremal_side = "max"
 
     current = set(own)
-    removed = [v for v in tree.domains[i] if v not in current]
+    removed = [v for v in domain if v not in current]
     is_prefix = not removed or own[-1] < min(removed)
     is_suffix = not removed or own[0] > max(removed)
+
+    # the allowed forms of an extra query: a strongly ineffective
+    # revelation, a strongly only-extreme revelation, or an only-extreme
+    # extremal step, on a two-type, prefix or suffix domain
+    sep_max = extremal_side in ("max", "both")
+    sep_min = extremal_side in ("min", "both")
+    top_form = (len(own) == 2 or is_prefix) and (
+        (is_revelation and strongly_ineffective)
+        or (is_revelation and own[-1] in strongly_only)
+        or (sep_max and own[-1] in only_types)
+    )
+    bottom_form = is_suffix and (
+        (is_revelation and strongly_ineffective)
+        or (is_revelation and own[0] in strongly_only)
+        or (sep_min and own[0] in only_types)
+    )
 
     def pick(cands):
         if own[-1] in cands:
@@ -435,7 +430,7 @@ def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
 
     return QueryClass(
         node=node_id,
-        agent=i,
+        agent=agent,
         is_revelation=is_revelation,
         extremal_side=extremal_side,
         is_prefix=is_prefix,
@@ -445,6 +440,7 @@ def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
         only_types=tuple(only_types),
         strongly_only_types=tuple(strongly_only),
         kind=kind,
+        extra_allowed=top_form or bottom_form,
     )
 
 
@@ -460,10 +456,8 @@ class KLimitedResult:
 
 def is_k_limited(tree: ImplementationTree, k) -> KLimitedResult:
     """Per-path query budgets: at most k+1 queries per agent, or k+2 when
-    the last one has one of the allowed harmless forms (a strongly
-    ineffective revelation, a strongly only-extreme revelation, or an
-    only-extreme extremal step, on a two-type, prefix or suffix domain).
-    Needs binary outcomes."""
+    the last one has one of the allowed harmless forms
+    (`QueryClass.extra_allowed`).  Needs binary outcomes."""
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
     if k == inf:
@@ -478,21 +472,7 @@ def is_k_limited(tree: ImplementationTree, k) -> KLimitedResult:
             return KLimitedResult(
                 False, u, f"query number {nth} to agent {i} on a single path"
             )
-        qc = classify_query(tree, u)
-        own = tree.domain_at[u][i]
-        sep_max = qc.extremal_side in ("max", "both")
-        sep_min = qc.extremal_side in ("min", "both")
-        top_form = (len(own) == 2 or qc.is_prefix) and (
-            (qc.is_revelation and qc.strongly_ineffective)
-            or (qc.is_revelation and own[-1] in qc.strongly_only_types)
-            or (sep_max and own[-1] in qc.only_types)
-        )
-        bottom_form = qc.is_suffix and (
-            (qc.is_revelation and qc.strongly_ineffective)
-            or (qc.is_revelation and own[0] in qc.strongly_only_types)
-            or (sep_min and own[0] in qc.only_types)
-        )
-        if not (top_form or bottom_form):
+        if not classify_query(tree, u).extra_allowed:
             return KLimitedResult(
                 False,
                 u,
@@ -527,21 +507,18 @@ def taxation_diagnostics(
     obviousness even before payments are checked in full."""
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
+    sets = _commitment_sets(tree, k)
     findings: list[TaxationFinding] = []
     for u in tree.internal_ids:
-        node = tree.nodes[u]
-        i = node.agent
-        for a in tree.available_profiles(u):
-            walk = [u]
-            nid = u
-            while not tree.is_leaf(nid):
-                sub = tree.nodes[nid]
-                nid = sub.children[tree.route(nid, a[sub.agent])]
-                walk.append(nid)
-            cset = commitment_types(tree, u, walk[-1], k)
-            larger = [v for v in cset if v > a[i]]
+        # a triple a < c < d needs a commitment set of three types
+        if all(len(cset) < 3 for cset in sets[u].values()):
+            continue
+        i = tree.nodes[u].agent
+        leaf_at = profile_leaves(tree, u)
+        for a in itertools.product(*tree.domain_at[u]):
+            larger = [v for v in sets[u][leaf_at[a]] if v > a[i]]
             for ci, di in itertools.combinations(larger, 2):
-                found = _taxation_case(tree, u, i, a, ci, di)
+                found = _taxation_case(tree, u, i, a, ci, di, leaf_at)
                 if found is not None:
                     findings.append(found)
                     if len(findings) >= max_findings:
@@ -549,49 +526,40 @@ def taxation_diagnostics(
     return findings
 
 
-def _taxation_case(tree, u, i, a, ci, di):
+def _taxation_case(tree, u, i, a, ci, di, leaf_at):
+    # the triple's walks from u part first where a parts from c or d
     trips = (a[i], ci, di)
-    nid = u
-    split = None
-    while True:
-        sub = tree.nodes[nid]
-        if isinstance(sub, LeafNode):
-            break
-        if sub.agent == i:
-            routes = {tree.route(nid, v) for v in trips}
-            if len(routes) > 1:
-                split = nid
-                break
-            nid = sub.children[tree.route(nid, trips[0])]
-        else:
-            nid = sub.children[tree.route(nid, a[sub.agent])]
-    if split is None:
+    la, lc, ld = (leaf_at[a[:i] + (v,) + a[i + 1 :]] for v in trips)
+    cuts = [
+        x for x in (parting_node(tree, la, lc), parting_node(tree, la, ld))
+        if x is not None
+    ]
+    if not cuts:
         return None
+    split = min(cuts, key=tree.depth.__getitem__)
 
     outside: set[Rat] = set()
-    nid = u
+    nid = split
     while True:
         sub = tree.nodes[nid]
         if sub.agent == i:
             for blk in sub.blocks:
                 if not set(blk) & set(trips):
                     outside.update(blk)
-        if nid == split:
+        if nid == u:
             break
-        nid = sub.children[tree.route(nid, a[sub.agent])]
+        nid = tree.parent[nid]
 
     top = any(v > di for v in outside)
     bottom = any(v < a[i] for v in outside)
     inner = any(a[i] < v < di for v in outside)
 
-    def fp(own):
-        prof = list(a)
-        prof[i] = own
-        leaf = tree.leaf_of(tuple(prof))
-        pay = Fraction(0) if leaf.payment is None else leaf.payment[i]
-        return (leaf.outcome[i], pay)
+    def fp(leaf):
+        node = tree.nodes[leaf]
+        pay = Fraction(0) if node.payment is None else node.payment[i]
+        return (node.outcome[i], pay)
 
-    va, vc, vd = fp(a[i]), fp(ci), fp(di)
+    va, vc, vd = fp(la), fp(lc), fp(ld)
     if inner or (top and bottom):
         if not (va == vc == vd):
             return TaxationFinding(

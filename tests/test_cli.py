@@ -172,6 +172,16 @@ class TestErrorPaths:
         assert code == 2
         assert "leaf 1: outcome length 1" in err
 
+    @pytest.mark.parametrize("verb", ["verify", "cmon"])
+    def test_non_integer_scale_guard_exits_2(
+        self, capsys, monkeypatch, english_file, verb
+    ):
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "abc")
+        code, out, err = run(capsys, verb, "--mechanism", str(english_file), "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert "OSPKIT_SCALE_GUARD" in err and "'abc'" in err
+
     def test_help_exits_clean(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -20,8 +21,17 @@ from ospkit import (
     sticky_edges_check,
     synthesize_payments,
 )
-from ospkit.cmon import OspGraph, ProfileClass, _bellman
+from ospkit.cmon import (
+    OspGraph,
+    ProfileClass,
+    StickyResult,
+    _bellman,
+    _tail_split,
+)
 from ospkit.model import LeafNode, random_k_limited_tree, tree_from_nested
+from ospkit.verifier import _value_table, classify_query
+from test_model import oracle_first_divergence
+from test_verifier import has_binary_outcomes, random_priced_trees
 
 
 def F(v):
@@ -292,6 +302,129 @@ class TestGraphOracle:
             synthesize_payments(t, 0)
 
 
+def oracle_bit_below(tree, nid, prof, agent):
+    """The agent's outcome bit at the leaf that prof reaches from nid."""
+    node = tree.nodes[nid]
+    while not isinstance(node, LeafNode):
+        node = tree.nodes[node.children[tree.route(node.id, prof[node.agent])]]
+    return int(node.outcome[agent])
+
+
+def oracle_tail_split(tree, u, agent):
+    """_tail_split with one walk from u per profile."""
+    own = tree.domain_at[u][agent]
+    box = list(tree.domain_at[u])
+    sig = {}
+    for t in own:
+        box[agent] = (t,)
+        key = tuple(
+            oracle_bit_below(tree, u, prof, agent)
+            for prof in itertools.product(*box)
+        )
+        sig.setdefault(key, []).append(t)
+    groups = sorted(sig.values(), key=lambda g: (-len(g), g[0]))
+    if len(groups) == 1:
+        return (), tuple(own)
+    if len(groups[0]) > len(groups[1]):
+        pooled = set(groups[0])
+        return tuple(v for v in own if v not in pooled), tuple(groups[0])
+    qc = classify_query(tree, u)
+    if (len(own) == 2 or qc.is_prefix) and own[-1] in qc.only_types:
+        return (own[-1],), tuple(own[:-1])
+    if qc.is_suffix and own[0] in qc.only_types:
+        return (own[0],), tuple(own[1:])
+    raise MechanismError(
+        f"ambiguous effective/pooled split at node {u} for agent {agent}"
+    )
+
+
+def oracle_tail_classes(tree, u, agent):
+    """(kind, bit, members, types) of the tail classes anchored at u,
+    bucketing each profile by a walk from u."""
+    effective, pooled = oracle_tail_split(tree, u, agent)
+    box = list(tree.domain_at[u])
+    out = []
+    for kind, side in (("tail_effective", effective), ("tail_neutral", pooled)):
+        buckets = {0: [], 1: []}
+        box[agent] = side
+        for prof in itertools.product(*box):
+            buckets[oracle_bit_below(tree, u, prof, agent)].append(prof)
+        for bit in (0, 1):
+            if buckets[bit]:
+                members = tuple(buckets[bit])
+                types = tuple(sorted({m[agent] for m in members}))
+                out.append((kind, bit, members, types))
+    return out
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except MechanismError as exc:
+        return str(exc)
+
+
+class TestTailOracle:
+    """The tail split and tail buckets, read from the anchor's value
+    table, against one walk per profile.  Trees from `random_priced_trees`
+    have at most k+1 queries per agent and path, so horizons below k make
+    the tails; every query node also gets its split compared."""
+
+    @pytest.mark.parametrize("start", range(0, 1000, 250))
+    def test_tails_match_oracle(self, start):
+        seen = Counter()
+        for t, k in random_priced_trees(range(start, start + 250)):
+            if not has_binary_outcomes(t):
+                continue
+            for u in t.internal_ids:
+                agent = t.nodes[u].agent
+                got = outcome_or_error(_tail_split, t, u, *_value_table(t, u))
+                assert got == outcome_or_error(oracle_tail_split, t, u, agent)
+                seen["ambiguous"] += isinstance(got, str)
+            for h in (0, 1):
+                for agent in range(t.agents):
+                    seen["tails"] += assert_tails_match(t, h, agent)
+        assert seen["tails"] > 0 and seen["ambiguous"] > 0
+
+    def test_fixture_tails_match_oracle(self):
+        cases = [
+            (english_auction_tree(3, [1, 2, 3]), 0),
+            (compress(extract_tree(PSystem.single_item(3), [1, 2, 3, 4, 5])), 1),
+            (compress(extract_tree(PSystem.uniform(4, 2), [1, 2, 3, 4])), 0),
+        ]
+        for t, k in cases:
+            assert sum(assert_tails_match(t, k, a) for a in range(t.agents)) > 0
+
+
+def assert_tails_match(tree, k, agent):
+    """Compare the tail classes of build_profile_classes with the oracle
+    at every tail anchor; returns the number of anchors compared."""
+    try:
+        part = build_profile_classes(tree, k, agent)
+    except MechanismError as exc:
+        anchors = [
+            u for u in tree.internal_ids
+            if tree.nodes[u].agent == agent
+            and tree.query_depth[u][agent] == k + 2
+        ]
+        if "ambiguous" in str(exc):
+            errors = [
+                outcome_or_error(oracle_tail_split, tree, u, agent)
+                for u in anchors
+            ]
+            assert str(exc) in errors
+        return 0
+    anchors = sorted({c.anchor for c in part.classes if c.slice_kind != "settled"})
+    for u in anchors:
+        got = [
+            (c.slice_kind, c.bit, c.members, c.types)
+            for c in part.classes
+            if c.anchor == u and c.slice_kind != "settled"
+        ]
+        assert got == oracle_tail_classes(tree, u, agent)
+    return len(anchors)
+
+
 class TestClassPartition:
     def test_members_partition_all_profiles(self):
         t = english_auction_tree(2, [1, 2, 3])
@@ -357,11 +490,47 @@ class TestSynthesis:
             synthesize_payments(raw, 0)
 
 
+def oracle_sticky(tree, k):
+    """sticky_edges_check with a walk from the root per member pair."""
+    for agent in range(tree.agents):
+        graph = build_k_osp_graph(tree, k, agent)
+        for ca, cb, _ in graph.edges:
+            if ca > cb:
+                continue
+            shared = None
+            for x in graph.vertices[ca].members:
+                for y in graph.vertices[cb].members:
+                    where = oracle_first_divergence(tree, x, y)
+                    if where is None or tree.nodes[where].agent != agent:
+                        return StickyResult(
+                            False, (agent, ca, cb, x, y, shared, where)
+                        )
+                    if shared is None:
+                        shared = where
+                    elif where != shared:
+                        return StickyResult(
+                            False, (agent, ca, cb, x, y, shared, where)
+                        )
+    return StickyResult(True, None)
+
+
 class TestSticky:
     def test_holds_on_limited_trees(self):
         assert sticky_edges_check(english_auction_tree(2, [1, 2, 3]), 1).ok
         t = compress(extract_tree(PSystem.single_item(2), [1, 2, 3, 4]))
         assert sticky_edges_check(t, 0).ok
+
+    def test_matches_oracle(self):
+        # horizons below a tree's own k break stickiness now and then
+        seen = Counter()
+        for t, k in random_priced_trees(range(300)):
+            if not has_binary_outcomes(t):
+                continue
+            for h in sorted({0, k}):
+                got = outcome_or_error(sticky_edges_check, t, h)
+                assert got == outcome_or_error(oracle_sticky, t, h)
+                seen[getattr(got, "ok", "error")] += 1
+        assert seen[True] and seen[False]
 
 
 class TestHorizonEquivalence:

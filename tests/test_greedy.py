@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -13,6 +14,7 @@ from ospkit import (
     approx_ratio,
     as_cost_tree,
     check_k_step_osp,
+    classify_query,
     compress,
     english_auction_tree,
     extract_tree,
@@ -30,7 +32,8 @@ from ospkit import (
     surviving_solutions,
     unremovable,
 )
-from ospkit.model import tree_from_nested
+from ospkit.model import random_k_limited_tree, tree_from_nested
+from test_verifier import random_priced_trees
 
 
 def F(v):
@@ -429,3 +432,167 @@ def test_random_systems_reach_maximal_feasible_sets(seed):
     assert res.chosen | res.excluded == set(range(n))
     for e in res.excluded:
         assert not ps.feasible(res.chosen | {e})
+
+
+# -- oracles: the per-profile walks and the valuation-side budget forms ------
+
+
+def oracle_is_revealable(tree, node_id):
+    """is_revealable walking every available profile from the root."""
+    agent = tree.nodes[node_id].agent
+    own = tree.domain_at[node_id][agent]
+    low_won, high_lost = True, True
+    for prof in tree.available_profiles(node_id):
+        out = tree.leaf_of(prof).outcome[agent]
+        if prof[agent] < own[-1] and out != 1:
+            low_won = False
+        if prof[agent] > own[0] and out != 0:
+            high_lost = False
+        if not (low_won or high_lost):
+            return False
+    return low_won or high_lost
+
+
+def oracle_approx_ratio(ps, tree, domain):
+    """approx_ratio walking every valuation profile from the root."""
+    dom0 = tuple(sorted({F(v) for v in domain}))
+    maximal = ps.maximal_sets()
+    worst = witness = None
+    for prof in itertools.product(dom0, repeat=ps.ground_size):
+        outcome = tree.leaf_of(tuple(-v for v in prof)).outcome
+        got = sum(v for v, f in zip(prof, outcome) if f)
+        best = max(sum(prof[e] for e in t) for t in maximal)
+        ratio = Fraction(1) if best == 0 else Fraction(got) / best
+        if worst is None or ratio < worst:
+            worst, witness = ratio, prof
+    return worst, witness
+
+
+def oracle_evaluate(nested, prof):
+    while nested[0] == "q":
+        _, agent, branches = nested
+        nested = next(sub for vals, sub in branches if prof[agent] in vals)
+    return nested[1]
+
+
+def oracle_special_ok(agent, own, other_dom, nested, dom0):
+    """The search's allowed extra-query forms, stated over valuations:
+    cost maxima are valuation minima and the prefix/suffix roles swap.
+    dom0 is the agent's full valuation domain."""
+    table = {}
+    for t in own:
+        for y in other_dom:
+            prof = (t, y) if agent == 0 else (y, t)
+            table[(t, y)] = oracle_evaluate(nested, prof)[agent]
+    removed = [v for v in dom0 if v not in own]
+    val_prefix = not removed or own[-1] < min(removed)
+    val_suffix = not removed or own[0] > max(removed)
+    blocks = [vals for vals, _ in nested[2]]
+    revelation = all(len(b) == 1 for b in blocks)
+    singles = [b for b in blocks if len(b) == 1]
+    sep_min = len(blocks) == 2 and (own[0],) in singles
+    sep_max = len(blocks) == 2 and (own[-1],) in singles
+    strongly_ineffective = len(set(table.values())) == 1
+
+    def only(extreme, strong):
+        rest = [s for s in own if s != extreme]
+        if not all(len({table[(s, y)] for s in rest}) == 1 for y in other_dom):
+            return False
+        if strong and len({table[(s, y)] for s in rest for y in other_dom}) > 1:
+            return False
+        return any(table[(extreme, y)] != table[(rest[0], y)] for y in other_dom)
+
+    top = (len(own) == 2 or val_suffix) and (
+        (revelation and strongly_ineffective)
+        or (revelation and only(own[0], strong=True))
+        or (sep_min and only(own[0], strong=False))
+    )
+    bottom = val_prefix and (
+        (revelation and strongly_ineffective)
+        or (revelation and only(own[-1], strong=True))
+        or (sep_max and only(own[-1], strong=False))
+    )
+    return top or bottom
+
+
+def as_nested(tree, nid):
+    node = tree.nodes[nid]
+    if tree.is_leaf(nid):
+        return ("leaf", node.outcome, node.payment)
+    return ("q", node.agent, [
+        (blk, as_nested(tree, cid)) for blk, cid in zip(node.blocks, node.children)
+    ])
+
+
+FIXTURE_INSTANCES = [
+    (PSystem.single_item(2), [1, 2, 3, 4]),
+    (PSystem.single_item(3), [1, 2, 3]),
+    (PSystem.uniform(3, 2), [1, 2, 3]),
+    (triangle(), [1, 2, 4]),
+]
+
+
+class TestAgainstOracles:
+    """The box-split consumers and the shared allowed-forms predicate
+    against one walk per profile and the valuation-side statement of the
+    forms, on 1000 seeded trees."""
+
+    def test_revealable_matches_oracle(self):
+        verdicts = Counter()
+        trees = [t for t, _ in random_priced_trees(range(1000))]
+        for ps, dom in FIXTURE_INSTANCES:
+            raw = extract_tree(ps, dom)
+            trees += [raw, compress(raw)]
+        trees.append(english_auction_tree(3, [1, 2, 3, 4, 5]))
+        for t in trees:
+            for u in t.internal_ids:
+                got = is_revealable(t, u)
+                assert got == oracle_is_revealable(t, u)
+                verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_approx_ratio_matches_oracle(self):
+        # approx_ratio needs every agent on one mirrored domain, so these
+        # trees share one: 2-3 agents, 2-4 valuations
+        ratios = set()
+        cases = []
+        for seed in range(1000):
+            rng = random.Random(seed)
+            n = rng.randint(2, 3)
+            dom = sorted(rng.sample(range(1, 9), rng.randint(2, 4)))
+            cost = [-v for v in dom]
+            tree = random_k_limited_tree(
+                rng, n, [cost] * n, rng.choice([0, 1, 2, inf])
+            )
+            tops = [rng.sample(range(n), rng.randint(1, n)) for _ in range(2)]
+            cases.append((PSystem.explicit(n, tops), tree, dom))
+        for ps, dom in FIXTURE_INSTANCES:
+            cases.append((ps, extract_tree(ps, dom), dom))
+        for ps, tree, dom in cases:
+            got = approx_ratio(ps, tree, dom)
+            assert got == oracle_approx_ratio(ps, tree, dom)
+            ratios.add(got[0])
+        assert len(ratios) > 10
+
+    def test_allowed_forms_match_valuation_oracle(self):
+        verdicts = Counter()
+        for seed in range(1000):
+            rng = random.Random(seed)
+            domains = [
+                list(range(1, rng.randint(2, 4) + 1)) for _ in range(2)
+            ]
+            cost = random_k_limited_tree(rng, 2, domains, rng.choice([1, 2]))
+            val = as_cost_tree(cost)
+            for u in cost.internal_ids:
+                agent = cost.nodes[u].agent
+                got = classify_query(cost, u).extra_allowed
+                want = oracle_special_ok(
+                    agent,
+                    val.domain_at[u][agent],
+                    val.domain_at[u][1 - agent],
+                    as_nested(val, u),
+                    val.domains[agent],
+                )
+                assert got == want
+                verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]

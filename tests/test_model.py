@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import inf
@@ -13,8 +14,11 @@ from ospkit.model import (
     equivalence_class,
     first_divergence,
     k_step_neighborhood,
+    parting_node,
+    profile_leaves,
     query_count,
     random_k_limited_tree,
+    split_box,
     tree_from_nested,
     validate_tree,
 )
@@ -275,3 +279,95 @@ def test_query_depth_matches_path_count(seed):
             if not t.is_leaf(x) and t.nodes[x].agent == agent
         )
         assert query_count(t, agent, leaf) == expect
+
+
+# -- oracles: the walks the split and the parting helper replace -------------
+
+
+def oracle_first_divergence(tree, a, b):
+    """Walk both profiles down from the root until their blocks differ."""
+    pa = tree.as_profile(a)
+    pb = tree.as_profile(b)
+    nid = tree.root
+    while True:
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            return None
+        ia = tree.route(nid, pa[node.agent])
+        ib = tree.route(nid, pb[node.agent])
+        if ia != ib:
+            return nid
+        nid = node.children[ia]
+
+
+def oracle_equivalence_class(tree, node_id, profile, k):
+    """equivalence_class walking each candidate together with the profile
+    down from node_id."""
+    prof = tree.as_profile(profile)
+    covered, _ = k_step_neighborhood(tree, node_id, k)
+    forbidden = covered | {node_id}
+    members = []
+    for cand in tree.available_profiles(node_id):
+        nid = node_id
+        while True:
+            cur = tree.nodes[nid]
+            if isinstance(cur, LeafNode):
+                members.append(cand)
+                break
+            ia = tree.route(nid, prof[cur.agent])
+            ib = tree.route(nid, cand[cur.agent])
+            if ia != ib:
+                if nid not in forbidden:
+                    members.append(cand)
+                break
+            nid = cur.children[ia]
+    return tuple(sorted(members))
+
+
+def small_trees(seeds):
+    """Seeded k-limited trees with 2-3 agents and 2-3 types each, at most
+    27 profiles, so every profile pair stays cheap."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        agents = rng.randint(2, 3)
+        domains = [list(range(1, rng.randint(2, 3) + 1)) for _ in range(agents)]
+        k = rng.choice([0, 1, 2, inf])
+        yield random_k_limited_tree(rng, agents, domains, k)
+
+
+class TestPartingAgainstOracles:
+    """The box split, the parting helper and their consumers against one
+    walk per profile from the root or from the node."""
+
+    def test_split_matches_walks(self):
+        for t in small_trees(range(200)):
+            for nid in t.internal_ids:
+                boxes = list(split_box(t, nid))
+                leaf_at = profile_leaves(t, nid)
+                assert sum(
+                    len(list(itertools.product(*box))) for _, box in boxes
+                ) == len(leaf_at)
+                for prof in t.available_profiles(nid):
+                    assert t.path_of(prof)[-1] == leaf_at[prof]
+
+    def test_first_divergence_matches_walk(self):
+        parted = 0
+        for t in small_trees(range(200)):
+            leaf_at = profile_leaves(t, t.root)
+            for a, b in itertools.product(leaf_at, repeat=2):
+                want = oracle_first_divergence(t, a, b)
+                assert first_divergence(t, a, b) == want
+                assert parting_node(t, leaf_at[a], leaf_at[b]) == want
+                parted += want is not None
+        assert parted > 0
+
+    @pytest.mark.parametrize("k", [0, 1, 2, inf])
+    def test_equivalence_class_matches_loop(self, k):
+        sizes = set()
+        for t in small_trees(range(100)):
+            for nid in t.internal_ids:
+                for prof in t.available_profiles(nid):
+                    got = equivalence_class(t, nid, prof, k)
+                    assert got == oracle_equivalence_class(t, nid, prof, k)
+                    sizes.add(len(got))
+        assert len(sizes) > 2

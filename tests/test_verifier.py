@@ -38,6 +38,7 @@ from ospkit.verifier import (
     AlmostOrderedResult,
     CheckResult,
     Constraint,
+    TaxationFinding,
     _commitment_sets,
     _value_table,
 )
@@ -477,6 +478,87 @@ def oracle_value_table(tree, node_id):
     return own, combos, table
 
 
+def oracle_taxation(tree, k, max_findings=200):
+    """taxation_diagnostics walking every available profile from each
+    query node, with one commitment set walk per profile and one root
+    walk per (f, p) lookup."""
+    require_binary_outcomes(tree)
+    findings = []
+    for u in tree.internal_ids:
+        i = tree.nodes[u].agent
+        for a in tree.available_profiles(u):
+            nid = u
+            while not tree.is_leaf(nid):
+                sub = tree.nodes[nid]
+                nid = sub.children[tree.route(nid, a[sub.agent])]
+            larger = [v for v in commitment_types(tree, u, nid, k) if v > a[i]]
+            for ci, di in itertools.combinations(larger, 2):
+                found = oracle_taxation_case(tree, u, i, a, ci, di)
+                if found is not None:
+                    findings.append(found)
+                    if len(findings) >= max_findings:
+                        return findings
+    return findings
+
+
+def oracle_taxation_case(tree, u, i, a, ci, di):
+    trips = (a[i], ci, di)
+    nid = u
+    split = None
+    while not tree.is_leaf(nid):
+        sub = tree.nodes[nid]
+        if sub.agent == i:
+            if len({tree.route(nid, v) for v in trips}) > 1:
+                split = nid
+                break
+            nid = sub.children[tree.route(nid, trips[0])]
+        else:
+            nid = sub.children[tree.route(nid, a[sub.agent])]
+    if split is None:
+        return None
+    outside = set()
+    nid = u
+    while True:
+        sub = tree.nodes[nid]
+        if sub.agent == i:
+            for blk in sub.blocks:
+                if not set(blk) & set(trips):
+                    outside.update(blk)
+        if nid == split:
+            break
+        nid = sub.children[tree.route(nid, a[sub.agent])]
+    top = any(v > di for v in outside)
+    bottom = any(v < a[i] for v in outside)
+    inner = any(a[i] < v < di for v in outside)
+
+    def fp(own):
+        prof = list(a)
+        prof[i] = own
+        leaf = tree.leaf_of(tuple(prof))
+        return (leaf.outcome[i], F(0) if leaf.payment is None else leaf.payment[i])
+
+    va, vc, vd = fp(a[i]), fp(ci), fp(di)
+    if inner or (top and bottom):
+        if not (va == vc == vd):
+            return TaxationFinding(
+                u, i, a, ci, di, "all_equal",
+                f"outcomes {va}, {vc}, {vd} must coincide",
+            )
+    elif top:
+        if va != vc:
+            return TaxationFinding(
+                u, i, a, ci, di, "lower_pair",
+                f"outcomes {va} and {vc} must coincide",
+            )
+    elif bottom:
+        if vc != vd:
+            return TaxationFinding(
+                u, i, a, ci, di, "upper_pair",
+                f"outcomes {vc} and {vd} must coincide",
+            )
+    return None
+
+
 def has_binary_outcomes(tree):
     return all(
         v in (0, 1) for nid in tree.leaf_ids for v in tree.nodes[nid].outcome
@@ -518,6 +600,25 @@ def random_priced_trees(seeds):
                 )
             tree = ImplementationTree(agents, tree.domains, tree.root, nodes)
         yield tree, k
+
+
+def random_taxed_trees(seeds):
+    """(tree, h) over seeded priced trees with 4-5 types per agent, at each
+    horizon h below the tree's own k.  Taxation needs a plan that keeps
+    three types together and a later query that splits them; the blocks
+    of `random_priced_trees` hold at most two types, and at its own
+    horizon a tree with k+1 queries per agent and path has no later
+    query."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        agents = rng.randint(2, 3)
+        domains = [
+            list(range(1, rng.randint(4, 5) + 1)) for _ in range(agents)
+        ]
+        k = rng.choice([1, 2])
+        tree = random_k_limited_tree(rng, agents, domains, k, with_payments=True)
+        for h in range(k):
+            yield tree, h
 
 
 class TestAgainstOracles:
@@ -568,6 +669,33 @@ class TestAgainstOracles:
         assert 0 < seen["unordered"] < seen["binary"] < 250
 
 
+    @pytest.mark.parametrize("start", range(0, 1000, 250))
+    def test_taxation_matches_oracle(self, start):
+        seeds = range(start, start + 250)
+        cases = [
+            (t, h)
+            for t, k in random_priced_trees(seeds)
+            if has_binary_outcomes(t)
+            for h in sorted({0, 1, k})
+        ]
+        seen = Counter()
+        for t, h in cases + list(random_taxed_trees(seeds)):
+            total = None
+            # a cap at or above the number of findings cuts nothing
+            for cap in (200, 3, 1):
+                if total is not None and cap >= total:
+                    continue
+                got = taxation_diagnostics(t, h, max_findings=cap)
+                want = oracle_taxation(t, h, max_findings=cap)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g == w
+                total = len(got) if total is None else total
+                seen[cap] += len(got)
+                seen.update(f.case for f in got if cap == 200)
+        assert seen[1] and seen[3] and seen[200]
+        assert seen["all_equal"] and seen["lower_pair"] and seen["upper_pair"]
+
     @pytest.mark.parametrize("k", [0, 1, 2, inf])
     def test_fixture_trees_match_oracles(self, k):
         trees = [
@@ -584,6 +712,10 @@ class TestAgainstOracles:
                 assert is_almost_ordered(t, k) == oracle_almost_ordered(t, k)
             for u in t.internal_ids:
                 assert _value_table(t, u) == oracle_value_table(t, u)
+            if has_binary_outcomes(t):
+                for cap in (1, 3, 200):
+                    got = taxation_diagnostics(t, k, max_findings=cap)
+                    assert got == oracle_taxation(t, k, max_findings=cap)
 
 
 class TestMalformedTrees:
