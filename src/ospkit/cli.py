@@ -73,6 +73,13 @@ def _require_format(args, native: str) -> None:
         )
 
 
+def _rational(text: str, flag: str):
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise MechanismError(f"bad {flag}: {exc}") from None
+
+
 def _max_queries(tree) -> int:
     return max(
         (
@@ -207,7 +214,7 @@ def cmd_greedy(args) -> int:
         return 0
     if args.truth is None:
         raise MechanismError("greedy needs --truth \"a,b,...\" (or extract-tree)")
-    truth = [parse_rational(part) for part in args.truth.split(",")]
+    truth = [_rational(part, "--truth") for part in args.truth.split(",")]
     result = run_two_way_greedy(ps, domain, truth=truth)
     data = {
         "chosen": sorted(result.chosen),
@@ -247,8 +254,9 @@ def cmd_approx(args) -> int:
 def cmd_search(args) -> int:
     ps, domain = load_instance(args.instance)
     k = parse_horizon(args.k)
+    target = _rational(args.ratio, "--ratio")
     result = search_two_way_greedy(
-        ps, domain, k, args.ratio, greedy_outcome=args.greedy_outcome
+        ps, domain, k, target, greedy_outcome=args.greedy_outcome
     )
     data = {
         "found": result.found,

@@ -3,6 +3,12 @@
 Ground sets are {0..n-1} and weights are valuations (larger is better).
 Trees handed to the verifier follow the cost convention instead;
 ``as_cost_tree`` owns that sign boundary and is an involution.
+
+The elimination is written once, as the copyable state ``_Elimination``
+that stops at each query.  ``run_two_way_greedy`` answers its queries
+from a truthful profile or a script; ``extract_tree`` forks it at every
+query and follows both answers, so the tree comes from one depth-first
+pass.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .model import (
     ImplementationTree,
@@ -18,7 +24,6 @@ from .model import (
     MechanismError,
     QueryNode,
     normalize_horizon,
-    profile_leaves,
     scale_guard,
     split_box,
     tree_from_nested,
@@ -261,25 +266,230 @@ class NeedAnswer(Exception):
         self.domain = tuple(domain)
 
 
+class _Elimination:
+    """One alternating bottom/top elimination, stopped at its next query.
+
+    The state is the per-agent domains, the chosen, excluded and pending
+    (deferred) agents, and a cursor ``at`` naming where the rounds stand.
+    ``query`` is the pending (agent, direction, value, domain), or None
+    once every membership is resolved.  ``step`` applies an answer and
+    runs to the next query or to the end; ``copy`` forks the run, so a
+    tree is extracted by following both answers from every query.
+
+    The rounds: the first alive agent is asked for her minimum until she
+    denies it (``climb``); she leads the pairing.  Each pairing round
+    (``round``) asks every other alive agent with more than two values
+    for her minimum twice, deferring a yes to the second (``pairs``),
+    resolves the deferred drops (``_flush``), asks the lead for her
+    minimum twice (``lead``), and climbs again when the lead dropped out.
+    A round that asks nothing is an error.  Once no agent has values to
+    spare, every other agent still holding two values (only possible on
+    an even domain) is asked for her maximum, and the lead for her
+    minimum (``tops``).  No deferred drop is open between rounds.  The
+    run settles as soon as no agent is alive.
+    """
+
+    def __init__(self, ps: PSystem, dom0: tuple[Rat, ...]) -> None:
+        self.ps = ps
+        self.b = 1 - len(dom0) % 2
+        self.doms = [dom0] * ps.ground_size
+        self.chosen = set(unremovable(ps, frozenset(), frozenset()))
+        self.excluded = set(removable(ps, frozenset(), frozenset()))
+        self.pending: list[int] = []
+        self.asked = 0
+        self.answer = False
+        self.lead = self.spins = None
+        self.order: tuple[int, ...] = ()
+        self.idx = 0
+        self.then = "round"
+        self.at = "climb" if self._alive() else "settle"
+        self.query = None
+        self.defer = False
+        self._run()
+
+    def copy(self) -> "_Elimination":
+        twin = _Elimination.__new__(_Elimination)
+        twin.__dict__.update(self.__dict__)
+        twin.doms = list(self.doms)
+        twin.chosen = set(self.chosen)
+        twin.excluded = set(self.excluded)
+        twin.pending = list(self.pending)
+        return twin
+
+    def step(self, answer: bool) -> None:
+        agent, direction, value, _ = self.query
+        self.asked += 1
+        self.answer = answer
+        if answer:
+            self.doms[agent] = (value,)
+            if self.defer:
+                self.pending.append(agent)
+            elif direction == "bottom":
+                self.excluded.add(agent)
+                self._sync()
+            else:
+                self.chosen.add(agent)
+                self._sync()
+        elif direction == "bottom":
+            self.doms[agent] = self.doms[agent][1:]
+        else:
+            self.doms[agent] = self.doms[agent][:-1]
+        if not self._alive():
+            self.at = "settle"
+        self._run()
+
+    def _alive(self) -> list[int]:
+        return [
+            j
+            for j in range(self.ps.ground_size)
+            if j not in self.chosen and j not in self.excluded and j not in self.pending
+        ]
+
+    def _sync(self) -> None:
+        ps, chosen, excluded = self.ps, self.chosen, self.excluded
+        while True:
+            grew = unremovable(ps, frozenset(chosen), frozenset(excluded))
+            shrank = removable(ps, frozenset(chosen), frozenset(excluded))
+            if not grew and not shrank:
+                break
+            chosen.update(grew)
+            excluded.update(shrank)
+        self.pending = [
+            j for j in self.pending if j not in chosen and j not in excluded
+        ]
+
+    def _flush(self) -> None:
+        # resolve deferred drops in index order: drop unless nothing
+        # feasible would survive, in which case the agent is locked in
+        for j in sorted(self.pending):
+            if j in self.chosen or j in self.excluded:
+                continue
+            try:
+                surviving_solutions(
+                    self.ps, self.chosen, frozenset(self.excluded) | {j}
+                )
+            except MechanismError:
+                self.chosen.add(j)
+            else:
+                self.excluded.add(j)
+            self._sync()
+        self.pending = []
+
+    def _ask(
+        self, agent: int, direction: str, resume: str, defer: bool = False
+    ) -> None:
+        snap = self.doms[agent]
+        value = snap[0] if direction == "bottom" else snap[-1]
+        self.query = (agent, direction, value, snap)
+        self.defer = defer
+        self.at = resume
+
+    def _run(self) -> None:
+        doms, b = self.doms, self.b
+        while True:
+            at = self.at
+            if at == "climb":
+                first = self._alive()[0]
+                if len(doms[first]) < 2:
+                    self.at = self.then
+                else:
+                    return self._ask(first, "bottom", "climbed")
+            elif at == "climbed":
+                self.at = "climb" if self.answer else self.then
+            elif at == "round":
+                order = self._alive()
+                self.lead = order[0]
+                self.order, self.idx = tuple(order[1:]), 0
+                if len(doms[self.lead]) > 2 + b or any(
+                    len(doms[j]) > 1 + b for j in order[1:]
+                ):
+                    self.spins = self.asked
+                    self.at = "pairs"
+                else:
+                    self.at = "tops"
+            elif at == "pairs":
+                while self.idx < len(self.order):
+                    j = self.order[self.idx]
+                    self.idx += 1
+                    if j in self._alive() and len(doms[j]) > 2:
+                        return self._ask(j, "bottom", "paired")
+                self._flush()
+                self.at = "lead" if self._alive() else "settle"
+            elif at == "paired":
+                j = self.query[0]
+                if j in self._alive():
+                    return self._ask(j, "bottom", "pairs", defer=True)
+                self.at = "pairs"
+            elif at == "lead":
+                if self.lead in self._alive() and len(doms[self.lead]) > 2 + b:
+                    return self._ask(self.lead, "bottom", "lead_again")
+                self.at = "catch_up"
+            elif at == "lead_again":
+                if self.lead in self._alive():
+                    return self._ask(self.lead, "bottom", "catch_up")
+                self.at = "catch_up"
+            elif at == "catch_up":
+                if self._alive()[0] != self.lead:
+                    # the lead dropped out: bring her successor up to her
+                    self.then, self.at = "stall", "climb"
+                else:
+                    self.at = "stall"
+            elif at == "stall":
+                if self.asked == self.spins:
+                    raise MechanismError("pairing rounds stalled")
+                self.at = "round"
+            elif at == "tops":
+                while self.idx < len(self.order):
+                    j = self.order[self.idx]
+                    self.idx += 1
+                    if j in self._alive() and len(doms[j]) >= 2:
+                        return self._ask(j, "top", "tops")
+                if self.lead in self._alive() and len(doms[self.lead]) >= 2:
+                    return self._ask(self.lead, "bottom", "settle")
+                self.at = "settle"
+            else:
+                return self._settle()
+
+    def _settle(self) -> None:
+        self._flush()
+        rest = self._alive()
+        if rest:
+            self.chosen.add(rest[0])
+            self._sync()
+            for e in self._alive():
+                if self.ps.feasible(frozenset(self.chosen | {e})):
+                    self.chosen.add(e)
+        self.excluded.update(
+            j for j in range(self.ps.ground_size) if j not in self.chosen
+        )
+        self.query = None
+
+
+def _valuation_domain(domain) -> tuple[Rat, ...]:
+    dom0 = tuple(sorted({parse_rational(v) for v in domain}))
+    if not dom0:
+        raise MechanismError("the domain must be nonempty")
+    return dom0
+
+
 def run_two_way_greedy(ps: PSystem, domain, truth=None, answers=None) -> GreedyResult:
     """Simulate the alternating bottom/top elimination over a shared domain.
 
     Exactly one of ``truth`` (a valuation per agent) and ``answers`` (a
-    scripted yes/no list, used for tree extraction) must be given.  A
-    bottom query asks the agent whether her valuation is the smallest one
-    still possible (yes drops her from the solution); a top query asks
-    for the largest (yes locks her in).  A yes at the second query of a
-    paired round is only recorded and resolved once the round's other
-    answers are in: committing it on the spot would drop an agent at the
-    second value level while rivals still hold the first, which breaks
-    the weight guarantee of worst-out elimination.  The run ends as soon
-    as every element's membership is resolved.
+    scripted yes/no list) must be given; both drive the one elimination
+    state, answering each query it stops at in turn.  A bottom query
+    asks the agent whether her valuation is the smallest one still
+    possible (yes drops her from the solution); a top query asks for the
+    largest (yes locks her in).  A yes at the second query of a paired
+    round is only recorded and resolved once the round's other answers
+    are in: committing it on the spot would drop an agent at the second
+    value level while rivals still hold the first, which breaks the
+    weight guarantee of worst-out elimination.  The run ends as soon as
+    every element's membership is resolved.  A script that runs out
+    raises ``NeedAnswer`` at the query it leaves open.
     """
     n = ps.ground_size
-    dom0 = tuple(sorted({parse_rational(v) for v in domain}))
-    if not dom0:
-        raise MechanismError("the domain must be nonempty")
-    d = len(dom0)
+    dom0 = _valuation_domain(domain)
     if (truth is None) == (answers is None):
         raise MechanismError("exactly one of truth and answers is required")
     if truth is not None:
@@ -290,183 +500,21 @@ def run_two_way_greedy(ps: PSystem, domain, truth=None, answers=None) -> GreedyR
             if v not in dom0:
                 raise MechanismError(f"valuation {v} outside the domain")
     script = list(answers) if answers is not None else None
-    cursor = 0
-
-    doms = [list(dom0) for _ in range(n)]
-    chosen: set[int] = set()
-    excluded: set[int] = set()
-    pending: list[int] = []
+    state = _Elimination(ps, dom0)
     trace: list[QueryRecord] = []
-    b = 1 - d % 2
-
-    class _Settled(Exception):
-        pass
-
-    def alive() -> list[int]:
-        return [
-            j
-            for j in range(n)
-            if j not in chosen and j not in excluded and j not in pending
-        ]
-
-    def sync() -> None:
-        while True:
-            grew = unremovable(ps, frozenset(chosen), frozenset(excluded))
-            shrank = removable(ps, frozenset(chosen), frozenset(excluded))
-            if not grew and not shrank:
-                break
-            chosen.update(grew)
-            excluded.update(shrank)
-        for j in list(pending):
-            if j in chosen or j in excluded:
-                pending.remove(j)
-
-    def flush() -> None:
-        # resolve deferred drops in index order: drop unless nothing
-        # feasible would survive, in which case the agent is locked in
-        for j in sorted(pending):
-            if j in chosen or j in excluded:
-                continue
-            try:
-                surviving_solutions(ps, chosen, frozenset(excluded) | {j})
-            except MechanismError:
-                chosen.add(j)
-            else:
-                excluded.add(j)
-            sync()
-        pending.clear()
-        if not alive():
-            raise _Settled
-
-    def ask(agent: int, direction: str, defer: bool = False) -> bool:
-        nonlocal cursor
-        snap = tuple(doms[agent])
-        value = snap[0] if direction == "bottom" else snap[-1]
+    while state.query is not None:
+        agent, direction, value, snap = state.query
         if script is None:
             answer = truth[agent] == value
+        elif len(trace) < len(script):
+            answer = bool(script[len(trace)])
         else:
-            if cursor >= len(script):
-                raise NeedAnswer(agent, direction, value, snap)
-            answer = bool(script[cursor])
-            cursor += 1
+            raise NeedAnswer(agent, direction, value, snap)
         trace.append(QueryRecord(agent, direction, value, snap, answer))
-        if answer:
-            doms[agent] = [value]
-            if defer:
-                pending.append(agent)
-            elif direction == "bottom":
-                excluded.add(agent)
-                sync()
-            else:
-                chosen.add(agent)
-                sync()
-        elif direction == "bottom":
-            doms[agent].pop(0)
-        else:
-            doms[agent].pop()
-        if not alive():
-            raise _Settled
-        return answer
-
-    chosen.update(unremovable(ps, frozenset(), frozenset()))
-    excluded.update(removable(ps, frozenset(), frozenset()))
-
-    try:
-        if not alive():
-            raise _Settled
-        # find the first agent to deny her minimum; she leads the pairing
-        while True:
-            cand = alive()[0]
-            if len(doms[cand]) < 2:
-                break
-            if not ask(cand, "bottom"):
-                break
-        while True:
-            order = alive()
-            lead = order[0]
-            if not (
-                len(doms[lead]) > 2 + b
-                or any(len(doms[j]) > 1 + b for j in order[1:])
-            ):
-                break
-            spins = len(trace)
-            for j in order[1:]:
-                if j not in alive() or len(doms[j]) <= 2:
-                    continue
-                ask(j, "bottom")
-                if j in alive():
-                    ask(j, "bottom", defer=True)
-            flush()
-            if lead in alive() and len(doms[lead]) > 2 + b:
-                ask(lead, "bottom")
-                if lead in alive():
-                    ask(lead, "bottom")
-            current = alive()
-            if current and current[0] != lead:
-                # the lead dropped out: bring her successor to the same point
-                while True:
-                    step = alive()[0]
-                    if len(doms[step]) < 2:
-                        break
-                    if not ask(step, "bottom"):
-                        break
-            if len(trace) == spins:
-                raise MechanismError("pairing rounds stalled")
-        flush()
-        order = alive()
-        if order:
-            lead = order[0]
-            if d % 2 == 0:
-                for j in order[1:]:
-                    if j not in alive() or len(doms[j]) < 2:
-                        continue
-                    ask(j, "top")
-                if lead in alive() and len(doms[lead]) >= 2:
-                    ask(lead, "bottom")
-            elif len(doms[lead]) >= 2:
-                ask(lead, "bottom")
-    except _Settled:
-        pass
-
-    try:
-        flush()
-    except _Settled:
-        pass
-    rest = alive()
-    if rest:
-        chosen.add(rest[0])
-        sync()
-        for e in alive():
-            if ps.feasible(frozenset(chosen | {e})):
-                chosen.add(e)
-    excluded.update(j for j in range(n) if j not in chosen)
-    return GreedyResult(frozenset(chosen), frozenset(excluded), tuple(trace))
-
-
-def _build_query_tree(ps: PSystem, domain) -> ImplementationTree:
-    dom0 = tuple(sorted({parse_rational(v) for v in domain}))
-    n = ps.ground_size
-    scale_guard(len(dom0) ** n, "strategy profiles")
-    nodes: dict[int, QueryNode | LeafNode] = {}
-    counter = itertools.count()
-
-    def grow(prefix: list[bool]) -> int:
-        nid = next(counter)
-        try:
-            result = run_two_way_greedy(ps, dom0, answers=prefix)
-        except NeedAnswer as need:
-            agent, value, snap = need.agent, need.value, need.domain
-            yes_id = grow(prefix + [True])
-            no_id = grow(prefix + [False])
-            rest = tuple(x for x in snap if x != value)
-            nodes[nid] = QueryNode(nid, agent, ((value,), rest), (yes_id, no_id))
-        else:
-            outcome = tuple(1 if j in result.chosen else 0 for j in range(n))
-            nodes[nid] = LeafNode(nid, outcome, None)
-        return nid
-
-    root = grow([])
-    return ImplementationTree(n, [dom0] * n, root, nodes)
+        state.step(answer)
+    return GreedyResult(
+        frozenset(state.chosen), frozenset(state.excluded), tuple(trace)
+    )
 
 
 def as_cost_tree(tree: ImplementationTree) -> ImplementationTree:
@@ -494,8 +542,39 @@ def as_cost_tree(tree: ImplementationTree) -> ImplementationTree:
 
 
 def extract_tree(ps: PSystem, domain) -> ImplementationTree:
-    """Decision tree of the elimination run, in the cost convention."""
-    return as_cost_tree(_build_query_tree(ps, domain))
+    """Decision tree of the elimination run, in the cost convention.
+
+    One depth-first pass over the elimination state: at each query the
+    state is copied, the yes branch is followed first and the no branch
+    from the copy, and nodes are numbered in that preorder.
+    """
+    dom0 = _valuation_domain(domain)
+    n = ps.ground_size
+    scale_guard(len(dom0) ** n, "strategy profiles")
+    nodes: dict[int, QueryNode | LeafNode] = {}
+    root = _grow(_Elimination(ps, dom0), nodes, itertools.count())
+    return as_cost_tree(ImplementationTree(n, [dom0] * n, root, nodes))
+
+
+def _grow(state: _Elimination, nodes: dict, counter) -> int:
+    # a module-level function, not a closure: a closure that calls
+    # itself holds ``nodes`` in a reference cycle after the call
+    nid = next(counter)
+    if state.query is None:
+        outcome = tuple(
+            1 if j in state.chosen else 0 for j in range(state.ps.ground_size)
+        )
+        nodes[nid] = LeafNode(nid, outcome, None)
+        return nid
+    agent, _, value, snap = state.query
+    no = state.copy()
+    state.step(True)
+    yes_id = _grow(state, nodes, counter)
+    no.step(False)
+    no_id = _grow(no, nodes, counter)
+    rest = tuple(x for x in snap if x != value)
+    nodes[nid] = QueryNode(nid, agent, ((value,), rest), (yes_id, no_id))
+    return nid
 
 
 def is_revealable(tree: ImplementationTree, node_id: int) -> bool:
@@ -664,9 +743,7 @@ def english_auction_tree(n: int, domain) -> ImplementationTree:
     """
     if n < 1:
         raise MechanismError("at least one agent is required")
-    dom0 = tuple(sorted({parse_rational(v) for v in domain}))
-    if not dom0:
-        raise MechanismError("the domain must be nonempty")
+    dom0 = _valuation_domain(domain)
     d = len(dom0)
     nodes: dict[int, QueryNode | LeafNode] = {}
     counter = itertools.count()
@@ -712,7 +789,11 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     """Worst welfare ratio of the tree's allocation against the optimum.
 
     The tree is in the cost convention; ``domain`` lists the valuations.
-    Returns (ratio, worst valuation profile).
+    Returns (ratio, worst valuation profile); the witness is the first
+    worst profile in ``itertools.product`` order of the sorted domain.
+    Each leaf box of the tree is walked once.  Welfare is summed on ints,
+    the valuations scaled by the least common denominator, and ratios
+    are compared by cross-multiplication over a positive denominator.
     """
     n = ps.ground_size
     if tree.agents != n:
@@ -723,18 +804,39 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
         if tuple(dm) != cost_dom:
             raise MechanismError("tree domain does not mirror the valuation domain")
     scale_guard(len(dom0) ** n, "valuation profiles")
-    leaf_at = profile_leaves(tree, tree.root)
+    lcd = lcm(*(v.denominator for v in dom0))
+    ints = [v.numerator * (lcd // v.denominator) for v in dom0]
+    # cost type -> valuation position, keyed by (numerator, denominator)
+    # because hashing a Fraction runs Python code
+    position = {(-v.numerator, v.denominator): i for i, v in enumerate(dom0)}
     maximal = ps.maximal_sets()
-    worst: Fraction | None = None
-    witness = None
-    for prof in itertools.product(dom0, repeat=n):
-        outcome = tree.nodes[leaf_at[tuple(-v for v in prof)]].outcome
-        got = sum(v for v, f in zip(prof, outcome) if f)
-        best = max(sum(prof[e] for e in t) for t in maximal)
-        ratio = Fraction(1) if best == 0 else Fraction(got) / best
-        if worst is None or ratio < worst:
-            worst, witness = ratio, prof
-    return worst, witness
+    worst = None  # (numerator, positive denominator, profile positions)
+    for leaf, box in split_box(tree, tree.root):
+        won = [j for j, f in zip(range(n), tree.nodes[leaf].outcome) if f]
+        cols = [
+            [position[c.numerator, c.denominator] for c in types] for types in box
+        ]
+        vals = [[ints[i] for i in col] for col in cols]
+        for at, prof in zip(itertools.product(*cols), itertools.product(*vals)):
+            value = prof.__getitem__
+            got = sum(map(value, won))
+            best = max([sum(map(value, t)) for t in maximal])
+            if best == 0:
+                num, den = 1, 1
+            elif best > 0:
+                num, den = got, best
+            else:
+                num, den = -got, -best
+            if worst is None:
+                worst = (num, den, at)
+                continue
+            lhs, rhs = num * worst[1], worst[0] * den
+            if lhs < rhs or (lhs == rhs and at < worst[2]):
+                worst = (num, den, at)
+    if worst is None:
+        return None, None
+    num, den, at = worst
+    return Fraction(num, den), tuple(dom0[i] for i in at)
 
 
 @dataclass(frozen=True)

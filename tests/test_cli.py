@@ -182,6 +182,20 @@ class TestErrorPaths:
         assert out == ""
         assert "OSPKIT_SCALE_GUARD" in err and "'abc'" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["greedy", "--truth", "x,1"], "--truth"),
+            (["greedy", "--truth", "1,,2"], "--truth"),
+            (["search", "--k", "0", "--ratio", "abc"], "--ratio"),
+        ],
+    )
+    def test_malformed_rational_flag_exits_2(self, capsys, si24_file, argv, flag):
+        code, out, err = run(capsys, *argv, "--instance", str(si24_file))
+        assert code == 2
+        assert out == ""
+        assert f"bad {flag}" in err
+
     def test_help_exits_clean(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ospkit import (
+    GreedyResult,
     MechanismError,
     NeedAnswer,
     PSystem,
+    QueryRecord,
     approx_ratio,
     as_cost_tree,
     check_k_step_osp,
     classify_query,
     compress,
+    dumps_mechanism,
     english_auction_tree,
     extract_tree,
     forward_greedy_solution,
@@ -32,7 +35,14 @@ from ospkit import (
     surviving_solutions,
     unremovable,
 )
-from ospkit.model import random_k_limited_tree, tree_from_nested
+from ospkit.fixtures import materialize
+from ospkit.model import (
+    ImplementationTree,
+    LeafNode,
+    QueryNode,
+    random_k_limited_tree,
+    tree_from_nested,
+)
 from test_verifier import random_priced_trees
 
 
@@ -341,6 +351,18 @@ class TestApproxRatio:
             approx_ratio(PSystem.single_item(3), tree, [1, 2])
 
 
+def test_profile_enumerations_respect_scale_guard(monkeypatch):
+    ps = PSystem.single_item(2)
+    tree = extract_tree(ps, [1, 2, 3])
+    monkeypatch.setenv("OSPKIT_SCALE_GUARD", "8")
+    with pytest.raises(MechanismError, match="9 strategy profiles"):
+        extract_tree(ps, [1, 2, 3])
+    with pytest.raises(MechanismError, match="9 valuation profiles"):
+        approx_ratio(ps, tree, [1, 2, 3])
+    monkeypatch.setenv("OSPKIT_SCALE_GUARD", "9")
+    assert approx_ratio(ps, extract_tree(ps, [1, 2, 3]), [1, 2, 3])[0] == 1
+
+
 GEOMETRIC = [1, 2, 4, 8]
 
 
@@ -553,13 +575,20 @@ class TestAgainstOracles:
 
     def test_approx_ratio_matches_oracle(self):
         # approx_ratio needs every agent on one mirrored domain, so these
-        # trees share one: 2-3 agents, 2-4 valuations
+        # trees share one: 2-3 agents, 2-4 valuations; from seed 1000 on
+        # the valuations are fractional and may be zero or negative
         ratios = set()
         cases = []
-        for seed in range(1000):
+        for seed in range(1500):
             rng = random.Random(seed)
             n = rng.randint(2, 3)
-            dom = sorted(rng.sample(range(1, 9), rng.randint(2, 4)))
+            if seed < 1000:
+                dom = sorted(rng.sample(range(1, 9), rng.randint(2, 4)))
+            else:
+                den = rng.randint(1, 4)
+                dom = sorted(
+                    F(v) / den for v in rng.sample(range(-6, 7), rng.randint(2, 4))
+                )
             cost = [-v for v in dom]
             tree = random_k_limited_tree(
                 rng, n, [cost] * n, rng.choice([0, 1, 2, inf])
@@ -568,11 +597,17 @@ class TestAgainstOracles:
             cases.append((PSystem.explicit(n, tops), tree, dom))
         for ps, dom in FIXTURE_INSTANCES:
             cases.append((ps, extract_tree(ps, dom), dom))
+        zero_optimum = False
         for ps, tree, dom in cases:
             got = approx_ratio(ps, tree, dom)
             assert got == oracle_approx_ratio(ps, tree, dom)
             ratios.add(got[0])
+            zero_optimum = zero_optimum or any(
+                max(sum(prof[e] for e in t) for t in ps.maximal_sets()) == 0
+                for prof in itertools.product(dom, repeat=ps.ground_size)
+            )
         assert len(ratios) > 10
+        assert zero_optimum and min(ratios) < 0
 
     def test_allowed_forms_match_valuation_oracle(self):
         verdicts = Counter()
@@ -596,3 +631,299 @@ class TestAgainstOracles:
                 assert got == want
                 verdicts[got] += 1
         assert verdicts[True] and verdicts[False]
+
+
+# -- oracles: the elimination loop and the replaying extraction --------------
+
+
+def oracle_run_two_way_greedy(ps, domain, truth=None, answers=None):
+    """run_two_way_greedy as one loop of nested rounds that settles by
+    raising, the form the elimination had before it became a stepper."""
+    n = ps.ground_size
+    dom0 = tuple(sorted({F(v) for v in domain}))
+    if not dom0:
+        raise MechanismError("the domain must be nonempty")
+    d = len(dom0)
+    if (truth is None) == (answers is None):
+        raise MechanismError("exactly one of truth and answers is required")
+    if truth is not None:
+        truth = tuple(F(v) for v in truth)
+        if len(truth) != n:
+            raise MechanismError("one valuation per agent is required")
+        for v in truth:
+            if v not in dom0:
+                raise MechanismError(f"valuation {v} outside the domain")
+    script = list(answers) if answers is not None else None
+    cursor = 0
+
+    doms = [list(dom0) for _ in range(n)]
+    chosen: set[int] = set()
+    excluded: set[int] = set()
+    pending: list[int] = []
+    trace: list[QueryRecord] = []
+    b = 1 - d % 2
+
+    class _Settled(Exception):
+        pass
+
+    def alive():
+        return [
+            j
+            for j in range(n)
+            if j not in chosen and j not in excluded and j not in pending
+        ]
+
+    def sync():
+        while True:
+            grew = unremovable(ps, frozenset(chosen), frozenset(excluded))
+            shrank = removable(ps, frozenset(chosen), frozenset(excluded))
+            if not grew and not shrank:
+                break
+            chosen.update(grew)
+            excluded.update(shrank)
+        for j in list(pending):
+            if j in chosen or j in excluded:
+                pending.remove(j)
+
+    def flush():
+        for j in sorted(pending):
+            if j in chosen or j in excluded:
+                continue
+            try:
+                surviving_solutions(ps, chosen, frozenset(excluded) | {j})
+            except MechanismError:
+                chosen.add(j)
+            else:
+                excluded.add(j)
+            sync()
+        pending.clear()
+        if not alive():
+            raise _Settled
+
+    def ask(agent, direction, defer=False):
+        nonlocal cursor
+        snap = tuple(doms[agent])
+        value = snap[0] if direction == "bottom" else snap[-1]
+        if script is None:
+            answer = truth[agent] == value
+        else:
+            if cursor >= len(script):
+                raise NeedAnswer(agent, direction, value, snap)
+            answer = bool(script[cursor])
+            cursor += 1
+        trace.append(QueryRecord(agent, direction, value, snap, answer))
+        if answer:
+            doms[agent] = [value]
+            if defer:
+                pending.append(agent)
+            elif direction == "bottom":
+                excluded.add(agent)
+                sync()
+            else:
+                chosen.add(agent)
+                sync()
+        elif direction == "bottom":
+            doms[agent].pop(0)
+        else:
+            doms[agent].pop()
+        if not alive():
+            raise _Settled
+        return answer
+
+    chosen.update(unremovable(ps, frozenset(), frozenset()))
+    excluded.update(removable(ps, frozenset(), frozenset()))
+
+    try:
+        if not alive():
+            raise _Settled
+        while True:
+            cand = alive()[0]
+            if len(doms[cand]) < 2:
+                break
+            if not ask(cand, "bottom"):
+                break
+        while True:
+            order = alive()
+            lead = order[0]
+            if not (
+                len(doms[lead]) > 2 + b
+                or any(len(doms[j]) > 1 + b for j in order[1:])
+            ):
+                break
+            spins = len(trace)
+            for j in order[1:]:
+                if j not in alive() or len(doms[j]) <= 2:
+                    continue
+                ask(j, "bottom")
+                if j in alive():
+                    ask(j, "bottom", defer=True)
+            flush()
+            if lead in alive() and len(doms[lead]) > 2 + b:
+                ask(lead, "bottom")
+                if lead in alive():
+                    ask(lead, "bottom")
+            current = alive()
+            if current and current[0] != lead:
+                while True:
+                    step = alive()[0]
+                    if len(doms[step]) < 2:
+                        break
+                    if not ask(step, "bottom"):
+                        break
+            if len(trace) == spins:
+                raise MechanismError("pairing rounds stalled")
+        flush()
+        order = alive()
+        if order:
+            lead = order[0]
+            if d % 2 == 0:
+                for j in order[1:]:
+                    if j not in alive() or len(doms[j]) < 2:
+                        continue
+                    ask(j, "top")
+                if lead in alive() and len(doms[lead]) >= 2:
+                    ask(lead, "bottom")
+            elif len(doms[lead]) >= 2:
+                ask(lead, "bottom")
+    except _Settled:
+        pass
+
+    try:
+        flush()
+    except _Settled:
+        pass
+    rest = alive()
+    if rest:
+        chosen.add(rest[0])
+        sync()
+        for e in alive():
+            if ps.feasible(frozenset(chosen | {e})):
+                chosen.add(e)
+    excluded.update(j for j in range(n) if j not in chosen)
+    return GreedyResult(frozenset(chosen), frozenset(excluded), tuple(trace))
+
+
+def oracle_extract_tree(ps, domain):
+    """extract_tree replaying the oracle run from the root for every node."""
+    dom0 = tuple(sorted({F(v) for v in domain}))
+    n = ps.ground_size
+    nodes = {}
+    counter = itertools.count()
+
+    def grow(prefix):
+        nid = next(counter)
+        try:
+            result = oracle_run_two_way_greedy(ps, dom0, answers=prefix)
+        except NeedAnswer as need:
+            agent, value, snap = need.agent, need.value, need.domain
+            yes_id = grow(prefix + [True])
+            no_id = grow(prefix + [False])
+            rest = tuple(x for x in snap if x != value)
+            nodes[nid] = QueryNode(nid, agent, ((value,), rest), (yes_id, no_id))
+        else:
+            outcome = tuple(1 if j in result.chosen else 0 for j in range(n))
+            nodes[nid] = LeafNode(nid, outcome, None)
+        return nid
+
+    root = grow([])
+    return as_cost_tree(ImplementationTree(n, [dom0] * n, root, nodes))
+
+
+def run_outcome(run, *args, **kwargs):
+    """What a run gives: its result, the open query of an exhausted
+    script, or the message of an error."""
+    try:
+        return ("result", run(*args, **kwargs))
+    except NeedAnswer as need:
+        return ("need", need.agent, need.direction, need.value, need.domain)
+    except MechanismError as exc:
+        return ("error", str(exc))
+
+
+def random_instance(rng):
+    """A seeded explicit or graphic system on 1-6 valuations, fractional
+    on some seeds.  One explicit system in five has a single maximal set,
+    so its run settles before the first query."""
+    kind = rng.random()
+    if kind < 0.2:
+        n = rng.randint(1, 4)
+        ps = PSystem.explicit(n, [rng.sample(range(n), rng.randint(0, n))])
+    elif kind < 0.6:
+        n = rng.randint(2, 5)
+        tops = [
+            rng.sample(range(n), rng.randint(1, n - 1))
+            for _ in range(rng.randint(2, 4))
+        ]
+        ps = PSystem.explicit(n, tops)
+    else:
+        pairs = list(itertools.combinations(range(rng.randint(3, 4)), 2))
+        ps = PSystem.graphic(rng.sample(pairs, rng.randint(3, min(5, len(pairs)))))
+    d = rng.randint(1, 6)
+    while d ** ps.ground_size > 700:
+        d -= 1
+    den = rng.choice([1, 1, 2, 3])
+    domain = sorted(F(v) / den for v in rng.sample(range(-4, 10), d))
+    return ps, domain
+
+
+# the instance fixtures that the tests and the benchmark extract, with
+# small neighbours; single_item(3,8), (4,5) and (5,5) bring a successor
+# up after the lead drops out
+ORACLE_FIXTURES = [
+    "single_item(2,2)", "single_item(2,4)", "single_item(2,5)",
+    "single_item(2,6)", "single_item(3,3)", "single_item(3,5)",
+    "single_item(3,6)", "single_item(3,8)", "single_item(4,4)",
+    "single_item(4,5)", "single_item(5,5)", "uniform(3,2,3)",
+    "uniform(4,2,4)", "uniform(4,3,3)", "uniform(5,2,5)", "uniform(6,3,4)",
+    "triangle_graphic(3)", "triangle_graphic(4)", "triangle_graphic(5)",
+    "triangle_graphic(12)",
+]
+
+
+class TestStepperAgainstOracles:
+    """The one elimination stepper against the nested-round loop and the
+    extraction that replays it from the root for every node."""
+
+    def assert_matches(self, ps, domain, rng, runs):
+        got = extract_tree(ps, domain)
+        want = oracle_extract_tree(ps, domain)
+        assert dumps_mechanism(got) == dumps_mechanism(want)
+        profiles = list(itertools.product(domain, repeat=ps.ground_size))
+        for prof in rng.sample(profiles, min(runs, len(profiles))):
+            new = run_outcome(run_two_way_greedy, ps, domain, truth=prof)
+            assert new == run_outcome(
+                oracle_run_two_way_greedy, ps, domain, truth=prof
+            )
+        for _ in range(runs):
+            script = [rng.random() < 0.5 for _ in range(rng.randint(0, 12))]
+            new = run_outcome(run_two_way_greedy, ps, domain, answers=script)
+            assert new == run_outcome(
+                oracle_run_two_way_greedy, ps, domain, answers=script
+            )
+        return got
+
+    @pytest.mark.parametrize("name", ORACLE_FIXTURES)
+    def test_fixture_instances(self, name):
+        ps, domain = materialize(name)[1]
+        self.assert_matches(ps, domain, random.Random(name), 40)
+
+    def test_truthful_runs_beyond_the_guard(self):
+        # the benchmark's truthful runs: too many profiles to extract
+        ps, domain = materialize("uniform(6,3,8)")[1]
+        rng = random.Random(8)
+        for _ in range(40):
+            prof = [rng.choice(domain) for _ in range(ps.ground_size)]
+            got = run_two_way_greedy(ps, domain, truth=prof)
+            assert got == oracle_run_two_way_greedy(ps, domain, truth=prof)
+
+    @pytest.mark.parametrize("start", [0, 250, 500, 750])
+    def test_seeded_systems(self, start):
+        settled = parities = 0
+        seen = set()
+        for seed in range(start, start + 250):
+            rng = random.Random(seed)
+            ps, domain = random_instance(rng)
+            tree = self.assert_matches(ps, domain, rng, 6)
+            settled += tree.nodes[tree.root].kind == "leaf"
+            seen.add((len(domain) % 2, any(v.denominator > 1 for v in domain)))
+        assert settled and len(seen) == 4
