@@ -2,7 +2,9 @@
 
 Verbs: verify, payments, cmon, greedy (with an extract-tree form),
 approx, search, fixtures, experiment.  Exit codes partition cleanly:
-0 for pass/found, 1 for fail/exhausted, 2 for any input problem.
+0 for pass/found, 1 for fail/exhausted, 2 for any input problem, and 3
+for an internal error (a bug in ospkit, reported on one stderr line), so
+a crash never reads as a verdict.
 
 Reports are canonical json (sorted keys, rationals as "num/den" strings),
 so identical inputs and seed give byte-identical output; the experiment
@@ -41,7 +43,12 @@ from .io import (
     render_report,
     write_report,
 )
-from .model import MechanismError, query_count, require_valid
+from .model import (
+    MechanismError,
+    query_count,
+    require_binary_outcomes,
+    require_valid,
+)
 from .rational import format_rational, parse_rational
 
 EXPERIMENT_COLUMNS = [
@@ -104,7 +111,7 @@ def cmd_verify(args) -> int:
         "taxation": None,
     }
     try:
-        verifier.require_binary_outcomes(tree)
+        require_binary_outcomes(tree)
     except MechanismError:
         pass  # sell/buy levels beyond 0/1: binary-only checks stay out
     else:
@@ -444,6 +451,11 @@ def main(argv=None) -> int:
     except (MechanismFormatError, MechanismError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other exception is a bug: exit 3 keeps it apart from a verdict
+        line = str(exc).split("\n", 1)[0]
+        print(f"internal error: {type(exc).__name__}: {line}", file=sys.stderr)
+        return 3
     _status(
         f"{args.command} finished in "
         f"{(time.perf_counter() - start) * 1000:.1f} ms"

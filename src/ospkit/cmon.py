@@ -32,16 +32,12 @@ from .model import (
     normalize_horizon,
     parting_node,
     profile_leaves,
+    require_binary_outcomes,
     require_valid,
     scale_guard,
 )
 from .rational import Rat
-from .verifier import (
-    _value_table,
-    is_k_limited,
-    query_class,
-    require_binary_outcomes,
-)
+from .verifier import _value_table, is_k_limited, query_class
 
 SETTLED = "settled"
 TAIL_EFFECTIVE = "tail_effective"

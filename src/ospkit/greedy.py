@@ -1,8 +1,10 @@
 """Two-way greedy mechanisms over downward-closed set systems.
 
 Ground sets are {0..n-1} and weights are valuations (larger is better).
-Trees handed to the verifier follow the cost convention instead;
-``as_cost_tree`` owns that sign boundary and is an involution.
+Trees handed to the verifier follow the cost convention instead:
+``extract_tree`` and ``english_auction_tree`` emit negated domains,
+blocks and payments as they build, and ``as_cost_tree`` mirrors any
+other tree across that sign boundary (it is an involution).
 
 The elimination is written once, as the copyable state ``_Elimination``
 that stops at each query.  ``run_two_way_greedy`` answers its queries
@@ -24,17 +26,13 @@ from .model import (
     MechanismError,
     QueryNode,
     normalize_horizon,
+    require_binary_outcomes,
     scale_guard,
     split_box,
     tree_from_nested,
 )
 from .rational import Rat, parse_rational
-from .verifier import (
-    _value_table,
-    is_k_limited,
-    query_class,
-    require_binary_outcomes,
-)
+from .verifier import _value_table, is_k_limited, query_class
 
 
 class PSystem:
@@ -546,19 +544,20 @@ def extract_tree(ps: PSystem, domain) -> ImplementationTree:
 
     One depth-first pass over the elimination state: at each query the
     state is copied, the yes branch is followed first and the no branch
-    from the copy, and nodes are numbered in that preorder.
+    from the copy, and nodes are numbered in that preorder.  Each query
+    is emitted with negated blocks, the yes block first, so the tree is
+    built once, as ``as_cost_tree`` would mirror the valuation tree.
     """
     dom0 = _valuation_domain(domain)
     n = ps.ground_size
     scale_guard(len(dom0) ** n, "strategy profiles")
     nodes: dict[int, QueryNode | LeafNode] = {}
     root = _grow(_Elimination(ps, dom0), nodes, itertools.count())
-    return as_cost_tree(ImplementationTree(n, [dom0] * n, root, nodes))
+    return ImplementationTree(n, [[-v for v in dom0]] * n, root, nodes)
 
 
 def _grow(state: _Elimination, nodes: dict, counter) -> int:
-    # a module-level function, not a closure: a closure that calls
-    # itself holds ``nodes`` in a reference cycle after the call
+    # module-level for the reason given at model._from_nested
     nid = next(counter)
     if state.query is None:
         outcome = tuple(
@@ -566,14 +565,16 @@ def _grow(state: _Elimination, nodes: dict, counter) -> int:
         )
         nodes[nid] = LeafNode(nid, outcome, None)
         return nid
-    agent, _, value, snap = state.query
+    agent, direction, value, snap = state.query
     no = state.copy()
     state.step(True)
     yes_id = _grow(state, nodes, counter)
     no.step(False)
     no_id = _grow(no, nodes, counter)
-    rest = tuple(x for x in snap if x != value)
-    nodes[nid] = QueryNode(nid, agent, ((value,), rest), (yes_id, no_id))
+    # the asked value is an end of the sorted snapshot
+    rest = snap[1:] if direction == "bottom" else snap[:-1]
+    blocks = ((-value,), tuple(-x for x in reversed(rest)))
+    nodes[nid] = QueryNode(nid, agent, blocks, (yes_id, no_id))
     return nid
 
 
@@ -655,27 +656,35 @@ def is_two_way_greedy(tree: ImplementationTree) -> TwoWayReport:
 
 
 def compress(tree: ImplementationTree) -> ImplementationTree:
-    """Merge consecutive same-agent queries into multi-block queries."""
+    """Merge consecutive same-agent queries into multi-block queries.
+    Nodes are renumbered in preorder."""
+    nodes: dict[int, QueryNode | LeafNode] = {}
+    root = _compressed(tree, tree.root, nodes, itertools.count())
+    return ImplementationTree(tree.agents, tree.domains, root, nodes)
 
-    def build(nid: int):
-        node = tree.nodes[nid]
-        if node.kind == "leaf":
-            return ("leaf", node.outcome, node.payment)
-        blocks = list(node.blocks)
-        kids = list(node.children)
-        merged = True
-        while merged:
-            merged = False
-            for idx, cid in enumerate(kids):
-                sub = tree.nodes[cid]
-                if sub.kind == "query" and sub.agent == node.agent:
-                    blocks[idx : idx + 1] = list(sub.blocks)
-                    kids[idx : idx + 1] = list(sub.children)
-                    merged = True
-                    break
-        return ("q", node.agent, [(blocks[i], build(kids[i])) for i in range(len(kids))])
 
-    return tree_from_nested(tree.agents, tree.domains, build(tree.root))
+def _compressed(tree: ImplementationTree, nid: int, nodes: dict, counter) -> int:
+    # module-level for the reason given at model._from_nested
+    fresh = next(counter)
+    node = tree.nodes[nid]
+    if node.kind == "leaf":
+        nodes[fresh] = LeafNode(fresh, node.outcome, node.payment)
+        return fresh
+    blocks = list(node.blocks)
+    kids = list(node.children)
+    merged = True
+    while merged:
+        merged = False
+        for idx, cid in enumerate(kids):
+            sub = tree.nodes[cid]
+            if sub.kind == "query" and sub.agent == node.agent:
+                blocks[idx : idx + 1] = list(sub.blocks)
+                kids[idx : idx + 1] = list(sub.children)
+                merged = True
+                break
+    children = tuple(_compressed(tree, cid, nodes, counter) for cid in kids)
+    nodes[fresh] = QueryNode(fresh, node.agent, tuple(blocks), children)
+    return fresh
 
 
 def serialize(tree: ImplementationTree) -> ImplementationTree:
@@ -683,47 +692,44 @@ def serialize(tree: ImplementationTree) -> ImplementationTree:
 
     Multi-block queries are peeled one cheapest value at a time; splits
     that are already binary with an extreme singled out pass through.
-    Leaf routing is preserved exactly.
+    Leaf routing is preserved exactly.  Nodes are numbered in preorder.
     """
+    nodes: dict[int, QueryNode | LeafNode] = {}
+    root = _narrowed(tree, tree.root, {}, nodes, itertools.count())
+    return ImplementationTree(tree.agents, tree.domains, root, nodes)
 
-    def narrowed(nid: int, allow: dict[int, tuple[Rat, ...]]):
-        node = tree.nodes[nid]
-        if node.kind == "leaf":
-            return ("leaf", node.outcome, node.payment)
-        agent = node.agent
-        own = allow.get(agent, tree.domain_at[nid][agent])
-        pairs = []
-        for blk, cid in zip(node.blocks, node.children):
-            common = tuple(v for v in blk if v in own)
-            if common:
-                pairs.append((common, cid))
-        if len(pairs) == 1:
-            sub = dict(allow)
-            sub[agent] = pairs[0][0]
-            return narrowed(pairs[0][1], sub)
-        if len(pairs) == 2 and any(
-            p[0] in ((own[0],), (own[-1],)) for p in pairs
-        ):
-            out = []
-            for blkvals, cid in pairs:
-                sub = dict(allow)
-                sub[agent] = blkvals
-                out.append((blkvals, narrowed(cid, sub)))
-            return ("q", agent, out)
+
+def _narrowed(tree: ImplementationTree, nid: int, allow, nodes: dict, counter):
+    # module-level for the reason given at model._from_nested; ``allow``
+    # maps an agent to the types still open for her on this path
+    node = tree.nodes[nid]
+    if node.kind == "leaf":
+        fresh = next(counter)
+        nodes[fresh] = LeafNode(fresh, node.outcome, node.payment)
+        return fresh
+    agent = node.agent
+    own = allow.get(agent, tree.domain_at[nid][agent])
+    pairs = []
+    for blk, cid in zip(node.blocks, node.children):
+        common = tuple(v for v in blk if v in own)
+        if common:
+            pairs.append((common, cid))
+    if len(pairs) == 1:
+        [(blk, cid)] = pairs
+        return _narrowed(tree, cid, {**allow, agent: blk}, nodes, counter)
+    extremes = ((own[0],), (own[-1],))
+    if len(pairs) != 2 or not any(blk in extremes for blk, _ in pairs):
+        # peel the cheapest type off; the rest is asked here again
         low = own[0]
-        target = next(c for b, c in pairs if low in b)
-        yes_allow = dict(allow)
-        yes_allow[agent] = (low,)
-        rest = tuple(v for v in own if v != low)
-        no_allow = dict(allow)
-        no_allow[agent] = rest
-        return (
-            "q",
-            agent,
-            [((low,), narrowed(target, yes_allow)), (rest, narrowed(nid, no_allow))],
-        )
-
-    return tree_from_nested(tree.agents, tree.domains, narrowed(tree.root, {}))
+        target = next(cid for blk, cid in pairs if low in blk)
+        pairs = [((low,), target), (tuple(v for v in own if v != low), nid)]
+    fresh = next(counter)
+    children = tuple(
+        _narrowed(tree, cid, {**allow, agent: blk}, nodes, counter)
+        for blk, cid in pairs
+    )
+    nodes[fresh] = QueryNode(fresh, agent, tuple(blk for blk, _ in pairs), children)
+    return fresh
 
 
 def is_k_limitable(tree: ImplementationTree, k):
@@ -743,46 +749,41 @@ def english_auction_tree(n: int, domain) -> ImplementationTree:
     """
     if n < 1:
         raise MechanismError("at least one agent is required")
-    dom0 = _valuation_domain(domain)
-    d = len(dom0)
+    # cost[i] is the cost type of the i-th smallest valuation
+    cost = tuple(-v for v in _valuation_domain(domain))
     nodes: dict[int, QueryNode | LeafNode] = {}
-    counter = itertools.count()
+    root = _clock(cost, tuple(range(n)), (0,) * n, (), -1, nodes, itertools.count())
+    return ImplementationTree(n, [cost] * n, root, nodes)
 
-    def leaf(available, lo) -> int:
-        winner = min(available)
-        pay = [Fraction(0)] * n
-        pay[winner] = dom0[lo[winner] - 1] if lo[winner] else dom0[0]
-        nid = next(counter)
-        outcome = tuple(1 if j == winner else 0 for j in range(n))
-        nodes[nid] = LeafNode(nid, outcome, tuple(pay))
-        return nid
 
-    def build(available, lo, queue, clock) -> int:
-        if len(available) == 1:
-            return leaf(available, lo)
+def _clock(cost, available, lo, queue, clock, nodes: dict, counter) -> int:
+    # module-level for the reason given at model._from_nested; lo[j] is
+    # one past the last clock position agent j answered no to
+    if len(available) > 1:
         queue = tuple(j for j in queue if j in available)
         if not queue:
             clock += 1
-            if clock > d - 2:
-                return leaf(available, lo)
             queue = tuple(sorted(available, reverse=True))
-        agent = queue[0]
-        price = dom0[clock]
-        nid = next(counter)
-        yes_id = build(
-            tuple(a for a in available if a != agent), lo, queue[1:], clock
-        )
-        lo2 = list(lo)
-        lo2[agent] = clock + 1
-        no_id = build(available, tuple(lo2), queue[1:], clock)
-        nodes[nid] = QueryNode(
-            nid, agent, ((price,), tuple(dom0[clock + 1 :])), (yes_id, no_id)
-        )
+    nid = next(counter)
+    if len(available) == 1 or clock > len(cost) - 2:
+        n = len(lo)
+        winner = min(available)
+        pay = [Fraction(0)] * n
+        pay[winner] = cost[lo[winner] - 1] if lo[winner] else cost[0]
+        outcome = tuple(1 if j == winner else 0 for j in range(n))
+        nodes[nid] = LeafNode(nid, outcome, tuple(pay))
         return nid
-
-    root = build(tuple(range(n)), (0,) * n, (), -1)
-    val_tree = ImplementationTree(n, [dom0] * n, root, nodes)
-    return as_cost_tree(val_tree)
+    agent = queue[0]
+    yes_id = _clock(
+        cost, tuple(a for a in available if a != agent), lo, queue[1:], clock,
+        nodes, counter,
+    )
+    lo2 = list(lo)
+    lo2[agent] = clock + 1
+    no_id = _clock(cost, available, tuple(lo2), queue[1:], clock, nodes, counter)
+    blocks = ((cost[clock],), tuple(reversed(cost[clock + 1 :])))
+    nodes[nid] = QueryNode(nid, agent, blocks, (yes_id, no_id))
+    return nid
 
 
 def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
@@ -798,7 +799,7 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     n = ps.ground_size
     if tree.agents != n:
         raise MechanismError("tree and system disagree on the number of agents")
-    dom0 = tuple(sorted({parse_rational(v) for v in domain}))
+    dom0 = _valuation_domain(domain)
     cost_dom = tuple(sorted(-v for v in dom0))
     for dm in tree.domains:
         if tuple(dm) != cost_dom:
@@ -868,7 +869,7 @@ def search_two_way_greedy(
     being returned; Exhausted means the whole family was searched.
     """
     n = ps.ground_size
-    dom0 = tuple(sorted({parse_rational(v) for v in domain}))
+    dom0 = _valuation_domain(domain)
     if n != 2 or len(dom0) > 4:
         raise MechanismError("search is limited to two agents and four types")
     kk = normalize_horizon(k)

@@ -12,6 +12,12 @@ of her own future moves an agent plans ahead when she evaluates a query.
 the nodes covered by a k-step plan, and the profiles an agent cannot yet
 tell apart from a given one.
 
+A tree checks itself once, when it is built: the constructor's one walk
+records every defect in `ImplementationTree.problems` and the first
+non-binary outcome in `ImplementationTree.nonbinary`.  `validate_tree`,
+`require_valid` and `require_binary_outcomes` read those facts, so each
+costs O(1) however often a caller asks.
+
 Two routines answer every bulk question about where profiles go.
 `split_box` splits the box of profiles available at a node down its
 subtree and yields each leaf with the box that reaches it; every table
@@ -28,11 +34,13 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, prod
+from math import inf, log10, prod
 
 from .rational import Rat, parse_rational
 
 DEFAULT_SCALE_GUARD = 100_000
+
+_BINARY = ((0, 1), (1, 1))  # the outcomes 0 and 1 as integer ratios
 
 
 class MechanismError(ValueError):
@@ -49,8 +57,11 @@ def scale_guard(count: int, what: str = "profiles") -> None:
             f"OSPKIT_SCALE_GUARD must be an integer, not {raw!r}"
         ) from None
     if count > limit:
+        # a count past 10^18 is shown by its magnitude: Python refuses to
+        # print an int of more than 4300 digits
+        shown = count if count < 10**18 else f"about 10^{int(log10(count))}"
         raise MechanismError(
-            f"enumeration of {count} {what} exceeds scale guard {limit}; "
+            f"enumeration of {shown} {what} exceeds scale guard {limit}; "
             "raise OSPKIT_SCALE_GUARD to allow"
         )
 
@@ -96,9 +107,9 @@ class ImplementationTree:
 
     Construction is tolerant: semantic defects (blocks that do not
     partition the current domain, wrong vector lengths, unreachable
-    nodes) are recorded and reported by `validate_tree`.  Only shapes
-    that cannot be traversed at all raise here: an unknown root, a child
-    id reached twice, a node keyed under a different id.
+    nodes) are recorded in `problems`.  Only shapes that cannot be
+    traversed at all raise here: an unknown root, a child id reached
+    twice, a node keyed under a different id, an unknown agent.
 
     Precomputed, read-only after construction:
       parent, depth          per reachable node id
@@ -106,6 +117,13 @@ class ImplementationTree:
       query_depth[nid]       per-agent query counts on the root..nid path,
                              counting nid itself when it is a query
       preorder, leaf_ids, internal_ids, leaves_under
+      problems               every defect, empty when the tree is a valid
+                             mechanism: the structural ones (block and
+                             child counts, unknown children, unreachable
+                             nodes), then empty domains, then each node's
+                             own in preorder
+      nonbinary              (leaf id, value) of the first outcome other
+                             than 0 or 1 in preorder, or None
     """
 
     def __init__(self, agents: int, domains, root: int, nodes) -> None:
@@ -128,7 +146,12 @@ class ImplementationTree:
         if self.root not in self.nodes:
             raise MechanismError(f"root {root} not among nodes")
 
-        self._defects: list[str] = []
+        structural: list[str] = []
+        checks: list[str] = []
+        self.nonbinary: tuple[int, Rat] | None = None
+        # below a flagged query a domain may repeat a value, which the
+        # merge test below cannot see; those nodes get the full diagnosis
+        doubtful: set[int] = set()
         self.parent: dict[int, int | None] = {self.root: None}
         self.depth: dict[int, int] = {self.root: 0}
         self.domain_at: dict[int, tuple[tuple[Rat, ...], ...]] = {
@@ -149,6 +172,15 @@ class ImplementationTree:
             if isinstance(node, LeafNode):
                 self.query_depth[nid] = base
                 self.leaf_ids.append(nid)
+                if len(node.outcome) != self.agents:
+                    checks.append(f"leaf {nid}: outcome length {len(node.outcome)}")
+                if node.payment is not None and len(node.payment) != self.agents:
+                    checks.append(f"leaf {nid}: payment length {len(node.payment)}")
+                if self.nonbinary is None:
+                    for v in node.outcome:
+                        if v.as_integer_ratio() not in _BINARY:
+                            self.nonbinary = (nid, v)
+                            break
                 continue
             if not 0 <= node.agent < self.agents:
                 raise MechanismError(f"node {nid} queries unknown agent {node.agent}")
@@ -157,28 +189,53 @@ class ImplementationTree:
             self.query_depth[nid] = tuple(qd)
             self.internal_ids.append(nid)
             dom = self.domain_at[nid]
+            own = dom[node.agent]
+            parts = [tuple(sorted(blk)) for blk in node.blocks]
+            # two or more nonempty blocks holding each value of the domain
+            # once, compared as integer ratios (a Fraction compares in
+            # Python): a partition, unless the domain repeats a value
+            held = [v.as_integer_ratio() for part in parts for v in part]
+            if (
+                nid in doubtful
+                or len(parts) < 2
+                or not all(parts)
+                or len(held) != len(own)
+                or set(held) != {v.as_integer_ratio() for v in own}
+            ):
+                found = _block_problems(nid, own, node.blocks)
+                checks.extend(found)
+                if found:
+                    doubtful.add(nid)
             if len(node.children) != len(node.blocks):
-                self._defects.append(
+                structural.append(
                     f"node {nid}: {len(node.blocks)} blocks, "
                     f"{len(node.children)} children"
                 )
-            pairs = list(zip(node.blocks, node.children))
-            for blk, cid in reversed(pairs):
+            pairs = list(zip(parts, node.children))
+            for part, cid in reversed(pairs):
                 if cid not in self.nodes:
-                    self._defects.append(f"node {nid}: unknown child {cid}")
+                    structural.append(f"node {nid}: unknown child {cid}")
                     continue
                 if cid in self.parent:
                     raise MechanismError(f"node {cid} is reached twice")
                 self.parent[cid] = nid
                 self.depth[cid] = self.depth[nid] + 1
                 child_dom = list(dom)
-                child_dom[node.agent] = tuple(sorted(blk))
+                child_dom[node.agent] = part
                 self.domain_at[cid] = tuple(child_dom)
+                if nid in doubtful:
+                    doubtful.add(cid)
                 stack.append(cid)
 
         unreachable = sorted(set(self.nodes) - set(self.preorder))
         for nid in unreachable:
-            self._defects.append(f"node {nid} unreachable from root")
+            structural.append(f"node {nid} unreachable from root")
+        empty = [
+            f"agent {i} has an empty domain"
+            for i, dom in enumerate(self.domains)
+            if not dom
+        ]
+        self.problems: tuple[str, ...] = tuple(structural + empty + checks)
 
         self.leaves_under: dict[int, tuple[int, ...]] = {}
         for nid in reversed(self.preorder):
@@ -238,15 +295,6 @@ class ImplementationTree:
         assert isinstance(node, LeafNode)
         return node
 
-    def available_profiles(self, nid: int):
-        """All profiles available at nid, in lexicographic order."""
-        dom = self.domain_at[nid]
-        count = 1
-        for d in dom:
-            count *= len(d)
-        scale_guard(count)
-        return itertools.product(*dom)
-
     def box_min(self, nid: int) -> tuple[Rat, ...]:
         """Coordinate-wise smallest profile available at nid."""
         return tuple(d[0] for d in self.domain_at[nid])
@@ -262,49 +310,47 @@ class ImplementationTree:
         )
 
 
-def validate_tree(tree: ImplementationTree) -> list[str]:
-    """All semantic defects, empty when the tree is a valid mechanism."""
-    problems = list(tree._defects)
-    for i, dom in enumerate(tree.domains):
-        if not dom:
-            problems.append(f"agent {i} has an empty domain")
-    for nid in tree.preorder:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            if len(node.outcome) != tree.agents:
-                problems.append(f"leaf {nid}: outcome length {len(node.outcome)}")
-            if node.payment is not None and len(node.payment) != tree.agents:
-                problems.append(f"leaf {nid}: payment length {len(node.payment)}")
-            continue
-        dom = tree.domain_at[nid][node.agent]
-        if len(node.blocks) < 2:
-            problems.append(f"node {nid}: fewer than two blocks")
-        seen: set[Rat] = set()
-        for blk in node.blocks:
-            if not blk:
-                problems.append(f"node {nid}: empty block")
-            for v in blk:
-                if v in seen:
-                    problems.append(f"node {nid}: value {v} in two blocks")
-                seen.add(v)
-                if v not in dom:
-                    problems.append(
-                        f"node {nid}: value {v} outside the current domain"
-                    )
-        if seen != set(dom):
-            missing = sorted(set(dom) - seen)
-            if missing:
-                problems.append(
-                    f"node {nid}: domain values {missing} not covered"
-                )
+def _block_problems(nid: int, dom, blocks) -> list[str]:
+    """Why the blocks of query nid fail to partition its current domain
+    `dom` into two or more nonempty parts, in block order."""
+    problems = []
+    if len(blocks) < 2:
+        problems.append(f"node {nid}: fewer than two blocks")
+    seen: set[Rat] = set()
+    for blk in blocks:
+        if not blk:
+            problems.append(f"node {nid}: empty block")
+        for v in blk:
+            if v in seen:
+                problems.append(f"node {nid}: value {v} in two blocks")
+            seen.add(v)
+            if v not in dom:
+                problems.append(f"node {nid}: value {v} outside the current domain")
+    missing = sorted(set(dom) - seen)
+    if missing:
+        problems.append(f"node {nid}: domain values {missing} not covered")
     return problems
 
 
+def validate_tree(tree: ImplementationTree) -> list[str]:
+    """All semantic defects, empty when the tree is a valid mechanism."""
+    return list(tree.problems)
+
+
 def require_valid(tree: ImplementationTree) -> None:
-    """Raise MechanismError naming the first defect `validate_tree` finds."""
-    problems = validate_tree(tree)
-    if problems:
-        raise MechanismError(f"malformed mechanism: {problems[0]}")
+    """Raise MechanismError naming the tree's first defect."""
+    if tree.problems:
+        raise MechanismError(f"malformed mechanism: {tree.problems[0]}")
+
+
+def require_binary_outcomes(tree: ImplementationTree) -> None:
+    """Raise MechanismError naming the first outcome other than 0 or 1."""
+    if tree.nonbinary is not None:
+        nid, v = tree.nonbinary
+        raise MechanismError(
+            f"leaf {nid} has non-binary outcome {v}; "
+            "this analysis needs 0/1 outcomes"
+        )
 
 
 def query_count(tree: ImplementationTree, agent: int, leaf_id: int) -> int:
@@ -332,52 +378,24 @@ def k_step_neighborhood(tree: ImplementationTree, node_id: int, k):
     covered: set[int] = set()
     endpoints: set[int] = set()
 
-    if k == inf:
-        stack = [cid for cid in node.children if cid in tree.parent]
-        while stack:
-            nid = stack.pop()
-            covered.add(nid)
-            sub = tree.nodes[nid]
-            if isinstance(sub, LeafNode):
-                endpoints.add(nid)
-            else:
-                stack.extend(cid for cid in sub.children if cid in tree.parent)
-        return frozenset(covered), frozenset(endpoints)
-
-    if k == 0:
-        stack = [cid for cid in node.children if cid in tree.parent]
-        while stack:
-            nid = stack.pop()
-            sub = tree.nodes[nid]
-            if isinstance(sub, LeafNode) or sub.agent == i:
-                endpoints.add(nid)
-                continue
-            covered.add(nid)
-            stack.extend(cid for cid in sub.children if cid in tree.parent)
-        return frozenset(covered), frozenset(endpoints)
-
+    # a path ends at a leaf or at its max(k, 1)-th later query to i; at
+    # k=0 the plan commits through none of its endpoints
     stack = [(cid, 0) for cid in node.children if cid in tree.parent]
     while stack:
         nid, seen = stack.pop()
+        covered.add(nid)
         sub = tree.nodes[nid]
         if isinstance(sub, LeafNode):
-            covered.add(nid)
             endpoints.add(nid)
             continue
         if sub.agent == i:
-            here = seen + 1
-            covered.add(nid)
-            if here == k:
+            seen += 1
+            if seen == max(k, 1):
                 endpoints.add(nid)
                 continue
-            stack.extend(
-                (cid, here) for cid in sub.children if cid in tree.parent
-            )
-        else:
-            covered.add(nid)
-            stack.extend(
-                (cid, seen) for cid in sub.children if cid in tree.parent
-            )
+        stack.extend((cid, seen) for cid in sub.children if cid in tree.parent)
+    if k == 0:
+        covered -= endpoints
     return frozenset(covered), frozenset(endpoints)
 
 
@@ -393,10 +411,12 @@ def split_box(tree: ImplementationTree, node_id: int):
     box = tree.domain_at[node_id]
     if not all(box):
         return
-    for j, d in enumerate(box):
-        for t in d:
-            if t not in tree.domains[j]:
-                raise MechanismError(f"type {t} not in domain of agent {j}")
+    if tree.problems:
+        # only a defective block can bring a foreign type into a box
+        for j, d in enumerate(box):
+            for t in d:
+                if t not in tree.domains[j]:
+                    raise MechanismError(f"type {t} not in domain of agent {j}")
     stack = [(node_id, box)]
     while stack:
         nid, box = stack.pop()
@@ -475,11 +495,6 @@ def equivalence_class(tree: ImplementationTree, node_id: int, profile, k):
     return tuple(sorted(members))
 
 
-def first_divergence(tree: ImplementationTree, a, b):
-    """Node id where the walks of profiles a and b part, None if never."""
-    return parting_node(tree, tree.path_of(a)[-1], tree.path_of(b)[-1])
-
-
 def tree_from_nested(agents: int, domains, nested) -> ImplementationTree:
     """Build a tree from nested tuples.
 
@@ -488,37 +503,39 @@ def tree_from_nested(agents: int, domains, nested) -> ImplementationTree:
     preorder.
     """
     nodes: dict[int, QueryNode | LeafNode] = {}
-    counter = itertools.count()
+    root = _from_nested(nested, nodes, itertools.count())
+    return ImplementationTree(agents, domains, root, nodes)
 
-    def build(spec) -> int:
-        nid = next(counter)
-        tag = spec[0]
-        if tag == "leaf":
-            _, outcome, payment = spec
-            pay = None
-            if payment is not None:
-                pay = tuple(parse_rational(v) for v in payment)
-            nodes[nid] = LeafNode(
-                id=nid,
-                outcome=tuple(parse_rational(v) for v in outcome),
-                payment=pay,
-            )
-            return nid
-        if tag != "q":
-            raise MechanismError(f"bad nested tag {tag!r}")
-        _, agent, branches = spec
-        blocks = []
-        children = []
-        for values, sub in branches:
-            blocks.append(tuple(sorted(parse_rational(v) for v in values)))
-            children.append(build(sub))
-        nodes[nid] = QueryNode(
-            id=nid, agent=agent, blocks=tuple(blocks), children=tuple(children)
+
+def _from_nested(spec, nodes: dict, counter) -> int:
+    # the tree builders recurse through module-level functions: a closure
+    # that calls itself holds its node dict in a reference cycle, which
+    # only the cyclic gc frees
+    nid = next(counter)
+    tag = spec[0]
+    if tag == "leaf":
+        _, outcome, payment = spec
+        pay = None
+        if payment is not None:
+            pay = tuple(parse_rational(v) for v in payment)
+        nodes[nid] = LeafNode(
+            id=nid,
+            outcome=tuple(parse_rational(v) for v in outcome),
+            payment=pay,
         )
         return nid
-
-    root = build(nested)
-    return ImplementationTree(agents, domains, root, nodes)
+    if tag != "q":
+        raise MechanismError(f"bad nested tag {tag!r}")
+    _, agent, branches = spec
+    blocks = []
+    children = []
+    for values, sub in branches:
+        blocks.append(tuple(sorted(parse_rational(v) for v in values)))
+        children.append(_from_nested(sub, nodes, counter))
+    nodes[nid] = QueryNode(
+        id=nid, agent=agent, blocks=tuple(blocks), children=tuple(children)
+    )
+    return nid
 
 
 def random_k_limited_tree(
@@ -533,39 +550,40 @@ def random_k_limited_tree(
     k = normalize_horizon(k)
     budget0 = 10 ** 6 if k == inf else k + 1
     doms = tuple(tuple(sorted(parse_rational(v) for v in d)) for d in domains)
-
-    def gen(dom_now, budgets, depth):
-        eligible = [
-            i for i in range(agents) if len(dom_now[i]) >= 2 and budgets[i] > 0
-        ]
-        stop = rng.random() < min(0.15 + 0.25 * depth, 0.95)
-        if not eligible or stop:
-            outcome = tuple(Fraction(rng.randint(0, 1)) for _ in range(agents))
-            payment = None
-            if with_payments:
-                payment = tuple(
-                    Fraction(rng.randint(-3, 3)) for _ in range(agents)
-                )
-            return ("leaf", outcome, payment)
-        i = rng.choice(eligible)
-        dom = list(dom_now[i])
-        nblocks = rng.randint(2, min(3, len(dom)))
-        labels = [idx % nblocks for idx in range(len(dom))]
-        rng.shuffle(labels)
-        groups: dict[int, list[Rat]] = {}
-        for v, lab in zip(dom, labels):
-            groups.setdefault(lab, []).append(v)
-        blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=min)
-        branches = []
-        for blk in blocks:
-            sub_dom = list(dom_now)
-            sub_dom[i] = blk
-            sub_budget = list(budgets)
-            sub_budget[i] -= 1
-            branches.append(
-                (blk, gen(tuple(sub_dom), tuple(sub_budget), depth + 1))
-            )
-        return ("q", i, branches)
-
-    nested = gen(doms, (budget0,) * agents, 0)
+    nested = _random_nested(rng, doms, (budget0,) * agents, 0, with_payments)
     return tree_from_nested(agents, doms, nested)
+
+
+def _random_nested(rng, dom_now, budgets, depth, with_payments):
+    # module-level for the reason given at _from_nested
+    agents = len(dom_now)
+    eligible = [
+        i for i in range(agents) if len(dom_now[i]) >= 2 and budgets[i] > 0
+    ]
+    stop = rng.random() < min(0.15 + 0.25 * depth, 0.95)
+    if not eligible or stop:
+        outcome = tuple(Fraction(rng.randint(0, 1)) for _ in range(agents))
+        payment = None
+        if with_payments:
+            payment = tuple(Fraction(rng.randint(-3, 3)) for _ in range(agents))
+        return ("leaf", outcome, payment)
+    i = rng.choice(eligible)
+    dom = list(dom_now[i])
+    nblocks = rng.randint(2, min(3, len(dom)))
+    labels = [idx % nblocks for idx in range(len(dom))]
+    rng.shuffle(labels)
+    groups: dict[int, list[Rat]] = {}
+    for v, lab in zip(dom, labels):
+        groups.setdefault(lab, []).append(v)
+    blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=min)
+    branches = []
+    for blk in blocks:
+        sub_dom = list(dom_now)
+        sub_dom[i] = blk
+        sub_budget = list(budgets)
+        sub_budget[i] -= 1
+        sub = _random_nested(
+            rng, tuple(sub_dom), tuple(sub_budget), depth + 1, with_payments
+        )
+        branches.append((blk, sub))
+    return ("q", i, branches)

@@ -36,61 +36,17 @@ from .model import (
     normalize_horizon,
     parting_node,
     profile_leaves,
+    require_binary_outcomes,
     scale_guard,
     split_box,
 )
 from .rational import Rat, format_rational
 
 
-def require_binary_outcomes(tree: ImplementationTree) -> None:
-    for nid in tree.leaf_ids:
-        for v in tree.nodes[nid].outcome:
-            if v != 0 and v != 1:
-                raise MechanismError(
-                    f"leaf {nid} has non-binary outcome {v}; "
-                    "this analysis needs 0/1 outcomes"
-                )
-
-
-def _path_from(tree: ImplementationTree, top: int, leaf_id: int) -> list[int]:
-    path = [leaf_id]
-    nid = leaf_id
-    while nid != top:
-        nid = tree.parent.get(nid)
-        if nid is None:
-            raise MechanismError(f"node {leaf_id} is not below node {top}")
-        path.append(nid)
-    path.reverse()
-    return path
-
-
-def commitment_types(tree: ImplementationTree, node_id: int, leaf_id: int, k):
-    """Types the agent queried at node_id may still hold, k own moves into
-    a plan that ends at leaf_id: her domain just after the k-th later
-    query to her on that path (the leaf's domain when fewer remain)."""
-    k = normalize_horizon(k)
-    node = tree.nodes[node_id]
-    if not isinstance(node, QueryNode):
-        raise MechanismError(f"node {node_id} is not a query node")
-    i = node.agent
-    path = _path_from(tree, node_id, leaf_id)
-    h = leaf_id
-    if k != inf:
-        seen = 0
-        for nid in path[1:]:
-            if seen == k:
-                h = nid
-                break
-            sub = tree.nodes[nid]
-            if isinstance(sub, QueryNode) and sub.agent == i:
-                seen += 1
-    return tree.domain_at[h][i]
-
-
 def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, tuple]]:
-    """Every commitment set at once: sets[u][leaf] is
-    `commitment_types(tree, u, leaf, k)` for each query node u and each
-    leaf below it.
+    """Every commitment set at once: sets[u][leaf] holds the types the
+    agent queried at u may still hold, k own moves into a plan that ends
+    at the leaf, for each query node u and each leaf below it.
 
     Walks each leaf's root path once.  Where u is the m-th query to agent
     i on that path, the set is i's domain at the node just after the
@@ -635,60 +591,62 @@ def reveal_at_k2(tree: ImplementationTree, k) -> ImplementationTree:
     k = normalize_horizon(k)
     if k == inf:
         return tree
-    counter = itertools.count()
     nodes: dict[int, QueryNode | LeafNode] = {}
+    root = _reveal(tree, k, tree.root, {}, nodes, itertools.count())
+    return ImplementationTree(tree.agents, tree.domains, root, nodes)
 
-    def emit(nid: int, forced: dict[int, Rat]) -> int:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            fresh = next(counter)
-            nodes[fresh] = LeafNode(
-                id=fresh, outcome=node.outcome, payment=node.payment
-            )
-            return fresh
-        if node.agent in forced:
-            idx = tree.route(nid, forced[node.agent])
-            return emit(node.children[idx], forced)
-        nth = tree.query_depth[nid][node.agent]
-        already = all(len(b) == 1 for b in node.blocks)
-        if nth == k + 2 and not already:
-            qc = classify_query(tree, nid)
-            own = tree.domain_at[nid][node.agent]
-            allowed = (
-                qc.strongly_ineffective
-                or own[0] in qc.strongly_only_types
-                or own[-1] in qc.strongly_only_types
-            )
-            if not allowed:
-                raise MechanismError(
-                    f"node {nid}: query {nth} to agent {node.agent} is "
-                    "neither strongly ineffective nor strongly only-extreme "
-                    "effective; cannot rewrite to a revelation"
-                )
-            fresh = next(counter)
-            nodes[fresh] = None  # reserve slot, fill after children
-            blocks = []
-            children = []
-            for t in own:
-                idx = tree.route(nid, t)
-                sub_forced = dict(forced)
-                sub_forced[node.agent] = t
-                blocks.append((t,))
-                children.append(emit(node.children[idx], sub_forced))
-            nodes[fresh] = QueryNode(
-                id=fresh,
-                agent=node.agent,
-                blocks=tuple(blocks),
-                children=tuple(children),
-            )
-            return fresh
+
+def _reveal(tree, k, nid: int, forced: dict[int, Rat], nodes: dict, counter) -> int:
+    # module-level for the reason given at model._from_nested
+    node = tree.nodes[nid]
+    if isinstance(node, LeafNode):
         fresh = next(counter)
-        nodes[fresh] = None
-        children = tuple(emit(c, forced) for c in node.children)
+        nodes[fresh] = LeafNode(id=fresh, outcome=node.outcome, payment=node.payment)
+        return fresh
+    if node.agent in forced:
+        idx = tree.route(nid, forced[node.agent])
+        return _reveal(tree, k, node.children[idx], forced, nodes, counter)
+    nth = tree.query_depth[nid][node.agent]
+    already = all(len(b) == 1 for b in node.blocks)
+    if nth == k + 2 and not already:
+        qc = classify_query(tree, nid)
+        own = tree.domain_at[nid][node.agent]
+        allowed = (
+            qc.strongly_ineffective
+            or own[0] in qc.strongly_only_types
+            or own[-1] in qc.strongly_only_types
+        )
+        if not allowed:
+            raise MechanismError(
+                f"node {nid}: query {nth} to agent {node.agent} is "
+                "neither strongly ineffective nor strongly only-extreme "
+                "effective; cannot rewrite to a revelation"
+            )
+        fresh = next(counter)
+        nodes[fresh] = None  # reserve slot, fill after children
+        blocks = []
+        children = []
+        for t in own:
+            idx = tree.route(nid, t)
+            sub_forced = dict(forced)
+            sub_forced[node.agent] = t
+            blocks.append((t,))
+            children.append(
+                _reveal(tree, k, node.children[idx], sub_forced, nodes, counter)
+            )
         nodes[fresh] = QueryNode(
-            id=fresh, agent=node.agent, blocks=node.blocks, children=children
+            id=fresh,
+            agent=node.agent,
+            blocks=tuple(blocks),
+            children=tuple(children),
         )
         return fresh
-
-    root = emit(tree.root, {})
-    return ImplementationTree(tree.agents, tree.domains, root, nodes)
+    fresh = next(counter)
+    nodes[fresh] = None
+    children = tuple(
+        _reveal(tree, k, c, forced, nodes, counter) for c in node.children
+    )
+    nodes[fresh] = QueryNode(
+        id=fresh, agent=node.agent, blocks=node.blocks, children=children
+    )
+    return fresh

@@ -3,13 +3,20 @@ code contract and report bytes rather than internals."""
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ospkit import (
+    MechanismFormatError,
     check_k_step_osp,
     cli,
+    dumps_mechanism,
+    instance_data_for,
     is_k_limitable,
     is_two_way_greedy,
     load_mechanism,
+    loads_instance,
+    loads_mechanism,
+    materialize,
 )
 from ospkit.io import render_report
 
@@ -200,6 +207,136 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "verify" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["approx"], ["greedy", "extract-tree", "--out", "tree.json"]]
+    )
+    def test_huge_profile_count_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        # 3^1000000 profiles: more digits than Python will print
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({
+            "kind": "single_item", "n": 1000000, "params": {},
+            "domain": ["1", "2", "3"],
+        }))
+        code, out, err = run(capsys, *argv, "--instance", str(p))
+        assert code == 2
+        assert out == ""
+        assert "about 10^477121 strategy profiles exceeds scale guard" in err
+        assert len(err) < 200
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch, si24_file):
+        def crash(*args):
+            raise RuntimeError("lost\nsecond line")
+
+        monkeypatch.setattr(cli, "extract_tree", crash)
+        code, out, err = run(capsys, "approx", "--instance", str(si24_file))
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: lost\n"
+
+
+# -- every file-reading verb on mutated input files --------------------------
+
+JUNK = ["x", "", "-1", "1/0", "7/2", -1, 0, 2, 10**6, 0.5, None, True, [], {}, ["x"]]
+
+MECHANISM_VERBS = [
+    ["verify", "--k", "0"],
+    ["verify", "--k", "inf"],
+    ["payments", "--k", "0", "--out", "priced.json"],
+    ["cmon", "--k", "0"],
+]
+
+INSTANCE_VERBS = [
+    ["approx"],
+    ["greedy", "--truth", "2,3"],
+    ["greedy", "extract-tree", "--out", "tree.json"],
+    ["search", "--k", "0", "--ratio", "1"],
+]
+
+
+def mechanism_text(name):
+    return dumps_mechanism(materialize(name)[1])
+
+
+def instance_text(name):
+    return render_report(instance_data_for(*materialize(name)[1]))
+
+
+@st.composite
+def mutated(draw, text):
+    """The json text with one key dropped or one value swapped for junk,
+    anywhere in the document."""
+    data = json.loads(text)
+    slots = []
+    stack = [data]
+    while stack:
+        here = stack.pop()
+        keys = list(here) if isinstance(here, dict) else range(len(here))
+        for key in keys:
+            slots.append((here, key))
+            if isinstance(here[key], (dict, list)):
+                stack.append(here[key])
+    here, key = draw(st.sampled_from(slots))
+    if draw(st.booleans()):
+        del here[key]
+    else:
+        here[key] = draw(st.sampled_from(JUNK))
+    return json.dumps(data)
+
+
+def run_mutated(tmp_path, flag, text, verbs, is_valid):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    for argv in verbs:
+        code = cli.main([*argv, flag, str(path)])
+        assert code in (0, 1, 2), (argv, text)
+        if code == 1:
+            assert is_valid(text), (argv, text)
+
+
+def valid_mechanism(text):
+    try:
+        return not loads_mechanism(text).problems
+    except MechanismFormatError:
+        return False
+
+
+def valid_instance(text):
+    try:
+        loads_instance(text)
+    except MechanismFormatError:
+        return False
+    return True
+
+
+class TestMutatedFiles:
+    """Malformed files end in exit 2, never in a crash; exit 1 (a failing
+    verdict) comes only from a valid file."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_mechanism_verbs(self, tmp_path, monkeypatch, data):
+        monkeypatch.chdir(tmp_path)
+        base = data.draw(st.sampled_from(["appendix_b", "english(2,3)"]))
+        text = data.draw(mutated(mechanism_text(base)))
+        run_mutated(tmp_path, "--mechanism", text, MECHANISM_VERBS, valid_mechanism)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_instance_verbs(self, tmp_path, monkeypatch, data):
+        monkeypatch.chdir(tmp_path)
+        base = data.draw(st.sampled_from(["single_item(2,3)", "uniform(2,1,3)"]))
+        text = data.draw(mutated(instance_text(base)))
+        run_mutated(tmp_path, "--instance", text, INSTANCE_VERBS, valid_instance)
 
 
 class TestPayments:

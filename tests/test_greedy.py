@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -28,6 +29,7 @@ from ospkit import (
     query_count,
     rank_quotient,
     removable,
+    reveal_at_k2,
     reverse_greedy_solution,
     run_two_way_greedy,
     search_two_way_greedy,
@@ -464,7 +466,7 @@ def oracle_is_revealable(tree, node_id):
     agent = tree.nodes[node_id].agent
     own = tree.domain_at[node_id][agent]
     low_won, high_lost = True, True
-    for prof in tree.available_profiles(node_id):
+    for prof in itertools.product(*tree.domain_at[node_id]):
         out = tree.leaf_of(prof).outcome[agent]
         if prof[agent] < own[-1] and out != 1:
             low_won = False
@@ -927,3 +929,35 @@ class TestStepperAgainstOracles:
             settled += tree.nodes[tree.root].kind == "leaf"
             seen.add((len(domain) % 2, any(v.denominator > 1 for v in domain)))
         assert settled and len(seen) == 4
+
+
+# -- tree builders leave no reference cycles ---------------------------------
+
+SI3 = (PSystem.single_item(3), [1, 2, 3, 4])
+
+BUILDERS = {
+    "compress": lambda: compress(extract_tree(*SI3)),
+    "serialize": lambda: serialize(extract_tree(*SI3)),
+    "extract_tree": lambda: extract_tree(*SI3),
+    "english_auction_tree": lambda: english_auction_tree(3, [1, 2, 3, 4]),
+    "reveal_at_k2": lambda: reveal_at_k2(compress(extract_tree(*SI3)), 0),
+    "tree_from_nested": lambda: tree_from_nested(
+        1, [[1, 2]], ("q", 0, [([1], ("leaf", [1], None)), ([2], ("leaf", [0], None))])
+    ),
+    "random_k_limited_tree": lambda: random_k_limited_tree(
+        random.Random(3), 2, [[1, 2, 3]] * 2, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_leave_nothing_for_the_cyclic_gc(name):
+    # a builder that recursed through a self-calling closure left its
+    # node dict in a reference cycle until the cyclic gc ran
+    gc.collect()
+    gc.disable()
+    try:
+        BUILDERS[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

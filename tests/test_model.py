@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -12,12 +13,13 @@ from ospkit.model import (
     MechanismError,
     QueryNode,
     equivalence_class,
-    first_divergence,
     k_step_neighborhood,
     parting_node,
     profile_leaves,
     query_count,
     random_k_limited_tree,
+    require_binary_outcomes,
+    require_valid,
     split_box,
     tree_from_nested,
     validate_tree,
@@ -142,10 +144,15 @@ class TestWalks:
 
     def test_first_divergence(self):
         t = two_agent_tree()
-        assert first_divergence(t, (1, 1), (2, 1)) == 0
-        assert first_divergence(t, (2, 1), (3, 1)) == 5
-        assert first_divergence(t, (2, 2), (2, 3)) is None
-        assert first_divergence(t, (2, 1), (3, 2)) == 4
+        leaf_at = profile_leaves(t, t.root)
+
+        def parts(a, b):
+            return parting_node(t, leaf_at[a], leaf_at[b])
+
+        assert parts((1, 1), (2, 1)) == 0
+        assert parts((2, 1), (3, 1)) == 5
+        assert parts((2, 2), (2, 3)) is None
+        assert parts((2, 1), (3, 2)) == 4
 
 
 class TestNeighborhood:
@@ -212,7 +219,7 @@ def random_tree(seed, agents=2, dmax=3, k=2):
 def test_every_profile_reaches_a_leaf(seed):
     t = random_tree(seed)
     seen = set()
-    for prof in t.available_profiles(t.root):
+    for prof in itertools.product(*t.domain_at[t.root]):
         path = t.path_of(prof)
         assert t.is_leaf(path[-1])
         seen.add(path[-1])
@@ -307,7 +314,7 @@ def oracle_equivalence_class(tree, node_id, profile, k):
     covered, _ = k_step_neighborhood(tree, node_id, k)
     forbidden = covered | {node_id}
     members = []
-    for cand in tree.available_profiles(node_id):
+    for cand in itertools.product(*tree.domain_at[node_id]):
         nid = node_id
         while True:
             cur = tree.nodes[nid]
@@ -347,7 +354,7 @@ class TestPartingAgainstOracles:
                 assert sum(
                     len(list(itertools.product(*box))) for _, box in boxes
                 ) == len(leaf_at)
-                for prof in t.available_profiles(nid):
+                for prof in itertools.product(*t.domain_at[nid]):
                     assert t.path_of(prof)[-1] == leaf_at[prof]
 
     def test_first_divergence_matches_walk(self):
@@ -356,7 +363,6 @@ class TestPartingAgainstOracles:
             leaf_at = profile_leaves(t, t.root)
             for a, b in itertools.product(leaf_at, repeat=2):
                 want = oracle_first_divergence(t, a, b)
-                assert first_divergence(t, a, b) == want
                 assert parting_node(t, leaf_at[a], leaf_at[b]) == want
                 parted += want is not None
         assert parted > 0
@@ -366,8 +372,230 @@ class TestPartingAgainstOracles:
         sizes = set()
         for t in small_trees(range(100)):
             for nid in t.internal_ids:
-                for prof in t.available_profiles(nid):
+                for prof in itertools.product(*t.domain_at[nid]):
                     got = equivalence_class(t, nid, prof, k)
                     assert got == oracle_equivalence_class(t, nid, prof, k)
                     sizes.add(len(got))
         assert len(sizes) > 2
+
+
+# -- oracles: the validation walk and the leaf scan the constructor replaces --
+
+
+def oracle_validate_tree(tree):
+    """validate_tree as a second walk over the built tree: the structural
+    defects, then empty domains, then each node's own in preorder."""
+    problems = []
+    for nid in tree.preorder:
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            continue
+        if len(node.children) != len(node.blocks):
+            problems.append(
+                f"node {nid}: {len(node.blocks)} blocks, "
+                f"{len(node.children)} children"
+            )
+        for cid in reversed(node.children[: len(node.blocks)]):
+            if cid not in tree.nodes:
+                problems.append(f"node {nid}: unknown child {cid}")
+    for nid in sorted(set(tree.nodes) - set(tree.preorder)):
+        problems.append(f"node {nid} unreachable from root")
+    for i, dom in enumerate(tree.domains):
+        if not dom:
+            problems.append(f"agent {i} has an empty domain")
+    for nid in tree.preorder:
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            if len(node.outcome) != tree.agents:
+                problems.append(f"leaf {nid}: outcome length {len(node.outcome)}")
+            if node.payment is not None and len(node.payment) != tree.agents:
+                problems.append(f"leaf {nid}: payment length {len(node.payment)}")
+            continue
+        dom = tree.domain_at[nid][node.agent]
+        if len(node.blocks) < 2:
+            problems.append(f"node {nid}: fewer than two blocks")
+        seen = set()
+        for blk in node.blocks:
+            if not blk:
+                problems.append(f"node {nid}: empty block")
+            for v in blk:
+                if v in seen:
+                    problems.append(f"node {nid}: value {v} in two blocks")
+                seen.add(v)
+                if v not in dom:
+                    problems.append(
+                        f"node {nid}: value {v} outside the current domain"
+                    )
+        if seen != set(dom):
+            missing = sorted(set(dom) - seen)
+            if missing:
+                problems.append(
+                    f"node {nid}: domain values {missing} not covered"
+                )
+    return problems
+
+
+def oracle_require_binary_outcomes(tree):
+    """require_binary_outcomes as a scan over every leaf's outcomes."""
+    for nid in tree.leaf_ids:
+        for v in tree.nodes[nid].outcome:
+            if v != 0 and v != 1:
+                raise MechanismError(
+                    f"leaf {nid} has non-binary outcome {v}; "
+                    "this analysis needs 0/1 outcomes"
+                )
+
+
+def raised(check, tree):
+    try:
+        check(tree)
+    except MechanismError as exc:
+        return str(exc)
+    return None
+
+
+MUTATIONS = (
+    "drop_value",
+    "value_in_two_blocks",
+    "value_twice_in_block",
+    "repeat_down",
+    "value_outside_current",
+    "value_outside_full",
+    "empty_block",
+    "single_block",
+    "drop_child",
+    "short_outcome",
+    "short_payment",
+    "non_binary",
+    "unknown_child",
+    "unreachable",
+    "empty_domain",
+)
+
+
+def mutate(rng, tree, kind):
+    """The tree's domains and node map with one defect of the given kind,
+    or None when the tree has no place for it."""
+    domains = list(tree.domains)
+    nodes = dict(tree.nodes)
+    queries = [n for n in nodes.values() if isinstance(n, QueryNode)]
+    leaves = [n for n in nodes.values() if isinstance(n, LeafNode)]
+    fresh = max(nodes) + 1
+    if kind in ("short_outcome", "short_payment", "non_binary"):
+        if kind == "short_payment":
+            leaves = [n for n in leaves if n.payment is not None]
+        if not leaves:
+            return None
+        leaf = rng.choice(leaves)
+        if kind == "short_outcome":
+            leaf = LeafNode(leaf.id, leaf.outcome[:-1], leaf.payment)
+        elif kind == "short_payment":
+            leaf = LeafNode(leaf.id, leaf.outcome, leaf.payment[:-1])
+        elif leaf.outcome:
+            outcome = list(leaf.outcome)
+            outcome[rng.randrange(len(outcome))] = rng.choice([2, Fraction(1, 2), -1])
+            leaf = LeafNode(leaf.id, tuple(outcome), leaf.payment)
+        nodes[leaf.id] = leaf
+        return domains, nodes
+    if kind == "unreachable":
+        nodes[fresh] = LeafNode(fresh, (F(0),) * tree.agents, None)
+        return domains, nodes
+    if kind == "empty_domain":
+        domains[rng.randrange(tree.agents)] = ()
+        return domains, nodes
+    if kind == "repeat_down":
+        # a value twice in a block hands the child a domain that repeats
+        # it; put once more into the child's blocks, the value makes them
+        # merge into that domain, and they still fail to partition it
+        below = []
+        for q in queries:
+            for idx, cid in enumerate(q.children[: len(q.blocks)]):
+                c = nodes.get(cid)
+                if isinstance(c, QueryNode) and c.agent == q.agent:
+                    shared = set(q.blocks[idx]) & set(itertools.chain(*c.blocks))
+                    below.extend((q, idx, c, v) for v in sorted(shared))
+        if not below:
+            return None
+        q, idx, c, v = rng.choice(below)
+        blocks = list(q.blocks)
+        blocks[idx] += (v,)
+        nodes[q.id] = QueryNode(q.id, q.agent, tuple(blocks), q.children)
+        blocks = list(c.blocks)
+        blocks[rng.randrange(len(blocks))] += (v,)
+        nodes[c.id] = QueryNode(c.id, c.agent, tuple(blocks), c.children)
+        return domains, nodes
+    if not queries:
+        return None
+    q = rng.choice(queries)
+    blocks = [list(b) for b in q.blocks]
+    children = list(q.children)
+    pick = rng.randrange(len(blocks))
+    if not blocks[pick] and kind.startswith(("drop_value", "value_in", "value_twice")):
+        return None
+    own = tree.domain_at[q.id][q.agent] if q.id in tree.domain_at else blocks[pick]
+    if kind == "drop_value":
+        blocks[pick].pop(rng.randrange(len(blocks[pick])))
+    elif kind == "value_in_two_blocks":
+        other = (pick + 1) % len(blocks)
+        blocks[other].append(rng.choice(blocks[pick]))
+    elif kind == "value_twice_in_block":
+        blocks[pick].append(rng.choice(blocks[pick]))
+    elif kind == "value_outside_current":
+        outside = [v for v in tree.domains[q.agent] if v not in own]
+        if not outside:
+            return None
+        blocks[pick].append(rng.choice(outside))
+    elif kind == "value_outside_full":
+        blocks[pick].insert(0, F(99))
+    elif kind == "empty_block":
+        blocks[pick] = []
+    elif kind == "single_block":
+        blocks = [[v for b in blocks for v in b]]
+        children = children[:1]
+    elif not children:
+        return None
+    elif kind == "drop_child":
+        children.pop()
+    elif kind == "unknown_child":
+        for idx in rng.sample(range(len(children)), rng.randint(1, len(children))):
+            children[idx] = fresh + idx
+    nodes[q.id] = QueryNode(q.id, q.agent, tuple(map(tuple, blocks)), tuple(children))
+    return domains, nodes
+
+
+class TestValidityAgainstOracles:
+    """The checks the constructor records against the second validation
+    walk and the leaf scan, on 1000 seeded trees with one to three defects
+    each."""
+
+    def test_problems_and_messages_match(self):
+        seen = Counter()
+        for seed in range(1000):
+            rng = random.Random(seed)
+            agents = rng.randint(1, 3)
+            domains = [list(range(1, rng.randint(2, 4) + 1)) for _ in range(agents)]
+            t = random_k_limited_tree(
+                rng, agents, domains, rng.choice([0, 1, 2, inf]), rng.random() < 0.5
+            )
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.choice(MUTATIONS)
+                mutated = mutate(rng, t, kind)
+                if mutated is None:
+                    continue
+                domains, nodes = mutated
+                try:
+                    t = ImplementationTree(t.agents, domains, t.root, nodes)
+                except MechanismError:
+                    seen["refused"] += 1
+                    break
+                seen[kind] += 1
+            want = oracle_validate_tree(t)
+            assert validate_tree(t) == want
+            assert t.problems == tuple(want)
+            assert raised(require_valid, t) == (
+                f"malformed mechanism: {want[0]}" if want else None
+            )
+            assert raised(require_binary_outcomes, t) == raised(
+                oracle_require_binary_outcomes, t
+            )
+        assert all(seen[kind] for kind in MUTATIONS), seen

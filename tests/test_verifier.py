@@ -12,7 +12,6 @@ from ospkit import (
     PSystem,
     check_k_step_osp,
     classify_query,
-    commitment_types,
     compress,
     english_auction_tree,
     extract_tree,
@@ -31,6 +30,7 @@ from ospkit.model import (
     ImplementationTree,
     LeafNode,
     QueryNode,
+    normalize_horizon,
     random_k_limited_tree,
     tree_from_nested,
 )
@@ -122,11 +122,11 @@ class TestCommitmentTypes:
     @pytest.mark.parametrize("n,d", [(2, 3), (3, 4)])
     def test_matches_oracle_on_clock_trees(self, n, d):
         t = english_auction_tree(n, list(range(1, d + 1)))
-        for u in t.internal_ids:
-            for leaf in t.leaves_under[u]:
-                for k in (0, 1, 2, inf):
-                    got = commitment_types(t, u, leaf, k)
-                    assert tuple(got) == commitment_oracle(t, u, leaf, k)
+        for k in (0, 1, 2, inf):
+            sets = _commitment_sets(t, k)
+            for u in t.internal_ids:
+                for leaf in t.leaves_under[u]:
+                    assert tuple(sets[u][leaf]) == commitment_oracle(t, u, leaf, k)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -141,17 +141,18 @@ class TestCommitmentTypes:
         u = rng.choice(t.internal_ids)
         leaf = rng.choice(list(t.leaves_under[u]))
         k = rng.choice([0, 1, 2, inf])
-        assert tuple(commitment_types(t, u, leaf, k)) == commitment_oracle(
+        assert tuple(_commitment_sets(t, k)[u][leaf]) == commitment_oracle(
             t, u, leaf, k
         )
 
     def test_monotone_in_horizon(self):
         t = english_auction_tree(2, [1, 2, 3])
+        sets = {k: _commitment_sets(t, k) for k in (0, 1, 2, inf)}
         for u in t.internal_ids:
             for leaf in t.leaves_under[u]:
                 prev = None
                 for k in (0, 1, 2, inf):
-                    cur = set(commitment_types(t, u, leaf, k))
+                    cur = set(sets[k][u][leaf])
                     if prev is not None:
                         assert cur <= prev
                     prev = cur
@@ -363,6 +364,34 @@ class TestReveal:
 # -- oracles: the per-pair and per-profile definitions ----------------------
 
 
+def oracle_commitment_types(tree, node_id, leaf_id, k):
+    """Types the agent queried at node_id may still hold, k own moves into
+    a plan that ends at leaf_id: her domain just after the k-th later
+    query to her on that path (the leaf's domain when fewer remain).
+    Walks the one path from node_id down to leaf_id."""
+    k = normalize_horizon(k)
+    i = tree.nodes[node_id].agent
+    path = [leaf_id]
+    nid = leaf_id
+    while nid != node_id:
+        nid = tree.parent.get(nid)
+        if nid is None:
+            raise MechanismError(f"node {leaf_id} is not below node {node_id}")
+        path.append(nid)
+    path.reverse()
+    h = leaf_id
+    if k != inf:
+        seen = 0
+        for nid in path[1:]:
+            if seen == k:
+                h = nid
+                break
+            sub = tree.nodes[nid]
+            if isinstance(sub, QueryNode) and sub.agent == i:
+                seen += 1
+    return tree.domain_at[h][i]
+
+
 def oracle_check(tree, k, max_violations=1000):
     """check_k_step_osp as the loop over every ordered leaf pair parting at
     each query node, one commitment set walk per pair."""
@@ -375,7 +404,7 @@ def oracle_check(tree, k, max_violations=1000):
         node = tree.nodes[u]
         i = node.agent
         csets = {
-            leaf: commitment_types(tree, u, leaf, k)
+            leaf: oracle_commitment_types(tree, u, leaf, k)
             for leaf in tree.leaves_under[u]
         }
         rows = [
@@ -426,7 +455,7 @@ def oracle_almost_ordered(tree, k):
         node = tree.nodes[u]
         i = node.agent
         csets = {
-            leaf: commitment_types(tree, u, leaf, k)
+            leaf: oracle_commitment_types(tree, u, leaf, k)
             for leaf in tree.leaves_under[u]
         }
         rows = [
@@ -486,12 +515,13 @@ def oracle_taxation(tree, k, max_findings=200):
     findings = []
     for u in tree.internal_ids:
         i = tree.nodes[u].agent
-        for a in tree.available_profiles(u):
+        for a in itertools.product(*tree.domain_at[u]):
             nid = u
             while not tree.is_leaf(nid):
                 sub = tree.nodes[nid]
                 nid = sub.children[tree.route(nid, a[sub.agent])]
-            larger = [v for v in commitment_types(tree, u, nid, k) if v > a[i]]
+            cset = oracle_commitment_types(tree, u, nid, k)
+            larger = [v for v in cset if v > a[i]]
             for ci, di in itertools.combinations(larger, 2):
                 found = oracle_taxation_case(tree, u, i, a, ci, di)
                 if found is not None:
@@ -645,7 +675,7 @@ class TestAgainstOracles:
             for u in t.internal_ids:
                 assert set(sets[u]) == set(t.leaves_under[u])
                 for leaf, cset in sets[u].items():
-                    assert cset == commitment_types(t, u, leaf, k)
+                    assert cset == oracle_commitment_types(t, u, leaf, k)
 
             binary = has_binary_outcomes(t)
             seen["binary"] += binary
