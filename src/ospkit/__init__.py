@@ -1,5 +1,7 @@
 """Verification and synthesis for k-step obviously strategyproof mechanisms."""
 
+from types import ModuleType as _ModuleType
+
 from .cmon import (
     ClassPartition,
     EquivalenceReport,
@@ -91,91 +93,11 @@ from .verifier import (
     taxation_diagnostics,
 )
 
-__all__ = [
-    "AlmostOrderedResult",
-    "CheckResult",
-    "ClassPartition",
-    "Constraint",
-    "EquivalenceReport",
-    "GreedyResult",
-    "ImplementationTree",
-    "KLimitedResult",
-    "LeafNode",
-    "MechanismError",
-    "MechanismFormatError",
-    "NeedAnswer",
-    "NegativeCycleWitness",
-    "OspGraph",
-    "PSystem",
-    "PoolingFinding",
-    "ProfileClass",
-    "QueryClass",
-    "QueryNode",
-    "QueryRecord",
-    "Rat",
-    "SearchResult",
-    "StickyResult",
-    "SynthesisResult",
-    "TaxationFinding",
-    "TwoWayReport",
-    "approx_ratio",
-    "as_cost_tree",
-    "build_k_osp_graph",
-    "build_profile_classes",
-    "check_k_step_osp",
-    "classify_query",
-    "compress",
-    "dump_mechanism",
-    "dumps_mechanism",
-    "english_auction_tree",
-    "equivalence_class",
-    "extract_tree",
-    "appendix_b",
-    "fixture_names",
-    "format_rational",
-    "forward_greedy_solution",
-    "graph_to_data",
-    "has_negative_cycle",
-    "instance_data_for",
-    "instance_to_data",
-    "is_almost_ordered",
-    "is_k_limitable",
-    "is_k_limited",
-    "is_revealable",
-    "is_two_way_greedy",
-    "k_step_neighborhood",
-    "k_vs_infinity_equivalence",
-    "load_instance",
-    "load_mechanism",
-    "loads_instance",
-    "loads_mechanism",
-    "materialize",
-    "mechanism_to_data",
-    "normalize_horizon",
-    "parse_horizon",
-    "parse_rational",
-    "query_count",
-    "random_k_limited_tree",
-    "rank_quotient",
-    "removable",
-    "render_csv",
-    "render_report",
-    "require_binary_outcomes",
-    "reveal_at_k2",
-    "reverse_greedy_solution",
-    "run_two_way_greedy",
-    "scale_guard",
-    "search_two_way_greedy",
-    "serialize",
-    "sticky_edges_check",
-    "strong_ineffectiveness_check",
-    "surviving_solutions",
-    "synthesize_payments",
-    "taxation_diagnostics",
-    "tree_from_nested",
-    "unremovable",
-    "validate_tree",
-    "write_report",
-]
+# the public API is exactly what is imported above
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -22,19 +22,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf, lcm, prod
 
 from .model import (
     ImplementationTree,
     LeafNode,
     MechanismError,
     QueryNode,
+    bits,
     normalize_horizon,
     parting_node,
     profile_leaves,
     require_binary_outcomes,
     require_valid,
     scale_guard,
+    types_of,
 )
 from .rational import Rat
 from .verifier import _value_table, is_k_limited, query_class
@@ -77,28 +79,30 @@ class NegativeCycleWitness:
     weight: Rat
 
 
-def _tail_split(tree: ImplementationTree, u: int, own, combos, table):
+def _tail_split(tree: ImplementationTree, u: int, rows, levels):
     """Split the domain at a (k+2)-th query into effective and pooled
-    types: the pooled side is the largest group of types with pointwise
-    identical outcomes, ties resolved by the only-extreme form.  own,
-    combos and table are `_value_table(tree, u)`."""
+    types, as masks: the pooled side is the largest group of types with
+    pointwise identical outcomes, ties resolved by the only-extreme form.
+    rows and levels are the first two parts of `_value_table(tree, u)`."""
     node = tree.nodes[u]
     agent = node.agent
-    sig: dict[tuple, list[Rat]] = {}
-    for t in own:
-        key = tuple(table[(t, x)][0] for x in combos)
-        sig.setdefault(key, []).append(t)
+    own = tree.mask_at[u][agent]
+    sig: dict[tuple, list[int]] = {}
+    for r, row in enumerate(rows):
+        sig.setdefault(tuple([levels[n] for n in row]), []).append(r)
     groups = sorted(sig.values(), key=lambda g: (-len(g), g[0]))
     if len(groups) == 1:
-        return (), tuple(own)
+        return 0, own
+    current = bits(own)
     if len(groups[0]) > len(groups[1]):
-        pooled = set(groups[0])
-        return tuple(v for v in own if v not in pooled), tuple(groups[0])
-    qc = query_class(u, agent, own, tree.domains[agent], node.blocks, table)
-    if (len(own) == 2 or qc.is_prefix) and own[-1] in qc.only_types:
-        return (own[-1],), tuple(own[:-1])
-    if qc.is_suffix and own[0] in qc.only_types:
-        return (own[0],), tuple(own[1:])
+        pooled = sum(1 << current[r] for r in groups[0])
+        return own ^ pooled, pooled
+    dom = tree.domains[agent]
+    qc = query_class(u, agent, dom, own, tree.block_masks[u], rows, levels)
+    if (len(current) == 2 or qc.is_prefix) and dom[current[-1]] in qc.only_types:
+        return 1 << current[-1], own ^ (1 << current[-1])
+    if qc.is_suffix and dom[current[0]] in qc.only_types:
+        return 1 << current[0], own ^ (1 << current[0])
     raise MechanismError(
         f"ambiguous effective/pooled split at node {u} for agent {agent}"
     )
@@ -115,14 +119,11 @@ def build_profile_classes(
     """
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
-    count = 1
-    for d in tree.domains:
-        count *= len(d)
-    scale_guard(count)
+    scale_guard(prod(map(len, tree.domains)))
 
-    # members come out sorted: each is a product of sorted coordinates
+    # (anchor, slice, bit) -> (members, types), in class order; members
+    # come out sorted: each is a product of sorted coordinates
     keyed: dict[tuple, tuple] = {}
-    order: list[tuple] = []
     tail_sides: dict[int, tuple] = {}
     anchor_of: dict[int, int] = {}  # leaf -> its (k+2)-th query, if any
 
@@ -134,50 +135,39 @@ def build_profile_classes(
             box = tree.domain_at[nid]
             key = (nid, SETTLED, int(node.outcome[agent]))
             keyed[key] = (tuple(itertools.product(*box)), box[agent])
-            order.append(key)
             continue
         if k == inf or node.agent != agent:
             continue
         if tree.query_depth[nid][agent] != k + 2:
             continue
-        own, combos, table = _value_table(tree, nid)
-        effective, pooled = _tail_split(tree, nid, own, combos, table)
-        tail_sides[nid] = (frozenset(effective), frozenset(pooled))
+        rows, levels, pairs = _value_table(tree, nid)
+        effective, pooled = _tail_split(tree, nid, rows, levels)
+        tail_sides[nid] = (effective, pooled)
         anchor_of.update(dict.fromkeys(tree.leaves_under[nid], nid))
-        box = list(tree.domain_at[nid])
-        for kind, side in (
-            (TAIL_EFFECTIVE, effective),
-            (TAIL_NEUTRAL, pooled),
-        ):
-            buckets: dict[int, list[tuple[Rat, ...]]] = {0: [], 1: []}
-            box[agent] = side
-            for prof in itertools.product(*box):
-                f, _ = table[(prof[agent], prof[:agent] + prof[agent + 1 :])]
-                buckets[int(f)].append(prof)
+        # a side's profiles in product order, bucketed by the agent's bit;
+        # the rows' columns run over the opponents in that order, so the
+        # profile (x, t, y) is in column x * after + y of t's row
+        current = bits(tree.mask_at[nid][agent])
+        won = [int(f) for f, _ in pairs]
+        box = [types_of(tree, j, m) for j, m in enumerate(tree.mask_at[nid])]
+        before, after = prod(map(len, box[:agent])), prod(map(len, box[agent + 1 :]))
+        for kind, side in ((TAIL_EFFECTIVE, effective), (TAIL_NEUTRAL, pooled)):
+            box[agent] = types_of(tree, agent, side)
+            bitrows = [
+                [won[n] for n in rows[r]]
+                for r, q in enumerate(current) if side >> q & 1
+            ]
+            buckets: tuple[list, list] = ([], [])
+            cells = itertools.product(range(before), bitrows, range(after))
+            for prof, (x, bitrow, y) in zip(itertools.product(*box), cells):
+                buckets[bitrow[x * after + y]].append(prof)
             for bit in (0, 1):
                 if buckets[bit]:
-                    key = (nid, kind, bit)
-                    members = tuple(buckets[bit])
-                    types = tuple(sorted({m[agent] for m in members}))
-                    keyed[key] = (members, types)
-                    order.append(key)
+                    types = [t for t, row in zip(box[agent], bitrows) if bit in row]
+                    keyed[(nid, kind, bit)] = (tuple(buckets[bit]), tuple(types))
 
-    classes = []
-    index: dict[tuple, int] = {}
-    for key in order:
-        nid, kind, bit = key
-        members, types = keyed[key]
-        index[key] = len(classes)
-        classes.append(
-            ProfileClass(
-                agent=agent,
-                anchor=nid,
-                slice_kind=kind,
-                bit=bit,
-                members=members,
-                types=types,
-            )
-        )
+    index = {key: n for n, key in enumerate(keyed)}
+    classes = [ProfileClass(agent, *key, *value) for key, value in keyed.items()]
 
     leaf_class: dict[int, int] = {}
     for leaf in tree.leaf_ids:
@@ -187,10 +177,10 @@ def build_profile_classes(
             leaf_class[leaf] = index[(leaf, SETTLED, bit)]
             continue
         effective, pooled = tail_sides[anchor]
-        own = set(tree.domain_at[leaf][agent])
-        if own <= effective:
+        own = tree.mask_at[leaf][agent]
+        if not own & ~effective:
             kind = TAIL_EFFECTIVE
-        elif own <= pooled:
+        elif not own & ~pooled:
             kind = TAIL_NEUTRAL
         else:
             raise MechanismError(

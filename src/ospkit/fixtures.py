@@ -32,38 +32,14 @@ def appendix_b(level_payments=None) -> ImplementationTree:
         return ("leaf", (a, b), (pay[a], pay[b]))
 
     dom = tuple(Fraction(v) for v in (1, 2, 3, 4))
-    rest = lambda top: tuple(v for v in dom if v < top)
-    nested = (
-        "q", 0, [
-            ((Fraction(4),), leaf(0, 0)),
-            (rest(4), (
-                "q", 1, [
-                    ((Fraction(4),), leaf(0, 0)),
-                    (rest(4), (
-                        "q", 0, [
-                            ((Fraction(3),), leaf(1, 0)),
-                            (rest(3), (
-                                "q", 1, [
-                                    ((Fraction(3),), leaf(1, 1)),
-                                    (rest(3), (
-                                        "q", 0, [
-                                            ((Fraction(2),), leaf(2, 1)),
-                                            (rest(2), (
-                                                "q", 1, [
-                                                    ((Fraction(2),), leaf(2, 2)),
-                                                    (rest(2), leaf(3, 2)),
-                                                ],
-                                            )),
-                                        ],
-                                    )),
-                                ],
-                            )),
-                        ],
-                    )),
-                ],
-            )),
-        ],
-    )
+    # built inside out from the all-no leaf: (top value, levels after
+    # agent 0's yes, levels after agent 1's yes)
+    nested = leaf(3, 2)
+    rounds = ((2, (2, 1), (2, 2)), (3, (1, 0), (1, 1)), (4, (0, 0), (0, 0)))
+    for top, yes0, yes1 in rounds:
+        rest = dom[: top - 1]
+        nested = ("q", 1, [((dom[top - 1],), leaf(*yes1)), (rest, nested)])
+        nested = ("q", 0, [((dom[top - 1],), leaf(*yes0)), (rest, nested)])
     return tree_from_nested(2, [dom, dom], nested)
 
 

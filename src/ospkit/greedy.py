@@ -25,11 +25,13 @@ from .model import (
     LeafNode,
     MechanismError,
     QueryNode,
+    bits,
     normalize_horizon,
     require_binary_outcomes,
     scale_guard,
-    split_box,
+    split_masks,
     tree_from_nested,
+    types_of,
 )
 from .rational import Rat, parse_rational
 from .verifier import _value_table, is_k_limited, query_class
@@ -344,10 +346,13 @@ class _Elimination:
         ]
 
     def _sync(self) -> None:
+        # `unremovable` and `removable` from one scan of the survivors
         ps, chosen, excluded = self.ps, self.chosen, self.excluded
+        ground = frozenset(range(ps.ground_size))
         while True:
-            grew = unremovable(ps, frozenset(chosen), frozenset(excluded))
-            shrank = removable(ps, frozenset(chosen), frozenset(excluded))
+            keep = surviving_solutions(ps, chosen, excluded)
+            grew = frozenset.intersection(*keep) - chosen - excluded
+            shrank = ground - frozenset.union(*keep) - chosen - excluded
             if not grew and not shrank:
                 break
             chosen.update(grew)
@@ -589,13 +594,14 @@ def is_revealable(tree: ImplementationTree, node_id: int) -> bool:
     if node.kind != "query":
         raise MechanismError("revealability is a query-node property")
     agent = node.agent
-    own = tree.domain_at[node_id][agent]
+    own = tree.mask_at[node_id][agent]
+    lowest, highest = own & -own, 1 << own.bit_length() >> 1
     low_won, high_lost = True, True
-    for leaf, box in split_box(tree, node_id):
+    for leaf, box in split_masks(tree, node_id):
         out = tree.nodes[leaf].outcome[agent]
-        if box[agent][0] < own[-1] and out != 1:
+        if box[agent] & -box[agent] < highest and out != 1:
             low_won = False
-        if box[agent][-1] > own[0] and out != 0:
+        if box[agent] > lowest and out != 0:
             high_lost = False
     return low_won or high_lost
 
@@ -631,12 +637,13 @@ def is_two_way_greedy(tree: ImplementationTree) -> TwoWayReport:
             continue
         if len(node.blocks) != 2:
             return TwoWayReport(False, nid, "queries must split the domain in two")
-        own = tree.domain_at[nid][node.agent]
+        own = tree.mask_at[nid][node.agent]
         readings = []
-        for idx, blk in enumerate(node.blocks):
-            if blk == (own[0],) and side_outcomes(node.children[idx], node.agent) == {1}:
+        for idx, m in enumerate(tree.block_masks[nid]):
+            won = side_outcomes(node.children[idx], node.agent)
+            if m == own & -own and won == {1}:
                 readings.append("greedy")
-            if blk == (own[-1],) and side_outcomes(node.children[idx], node.agent) == {0}:
+            if m == 1 << own.bit_length() >> 1 and won == {0}:
                 readings.append("reverse")
         if not readings:
             return TwoWayReport(False, nid, "neither fashion fits")
@@ -701,34 +708,30 @@ def serialize(tree: ImplementationTree) -> ImplementationTree:
 
 def _narrowed(tree: ImplementationTree, nid: int, allow, nodes: dict, counter):
     # module-level for the reason given at model._from_nested; ``allow``
-    # maps an agent to the types still open for her on this path
+    # maps an agent to the mask of her types still open on this path
     node = tree.nodes[nid]
     if node.kind == "leaf":
         fresh = next(counter)
         nodes[fresh] = LeafNode(fresh, node.outcome, node.payment)
         return fresh
     agent = node.agent
-    own = allow.get(agent, tree.domain_at[nid][agent])
-    pairs = []
-    for blk, cid in zip(node.blocks, node.children):
-        common = tuple(v for v in blk if v in own)
-        if common:
-            pairs.append((common, cid))
+    own = allow.get(agent, tree.mask_at[nid][agent])
+    kids = zip(tree.block_masks[nid], node.children)
+    pairs = [(m & own, cid) for m, cid in kids if m & own]
     if len(pairs) == 1:
-        [(blk, cid)] = pairs
-        return _narrowed(tree, cid, {**allow, agent: blk}, nodes, counter)
-    extremes = ((own[0],), (own[-1],))
-    if len(pairs) != 2 or not any(blk in extremes for blk, _ in pairs):
+        [(m, cid)] = pairs
+        return _narrowed(tree, cid, {**allow, agent: m}, nodes, counter)
+    low, high = own & -own, 1 << own.bit_length() >> 1
+    if len(pairs) != 2 or not any(m in (low, high) for m, _ in pairs):
         # peel the cheapest type off; the rest is asked here again
-        low = own[0]
-        target = next(cid for blk, cid in pairs if low in blk)
-        pairs = [((low,), target), (tuple(v for v in own if v != low), nid)]
+        target = next(cid for m, cid in pairs if m & low)
+        pairs = [(low, target), (own ^ low, nid)]
     fresh = next(counter)
     children = tuple(
-        _narrowed(tree, cid, {**allow, agent: blk}, nodes, counter)
-        for blk, cid in pairs
+        _narrowed(tree, cid, {**allow, agent: m}, nodes, counter) for m, cid in pairs
     )
-    nodes[fresh] = QueryNode(fresh, agent, tuple(blk for blk, _ in pairs), children)
+    blocks = tuple(types_of(tree, agent, m) for m, _ in pairs)
+    nodes[fresh] = QueryNode(fresh, agent, blocks, children)
     return fresh
 
 
@@ -807,16 +810,13 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     scale_guard(len(dom0) ** n, "valuation profiles")
     lcd = lcm(*(v.denominator for v in dom0))
     ints = [v.numerator * (lcd // v.denominator) for v in dom0]
-    # cost type -> valuation position, keyed by (numerator, denominator)
-    # because hashing a Fraction runs Python code
-    position = {(-v.numerator, v.denominator): i for i, v in enumerate(dom0)}
+    # the cost type at position p is the valuation at position last - p
+    last = len(dom0) - 1
     maximal = ps.maximal_sets()
     worst = None  # (numerator, positive denominator, profile positions)
-    for leaf, box in split_box(tree, tree.root):
+    for leaf, box in split_masks(tree, tree.root):
         won = [j for j, f in zip(range(n), tree.nodes[leaf].outcome) if f]
-        cols = [
-            [position[c.numerator, c.denominator] for c in types] for types in box
-        ]
+        cols = [[last - p for p in bits(m)] for m in box]
         vals = [[ints[i] for i in col] for col in cols]
         for at, prof in zip(itertools.product(*cols), itertools.product(*vals)):
             value = prof.__getitem__
@@ -874,152 +874,165 @@ def search_two_way_greedy(
         raise MechanismError("search is limited to two agents and four types")
     kk = normalize_horizon(k)
     target = parse_rational(target_ratio)
-    cost_dom = tuple(sorted(-v for v in dom0))
-    maximal = ps.maximal_sets()
-    opt_cache: dict[tuple, Fraction] = {}
-    greedy_cache: dict[tuple, frozenset] = {}
-    memo: dict[tuple, object] = {}
-    explored = 0
-
-    def opt(prof) -> Fraction:
-        if prof not in opt_cache:
-            opt_cache[prof] = max(
-                sum((prof[e] for e in t), Fraction(0)) for t in maximal
-            )
-        return opt_cache[prof]
-
-    def greedy_out(prof) -> frozenset:
-        if prof not in greedy_cache:
-            greedy_cache[prof] = forward_greedy_solution(ps, prof)
-        return greedy_cache[prof]
-
-    def leaf_values(nested, agent: int) -> set[int]:
-        if nested[0] == "leaf":
-            return {nested[1][agent]}
-        out: set[int] = set()
-        for _, sub in nested[2]:
-            out |= leaf_values(sub, agent)
-        return out
-
-    def extra_allowed(agent: int, doms, node) -> bool:
-        # the budget check's forms, asked of the candidate mirrored into
-        # the cost convention
-        cand = as_cost_tree(tree_from_nested(2, doms, node))
-        own, _, table = _value_table(cand, cand.root)
-        blocks = cand.nodes[cand.root].blocks
-        qc = query_class(cand.root, agent, own, cost_dom, blocks, table)
-        return qc.extra_allowed
-
-    def search(state):
-        nonlocal explored
-        if state in memo:
-            return memo[state]
-        explored += 1
-        doms, dirs, runs, last, ch, ex = state
-        result = None
-        for t in maximal:
-            if not ch <= t or t & ex:
-                continue
-            good = True
-            for prof in itertools.product(*doms):
-                if greedy_outcome and t != greedy_out(prof):
-                    good = False
-                    break
-                got = sum((prof[e] for e in t), Fraction(0))
-                best = opt(prof)
-                ratio = Fraction(1) if best == 0 else got / best
-                if ratio < target:
-                    good = False
-                    break
-            if good:
-                out = tuple(1 if j in t else 0 for j in range(2))
-                result = ("leaf", out, None)
-                break
-        if result is None:
-            for agent in (0, 1):
-                own = doms[agent]
-                if len(own) < 2 or agent in ch or agent in ex:
-                    continue
-                nruns = runs[agent] + (0 if last == agent else 1)
-                if kk is not inf and nruns > kk + 2:
-                    continue
-                special = kk is not inf and nruns == kk + 2
-                other = 1 - agent
-                runs2 = (nruns, runs[other]) if agent == 0 else (runs[other], nruns)
-                if len(own) == 2:
-                    moves = [("split2", None)]
-                else:
-                    moves = [
-                        ("peel", f)
-                        for f in ("greedy", "reverse")
-                        if dirs[agent] in (None, f)
-                    ]
-                for kind, fashion in moves:
-                    if kind == "peel":
-                        head = own[-1] if fashion == "greedy" else own[0]
-                        rest = own[:-1] if fashion == "greedy" else own[1:]
-                        try:
-                            if fashion == "greedy":
-                                ch2 = ch | {agent}
-                                ex2 = ex | removable(ps, ch2, ex)
-                            else:
-                                ex2 = ex | {agent}
-                                ch2 = ch | unremovable(ps, ch, ex2)
-                        except MechanismError:
-                            continue
-                        dirs2 = list(dirs)
-                        dirs2[agent] = fashion
-                        dirs2 = tuple(dirs2)
-                        yes_doms = list(doms)
-                        yes_doms[agent] = (head,)
-                        yes = search(
-                            (tuple(yes_doms), dirs2, runs2, agent, ch2, ex2)
-                        )
-                        if yes is None:
-                            continue
-                        no_doms = list(doms)
-                        no_doms[agent] = rest
-                        no = search((tuple(no_doms), dirs2, runs2, agent, ch, ex))
-                        if no is None:
-                            continue
-                        node = ("q", agent, [((head,), yes), (rest, no)])
-                    else:
-                        lo, hi = own
-                        subs = []
-                        for v in (lo, hi):
-                            v_doms = list(doms)
-                            v_doms[agent] = (v,)
-                            subs.append(
-                                search((tuple(v_doms), dirs, runs2, agent, ch, ex))
-                            )
-                        if subs[0] is None or subs[1] is None:
-                            continue
-                        hi_won = leaf_values(subs[1], agent) == {1}
-                        lo_lost = leaf_values(subs[0], agent) == {0}
-                        if not (hi_won or lo_lost):
-                            continue
-                        node = ("q", agent, [((lo,), subs[0]), ((hi,), subs[1])])
-                    if special and not extra_allowed(agent, doms, node):
-                        continue
-                    result = node
-                    break
-                if result is not None:
-                    break
-        memo[state] = result
-        return result
-
+    space = _Space(ps, dom0, kk, target, greedy_outcome)
     try:
         seed_ch = frozenset(unremovable(ps, frozenset(), frozenset()))
         seed_ex = frozenset(removable(ps, frozenset(), frozenset()))
     except MechanismError:
         seed_ch, seed_ex = frozenset(), frozenset()
     root = ((dom0, dom0), (None, None), (0, 0), None, seed_ch, seed_ex)
-    nested = search(root)
+    nested = _search(space, root)
     if nested is None:
-        return SearchResult(False, None, None, explored)
+        return SearchResult(False, None, None, space.explored)
     cost = as_cost_tree(tree_from_nested(2, [dom0, dom0], nested))
     shape = is_two_way_greedy(cost)
     budget = is_k_limitable(cost, kk)
     ratio, _ = approx_ratio(ps, cost, dom0)
     assert shape.ok and budget.ok and ratio >= target
-    return SearchResult(True, cost, ratio, explored)
+    return SearchResult(True, cost, ratio, space.explored)
+
+
+class _Space:
+    """The constants, caches and memo of one `search_two_way_greedy` run."""
+
+    def __init__(self, ps: PSystem, dom0, kk, target, greedy_outcome: bool):
+        self.ps, self.kk, self.target = ps, kk, target
+        self.greedy_outcome, self.maximal = greedy_outcome, ps.maximal_sets()
+        cost_dom = self.cost_dom = tuple(sorted(-v for v in dom0))
+        self.cost_at = {v.as_integer_ratio(): p for p, v in enumerate(cost_dom)}
+        self.best, self.greedy, self.memo = {}, {}, {}  # keyed by profile, state
+        self.explored = 0
+
+    def opt(self, prof) -> Fraction:
+        if prof not in self.best:
+            sums = (sum((prof[e] for e in t), Fraction(0)) for t in self.maximal)
+            self.best[prof] = max(sums)
+        return self.best[prof]
+
+    def greedy_out(self, prof) -> frozenset:
+        if prof not in self.greedy:
+            self.greedy[prof] = forward_greedy_solution(self.ps, prof)
+        return self.greedy[prof]
+
+
+def _leaf_values(nested, agent: int) -> set[int]:
+    # module-level for the reason given at model._from_nested
+    if nested[0] == "leaf":
+        return {nested[1][agent]}
+    return set().union(*(_leaf_values(sub, agent) for _, sub in nested[2]))
+
+
+def _extra_allowed(space: _Space, agent: int, doms, node) -> bool:
+    # the budget check's forms, asked of the candidate mirrored into the
+    # cost convention, with her types placed in the full cost domain
+    cand = as_cost_tree(tree_from_nested(2, doms, node))
+    rows, levels, _ = _value_table(cand, cand.root)
+
+    def mask(values) -> int:
+        return sum(1 << space.cost_at[(-v).as_integer_ratio()] for v in values)
+
+    blocks = tuple(mask(values) for values, _ in node[2])
+    qc = query_class(
+        cand.root, agent, space.cost_dom, mask(doms[agent]), blocks, rows, levels
+    )
+    return qc.extra_allowed
+
+
+def _search(space: _Space, state):
+    # module-level for the reason given at model._from_nested
+    if state in space.memo:
+        return space.memo[state]
+    space.explored += 1
+    doms, dirs, runs, last, ch, ex = state
+    result = None
+    for t in space.maximal:
+        if not ch <= t or t & ex:
+            continue
+        good = True
+        for prof in itertools.product(*doms):
+            if space.greedy_outcome and t != space.greedy_out(prof):
+                good = False
+                break
+            got = sum((prof[e] for e in t), Fraction(0))
+            best = space.opt(prof)
+            ratio = Fraction(1) if best == 0 else got / best
+            if ratio < space.target:
+                good = False
+                break
+        if good:
+            out = tuple(1 if j in t else 0 for j in range(2))
+            result = ("leaf", out, None)
+            break
+    if result is None:
+        for agent in (0, 1):
+            own = doms[agent]
+            if len(own) < 2 or agent in ch or agent in ex:
+                continue
+            nruns = runs[agent] + (0 if last == agent else 1)
+            if space.kk is not inf and nruns > space.kk + 2:
+                continue
+            special = space.kk is not inf and nruns == space.kk + 2
+            other = 1 - agent
+            runs2 = (nruns, runs[other]) if agent == 0 else (runs[other], nruns)
+            if len(own) == 2:
+                moves = [("split2", None)]
+            else:
+                moves = [
+                    ("peel", f)
+                    for f in ("greedy", "reverse")
+                    if dirs[agent] in (None, f)
+                ]
+            for kind, fashion in moves:
+                if kind == "peel":
+                    head = own[-1] if fashion == "greedy" else own[0]
+                    rest = own[:-1] if fashion == "greedy" else own[1:]
+                    try:
+                        if fashion == "greedy":
+                            ch2 = ch | {agent}
+                            ex2 = ex | removable(space.ps, ch2, ex)
+                        else:
+                            ex2 = ex | {agent}
+                            ch2 = ch | unremovable(space.ps, ch, ex2)
+                    except MechanismError:
+                        continue
+                    dirs2 = list(dirs)
+                    dirs2[agent] = fashion
+                    dirs2 = tuple(dirs2)
+                    yes_doms = list(doms)
+                    yes_doms[agent] = (head,)
+                    yes = _search(
+                        space, (tuple(yes_doms), dirs2, runs2, agent, ch2, ex2)
+                    )
+                    if yes is None:
+                        continue
+                    no_doms = list(doms)
+                    no_doms[agent] = rest
+                    no = _search(
+                        space, (tuple(no_doms), dirs2, runs2, agent, ch, ex)
+                    )
+                    if no is None:
+                        continue
+                    node = ("q", agent, [((head,), yes), (rest, no)])
+                else:
+                    lo, hi = own
+                    subs = []
+                    for v in (lo, hi):
+                        v_doms = list(doms)
+                        v_doms[agent] = (v,)
+                        v_state = (tuple(v_doms), dirs, runs2, agent, ch, ex)
+                        subs.append(_search(space, v_state))
+                    if subs[0] is None or subs[1] is None:
+                        continue
+                    hi_won = _leaf_values(subs[1], agent) == {1}
+                    lo_lost = _leaf_values(subs[0], agent) == {0}
+                    if not (hi_won or lo_lost):
+                        continue
+                    node = ("q", agent, [((lo,), subs[0]), ((hi,), subs[1])])
+                if special and not _extra_allowed(space, agent, doms, node):
+                    continue
+                result = node
+                break
+            if result is not None:
+                break
+    space.memo[state] = result
+    return result

@@ -78,6 +78,8 @@ def loads_mechanism(text: str) -> ImplementationTree:
             raise MechanismFormatError(f"nodes[{ordinal}] must be a node object")
         try:
             nid = int(entry["id"])
+            if nid in nodes:
+                raise MechanismFormatError("duplicate node id")
             kind = entry["kind"]
             if kind == "leaf":
                 outcome = tuple(parse_rational(v) for v in entry["outcome"])

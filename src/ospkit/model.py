@@ -18,10 +18,14 @@ non-binary outcome in `ImplementationTree.nonbinary`.  `validate_tree`,
 `require_valid` and `require_binary_outcomes` read those facts, so each
 costs O(1) however often a caller asks.
 
-Two routines answer every bulk question about where profiles go.
-`split_box` splits the box of profiles available at a node down its
-subtree and yields each leaf with the box that reaches it; every table
-keyed by profile or by (own type, opponents) is built from it, so no
+Every domain is totally ordered, so a type's position in its agent's
+sorted domain keeps its order; the same walk records every block and
+every current domain as an int mask over those positions.  Two routines
+answer every bulk question about where profiles go.
+`split_masks` splits the box of profiles available at a node down its
+subtree and yields each leaf with the box, as masks, that reaches it;
+every table keyed by profile or by (own type, opponents) is built from
+it (`split_box` and `profile_leaves` are its views on types), so no
 consumer walks from the root once per profile.  `parting_node` finds
 where the walks to two leaves part: at their lowest common ancestor.
 `ImplementationTree.path_of` and `leaf_of` remain the single-profile walk.
@@ -32,6 +36,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, log10, prod
@@ -113,7 +118,10 @@ class ImplementationTree:
 
     Precomputed, read-only after construction:
       parent, depth          per reachable node id
-      domain_at[nid]         tuple of per-agent current domains
+      positions[i]           integer ratio -> position in agent i's domain
+      mask_at[nid]           per-agent current domains as masks over those
+      domain_at[nid]         the same as tuples of types, built on demand
+      block_masks[nid]       the blocks of query nid as masks
       query_depth[nid]       per-agent query counts on the root..nid path,
                              counting nid itself when it is a query
       preorder, leaf_ids, internal_ids, leaves_under
@@ -150,13 +158,23 @@ class ImplementationTree:
         checks: list[str] = []
         self.nonbinary: tuple[int, Rat] | None = None
         # below a flagged query a domain may repeat a value, which the
-        # merge test below cannot see; those nodes get the full diagnosis
+        # mask test below cannot see; those nodes get the full diagnosis
         doubtful: set[int] = set()
         self.parent: dict[int, int | None] = {self.root: None}
         self.depth: dict[int, int] = {self.root: 0}
-        self.domain_at: dict[int, tuple[tuple[Rat, ...], ...]] = {
-            self.root: self.domains
-        }
+        # keyed by integer ratio: a Fraction hashes in Python code
+        self.positions = tuple(
+            dict(zip(map(Fraction.as_integer_ratio, d), range(len(d))))
+            for d in self.domains
+        )
+        self.mask_at = {self.root: tuple((1 << len(d)) - 1 for d in self.domains)}
+        self.block_masks: dict[int, tuple[int, ...]] = {}
+        # tuples kept: each leaf's, which cmon reads once per agent
+        kept: dict[int, tuple[tuple[Rat, ...], ...]] = {}
+        # each agent's current domains by mask: a tree has few distinct ones
+        named = [{(1 << len(d)) - 1: d} for d in self.domains]
+        self.domain_at = _Domains(named, self.mask_at, kept)
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.query_depth: dict[int, tuple[int, ...]] = {}
         self.preorder: list[int] = []
         self.leaf_ids: list[int] = []
@@ -172,6 +190,8 @@ class ImplementationTree:
             if isinstance(node, LeafNode):
                 self.query_depth[nid] = base
                 self.leaf_ids.append(nid)
+                if nid not in kept:
+                    kept[nid] = tuple(map(dict.__getitem__, named, self.mask_at[nid]))
                 if len(node.outcome) != self.agents:
                     checks.append(f"leaf {nid}: outcome length {len(node.outcome)}")
                 if node.payment is not None and len(node.payment) != self.agents:
@@ -184,25 +204,36 @@ class ImplementationTree:
                 continue
             if not 0 <= node.agent < self.agents:
                 raise MechanismError(f"node {nid} queries unknown agent {node.agent}")
-            qd = list(base)
-            qd[node.agent] += 1
-            self.query_depth[nid] = tuple(qd)
+            j = node.agent
+            qd = base[:j] + (base[j] + 1,) + base[j + 1 :]
+            self.query_depth[nid] = shared.setdefault(qd, qd)  # few distinct
             self.internal_ids.append(nid)
-            dom = self.domain_at[nid]
-            own = dom[node.agent]
-            parts = [tuple(sorted(blk)) for blk in node.blocks]
-            # two or more nonempty blocks holding each value of the domain
-            # once, compared as integer ratios (a Fraction compares in
-            # Python): a partition, unless the domain repeats a value
-            held = [v.as_integer_ratio() for part in parts for v in part]
+            masks = self.mask_at[nid]
+            at = self.positions[j]
+            bms = []
+            for blk in node.blocks:
+                held = [at.get(v.as_integer_ratio()) for v in blk]  # None: foreign
+                m = 0
+                for p in held:
+                    if p is not None:
+                        m |= 1 << p
+                bms.append(m)
+                if m not in named[j]:  # the block itself, when it is that tuple
+                    clean = len(blk) == m.bit_count() and held == sorted(held)
+                    named[j][m] = tuple(blk) if clean else types_of(self, j, m)
+            bms = tuple(bms)  # a tree has few distinct ones: share them
+            bms = self.block_masks[nid] = shared.setdefault(bms, bms)
+            # nonempty blocks whose masks add up to the domain's, holding
+            # as many values: a partition (a shared, repeated or foreign
+            # value loses a bit), unless the domain repeats a value
             if (
                 nid in doubtful
-                or len(parts) < 2
-                or not all(parts)
-                or len(held) != len(own)
-                or set(held) != {v.as_integer_ratio() for v in own}
+                or len(bms) < 2
+                or not all(node.blocks)
+                or sum(map(len, node.blocks)) != masks[j].bit_count()
+                or sum(bms) != masks[j]
             ):
-                found = _block_problems(nid, own, node.blocks)
+                found = _block_problems(nid, self.domain_at[nid][j], node.blocks)
                 checks.extend(found)
                 if found:
                     doubtful.add(nid)
@@ -211,8 +242,9 @@ class ImplementationTree:
                     f"node {nid}: {len(node.blocks)} blocks, "
                     f"{len(node.children)} children"
                 )
-            pairs = list(zip(parts, node.children))
-            for part, cid in reversed(pairs):
+            pairs = list(zip(node.blocks, bms, node.children))
+            literal = nid in kept  # then so is every child
+            for blk, m, cid in reversed(pairs):
                 if cid not in self.nodes:
                     structural.append(f"node {nid}: unknown child {cid}")
                     continue
@@ -220,9 +252,10 @@ class ImplementationTree:
                     raise MechanismError(f"node {cid} is reached twice")
                 self.parent[cid] = nid
                 self.depth[cid] = self.depth[nid] + 1
-                child_dom = list(dom)
-                child_dom[node.agent] = part
-                self.domain_at[cid] = tuple(child_dom)
+                self.mask_at[cid] = masks[:j] + (m,) + masks[j + 1 :]
+                if literal or len(blk) != m.bit_count():
+                    dom = self.domain_at[nid]
+                    kept[cid] = dom[:j] + (tuple(sorted(blk)),) + dom[j + 1 :]
                 if nid in doubtful:
                     doubtful.add(cid)
                 stack.append(cid)
@@ -267,9 +300,7 @@ class ImplementationTree:
         for idx, blk in enumerate(node.blocks):
             if value in blk:
                 return idx
-        raise MechanismError(
-            f"value {value} not in any block of node {nid}"
-        )
+        raise MechanismError(f"value {value} not in any block of node {nid}")
 
     def path_of(self, profile) -> tuple[int, ...]:
         """Node ids visited by a profile, root to leaf."""
@@ -299,15 +330,30 @@ class ImplementationTree:
         """Coordinate-wise smallest profile available at nid."""
         return tuple(d[0] for d in self.domain_at[nid])
 
-    def available_at(self, nid: int, profile) -> bool:
-        dom = self.domain_at[nid]
-        return all(t in d for t, d in zip(profile, dom))
-
     def __repr__(self) -> str:
         return (
             f"ImplementationTree(agents={self.agents}, "
             f"nodes={len(self.nodes)}, leaves={len(self.leaf_ids)})"
         )
+
+
+class _Domains(Mapping):
+    """`domain_at`, built from the masks when asked for unless kept: a
+    leaf's, or one below a block with a value no mask holds."""
+
+    def __init__(self, named: list, mask_at: dict, kept: dict) -> None:
+        self.named, self.masks, self.kept = named, mask_at, kept
+
+    def __getitem__(self, nid: int) -> tuple[tuple[Rat, ...], ...]:
+        if nid in self.kept:
+            return self.kept[nid]
+        return tuple(map(dict.__getitem__, self.named, self.masks[nid]))
+
+    def __iter__(self):
+        return iter(self.masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
 
 
 def _block_problems(nid: int, dom, blocks) -> list[str]:
@@ -399,25 +445,39 @@ def k_step_neighborhood(tree: ImplementationTree, node_id: int, k):
     return frozenset(covered), frozenset(endpoints)
 
 
-def split_box(tree: ImplementationTree, node_id: int):
-    """Yield (leaf id, box) for every leaf reached from node_id, where box
-    holds, per agent, the types available at node_id that reach the leaf.
+def bits(mask: int) -> list[int]:
+    """The positions set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Each query splits the box by its blocks as `route` does: a value in
-    two blocks goes to the first, and a value in no block, an edge to an
-    unknown child or a type outside the agents' domains raises.  The
+
+def types_of(tree: ImplementationTree, agent: int, mask: int) -> tuple[Rat, ...]:
+    return tuple(tree.domains[agent][p] for p in bits(mask))
+
+
+def split_masks(tree: ImplementationTree, node_id: int):
+    """Yield (leaf id, box) for every leaf reached from node_id, where
+    box[j] masks agent j's types available at node_id that reach the leaf.
+
+    Each query splits the box by its block masks as `route` does: a value
+    in two blocks goes to the first, and a value in no block, an edge to
+    an unknown child or a type outside the agents' domains raises.  The
     yielded boxes partition the node's box; a box with no profile reaches
     no leaf."""
-    box = tree.domain_at[node_id]
-    if not all(box):
+    start = tree.domain_at[node_id]
+    if not all(start):
         return
     if tree.problems:
         # only a defective block can bring a foreign type into a box
-        for j, d in enumerate(box):
+        for j, d in enumerate(start):
             for t in d:
-                if t not in tree.domains[j]:
+                if t.as_integer_ratio() not in tree.positions[j]:
                     raise MechanismError(f"type {t} not in domain of agent {j}")
-    stack = [(node_id, box)]
+    stack = [(node_id, tree.mask_at[node_id])]
     while stack:
         nid, box = stack.pop()
         sub = tree.nodes[nid]
@@ -425,27 +485,33 @@ def split_box(tree: ImplementationTree, node_id: int):
             yield nid, box
             continue
         j = sub.agent
-        parts: list[list[Rat]] = [[] for _ in sub.blocks]
-        for v in box[j]:
-            for idx, blk in enumerate(sub.blocks):
-                if v in blk:
-                    parts[idx].append(v)
-                    break
-            else:
-                raise MechanismError(f"value {v} not in any block of node {nid}")
+        rest = box[j]
+        parts = []
+        for m in tree.block_masks[nid]:
+            parts.append(rest & m)
+            rest &= ~m
+        if rest:
+            v = tree.domains[j][bits(rest)[0]]
+            raise MechanismError(f"value {v} not in any block of node {nid}")
         for idx, part in enumerate(parts):
             if not part:
                 continue
             cid = sub.children[idx] if idx < len(sub.children) else None
             if cid not in tree.parent:
                 raise MechanismError(f"walk entered defective edge at node {nid}")
-            stack.append((cid, box[:j] + (tuple(part),) + box[j + 1 :]))
+            stack.append((cid, box[:j] + (part,) + box[j + 1 :]))
+
+
+def split_box(tree: ImplementationTree, node_id: int):
+    """`split_masks` with each box given by its types."""
+    for leaf, box in split_masks(tree, node_id):
+        yield leaf, tuple(types_of(tree, j, m) for j, m in enumerate(box))
 
 
 def profile_leaves(tree: ImplementationTree, node_id: int) -> dict[tuple, int]:
     """The leaf each profile available at node_id reaches, from one split
     of the node's box."""
-    scale_guard(prod(len(d) for d in tree.domain_at[node_id]))
+    scale_guard(prod(m.bit_count() for m in tree.mask_at[node_id]))
     return {
         prof: leaf
         for leaf, box in split_box(tree, node_id)
@@ -481,11 +547,11 @@ def equivalence_class(tree: ImplementationTree, node_id: int, profile, k):
     if not isinstance(node, QueryNode):
         raise MechanismError(f"node {node_id} is not a query node")
     prof = tree.as_profile(profile)
-    if not tree.available_at(node_id, prof):
+    leaf_at = profile_leaves(tree, node_id)
+    if prof not in leaf_at:
         raise MechanismError(f"profile {prof} not available at node {node_id}")
     covered, _ = k_step_neighborhood(tree, node_id, k)
     forbidden = covered | {node_id}
-    leaf_at = profile_leaves(tree, node_id)
     own = leaf_at[prof]
     members = [
         cand

@@ -14,11 +14,15 @@ The remaining entry points probe structure rather than payments: the
 ordering of commitment ranges across branches, the taxonomy of a single
 query, per-path query budgets, taxation patterns forced by third types,
 and the rewrite that turns the last allowed query into a revelation.
-Their (own type, opponents) -> (f, p) tables and profile -> leaf maps
-come from one split of a node's box (`model.split_box`), and the node
-where two profiles part from `model.parting_node`.  `query_class` states
-the allowed forms of an extra query once, as a function of the query's
-parts; `is_k_limited` and the search in `greedy` both call it.
+`query_class` states the allowed forms of an extra query once, as a
+function of the query's parts; `is_k_limited` and the search in `greedy`
+both call it.
+
+All of it runs on type positions and masks (`model`): commitment sets
+are masks, payments compare as ints scaled by common denominators, and
+a query's value table, from one split of its box (`model.split_masks`),
+numbers each distinct (f, p).  Fractions are built only for what a
+result reports.
 """
 
 from __future__ import annotations
@@ -26,32 +30,34 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, prod
+from math import inf, lcm, prod
 
 from .model import (
     ImplementationTree,
     LeafNode,
     MechanismError,
     QueryNode,
+    bits,
     normalize_horizon,
     parting_node,
-    profile_leaves,
     require_binary_outcomes,
     scale_guard,
-    split_box,
+    split_masks,
 )
 from .rational import Rat, format_rational
 
+_ZERO = Fraction(0)
 
-def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, tuple]]:
-    """Every commitment set at once: sets[u][leaf] holds the types the
-    agent queried at u may still hold, k own moves into a plan that ends
-    at the leaf, for each query node u and each leaf below it.
+
+def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, int]]:
+    """Every commitment set at once: sets[u][leaf] is the mask of the
+    types the agent queried at u may still hold, k own moves into a plan
+    that ends at the leaf, for each query node u and each leaf below it.
 
     Walks each leaf's root path once.  Where u is the m-th query to agent
     i on that path, the set is i's domain at the node just after the
     (m+k)-th query to i, or at the leaf when fewer queries remain."""
-    sets: dict[int, dict[int, tuple]] = {u: {} for u in tree.internal_ids}
+    sets: dict[int, dict[int, int]] = {u: {} for u in tree.internal_ids}
     for leaf in tree.leaf_ids:
         path = []
         nid = leaf
@@ -66,8 +72,21 @@ def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, tuple]]
             for m, pos in enumerate(positions):
                 end = m + k
                 h = leaf if end >= len(positions) else path[positions[end] + 1]
-                sets[path[pos]][leaf] = tree.domain_at[h][i]
+                sets[path[pos]][leaf] = tree.mask_at[h][i]
     return sets
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """The values times their least common denominator, and that lcd."""
+    ratios = [v.as_integer_ratio() for v in values]
+    lcd = lcm(*(d for _, d in ratios))
+    return [n * (lcd // d) for n, d in ratios], lcd
+
+
+def _pair(tree: ImplementationTree, leaf: int, agent: int) -> tuple[Rat, Rat]:
+    """The agent's (f, p) at the leaf; a payment-free leaf pays zero."""
+    node = tree.nodes[leaf]
+    return node.outcome[agent], _ZERO if node.payment is None else node.payment[agent]
 
 
 @dataclass(frozen=True)
@@ -117,31 +136,36 @@ def check_k_step_osp(
     before any truncation, the truncating pair included.
     """
     k = normalize_horizon(k)
-    missing = [
-        nid for nid in tree.leaf_ids if tree.nodes[nid].payment is None
-    ]
+    missing = [nid for nid in tree.leaf_ids if tree.nodes[nid].payment is None]
     if missing:
         raise MechanismError(f"payments missing at leaves {missing[:5]}")
 
     sets = _commitment_sets(tree, k)
+    scaled: dict[int, tuple] = {}
     violations: list[Constraint] = []
     checked = 0
     for u in tree.internal_ids:
         node = tree.nodes[u]
         i = node.agent
+        if i not in scaled:
+            # dp > c * df on ints: with f, p and c scaled by their lcds
+            # Lf, Lp and Lc, it reads dp * Lc * Lf > c * df * Lp
+            fs, lf = _scaled([tree.nodes[x].outcome[i] for x in tree.leaf_ids])
+            ps, lp = _scaled([tree.nodes[x].payment[i] for x in tree.leaf_ids])
+            cs, lc = _scaled(tree.domains[i])
+            ps = [p * lc * lf for p in ps]
+            scaled[i] = [c * lp for c in cs], dict(zip(tree.leaf_ids, zip(fs, ps)))
+        types, value = scaled[i]
         csets = sets[u]
         rows = [
-            [
-                (leaf, tree.nodes[leaf].outcome[i], tree.nodes[leaf].payment[i])
-                for leaf in tree.leaves_under.get(cid, ())
-            ]
+            [(leaf, *value[leaf]) for leaf in tree.leaves_under.get(cid, ())]
             for cid in node.children
         ]
         # the largest payment per outcome level below each child: a leaf
         # pair can gain only if its level's maximum gains
         tops = []
         for side in rows:
-            top: dict[Rat, Rat] = {}
+            top: dict[int, int] = {}
             for _, f, p in side:
                 if f not in top or p > top[f]:
                     top[f] = p
@@ -153,7 +177,8 @@ def check_k_step_osp(
                 top_b = tops[ib]
                 for la, fa, pa in side_a:
                     cset = csets[la]
-                    cmin, cmax = cset[0], cset[-1]
+                    cmin = types[(cset & -cset).bit_length() - 1]
+                    cmax = types[cset.bit_length() - 1]
                     if not any(
                         _would_gain(p - pa, f - fa, cmin, cmax) for f, p in top_b
                     ):
@@ -167,11 +192,14 @@ def check_k_step_osp(
                             continue
                         a = tree.box_min(la)
                         b = tree.box_min(lb)
-                        for c in cset:
-                            rhs = c * df
-                            if dp > rhs:
+                        na, nb = tree.nodes[la], tree.nodes[lb]
+                        lhs = nb.payment[i] - na.payment[i]
+                        change = nb.outcome[i] - na.outcome[i]
+                        for pos in bits(cset):
+                            if dp > types[pos] * df:
+                                c = tree.domains[i][pos]
                                 violations.append(
-                                    Constraint(i, u, a, b, c, dp, rhs)
+                                    Constraint(i, u, a, b, c, lhs, c * change)
                                 )
                                 if len(violations) >= max_violations:
                                     return CheckResult(
@@ -207,29 +235,27 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
         csets = sets[u]
         rows = [
             [
-                (leaf, tree.nodes[leaf].outcome[i])
+                (leaf, int(tree.nodes[leaf].outcome[i]), csets[leaf])
                 for leaf in tree.leaves_under.get(cid, ())
             ]
             for cid in node.children
         ]
-        # the smallest commitment type over each child's outcome-0 leaves;
-        # with binary outcomes only outcome-1 leaves face those
+        # the smallest commitment type (position) over each child's
+        # outcome-0 leaves; with binary outcomes only outcome-1 leaves face those
         floors = [
-            min((csets[lb][0] for lb, fb in side if fb == 0), default=None)
+            min((bits(c)[0] for _, fb, c in side if fb == 0), default=None)
             for side in rows
         ]
         for ia, side_a in enumerate(rows):
             for ib, side_b in enumerate(rows):
                 if ia == ib or floors[ib] is None:
                     continue
-                for la, fa in side_a:
-                    if fa != 1:
+                for la, fa, ca in side_a:
+                    cmax_a = ca.bit_length() - 1
+                    if fa != 1 or cmax_a < floors[ib]:
                         continue
-                    cmax_a = csets[la][-1]
-                    if cmax_a < floors[ib]:
-                        continue
-                    for lb, fb in side_b:
-                        cmin_b = csets[lb][0]
+                    for lb, fb, cb in side_b:
+                        cmin_b = (cb & -cb).bit_length() - 1
                         if fb == 0 and cmax_a >= cmin_b:
                             return AlmostOrderedResult(
                                 False,
@@ -237,30 +263,41 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
                                     u,
                                     tree.box_min(la),
                                     tree.box_min(lb),
-                                    cmax_a,
-                                    cmin_b,
+                                    tree.domains[i][cmax_a],
+                                    tree.domains[i][cmin_b],
                                 ),
                             )
     return AlmostOrderedResult(True, None)
 
 
 def _value_table(tree: ImplementationTree, node_id: int):
-    """(f_i, p_i) for every (own type, others' types) available at a query
-    node, filled from the leaf boxes of `split_box`.  Payment-free leaves
-    count as paying zero."""
+    """The queried agent's (f, p) table at node_id, filled from the leaf
+    boxes of `split_masks`: rows[r][c] numbers her pair when she holds her
+    r-th current type and her opponents their c-th profile (in product
+    order), pairs[n] is the pair numbered n and levels[n] numbers its f.
+    Returns (rows, levels, pairs).  Payment-free leaves pay zero."""
     i = tree.nodes[node_id].agent
-    dom = tree.domain_at[node_id]
-    scale_guard(prod(len(d) for d in dom))
-    combos = list(itertools.product(*(dom[:i] + dom[i + 1 :])))
-    table: dict[tuple, tuple[Rat, Rat]] = {}
-    zero = Fraction(0)
-    for leaf, box in split_box(tree, node_id):
-        sub = tree.nodes[leaf]
-        value = (sub.outcome[i], zero if sub.payment is None else sub.payment[i])
-        for x in itertools.product(*(box[:i] + box[i + 1 :])):
-            for t in box[i]:
-                table[(t, x)] = value
-    return dom[i], combos, table
+    box = tree.mask_at[node_id]
+    scale_guard(prod(m.bit_count() for m in box))
+    rank = {p: r for r, p in enumerate(bits(box[i]))}
+    others = [bits(m) for j, m in enumerate(box) if j != i]
+    column = {x: c for c, x in enumerate(itertools.product(*others))}
+    rows = [[0] * len(column) for _ in rank]
+    numbered, level_of, pairs, levels = {}, {}, [], []  # dicts keyed by ratios
+    for leaf, sub in split_masks(tree, node_id):
+        f, p = pair = _pair(tree, leaf, i)
+        key = f.as_integer_ratio(), p.as_integer_ratio()
+        n = numbered.setdefault(key, len(pairs))
+        if n == len(pairs):
+            pairs.append(pair)
+            levels.append(level_of.setdefault(key[0], len(level_of)))
+        others = [bits(m) for j, m in enumerate(sub) if j != i]
+        cols = [column[x] for x in itertools.product(*others)]
+        for q in bits(sub[i]):
+            row = rows[rank[q]]
+            for c in cols:
+                row[c] = n
+    return rows, levels, pairs
 
 
 @dataclass(frozen=True)
@@ -293,90 +330,77 @@ def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
     if not isinstance(node, QueryNode):
         raise MechanismError(f"node {node_id} is not a query node")
     i = node.agent
-    own, _, table = _value_table(tree, node_id)
-    return query_class(node_id, i, own, tree.domains[i], node.blocks, table)
+    rows, levels, _ = _value_table(tree, node_id)
+    own, blocks = tree.mask_at[node_id][i], tree.block_masks[node_id]
+    return query_class(node_id, i, tree.domains[i], own, blocks, rows, levels)
 
 
-def query_class(node_id, agent, own, domain, blocks, table) -> QueryClass:
-    """Classify a query from its parts alone: the agent's current types
-    `own` and her full `domain` (both sorted), the query's `blocks`, and
-    `table`, which maps every (own type, column of opponent types) to
-    her (f, p).  Types and blocks follow the cost convention."""
-    columns = {x for _, x in table}
-    ineffective = all(
-        len({table[(t, x)] for t in own}) == 1 for x in columns
-    )
-    strongly_ineffective = len(set(table.values())) == 1
+def query_class(node_id, agent, domain, own, blocks, rows, levels) -> QueryClass:
+    """Classify a query from its parts alone: the agent's full sorted
+    `domain`, the masks of her current types (`own`) and of the query's
+    `blocks` over positions in it, and her value table as `_value_table`
+    gives it (`rows`, and `levels` naming each pair's f).  Types and
+    blocks follow the cost convention."""
+    ineffective = all(row == rows[0] for row in rows)
+    strongly_ineffective = ineffective and bool(rows) and len(set(rows[0])) == 1
 
-    only_types: list[Rat] = []
-    strongly_only: list[Rat] = []
-    if len(own) >= 2:
-        for t in own:
-            rest = [s for s in own if s != t]
-            per_column = all(
-                len({table[(s, x)] for s in rest}) == 1 for x in columns
-            )
-            if not per_column:
+    # ranks among her current types of the only-effective ones: the rest
+    # share one row, and her f differs from theirs somewhere
+    only: list[int] = []
+    strongly: list[int] = []
+    if len(rows) >= 2:
+        for r, row in enumerate(rows):
+            rest = rows[:r] + rows[r + 1 :]
+            if any(other != rest[0] for other in rest):
                 continue
-            effective = any(
-                table[(t, x)][0] != table[(rest[0], x)][0] for x in columns
-            )
-            if not effective:
+            if [levels[n] for n in row] == [levels[n] for n in rest[0]]:
                 continue
-            only_types.append(t)
-            cross = len({table[(s, x)] for s in rest for x in columns}) == 1
-            if cross:
-                strongly_only.append(t)
+            only.append(r)
+            if len(set(rest[0])) == 1:
+                strongly.append(r)
 
-    is_revelation = all(len(b) == 1 for b in blocks)
+    is_revelation = all(m.bit_count() == 1 for m in blocks)
+    low, high = own & -own, 1 << own.bit_length() >> 1
     extremal_side = None
-    if len(blocks) == 2:
-        singles = [b for b in blocks if len(b) == 1]
-        has_min = any(b == (own[0],) for b in singles)
-        has_max = any(b == (own[-1],) for b in singles)
-        if has_min and has_max:
-            extremal_side = "both"
-        elif has_min:
-            extremal_side = "min"
-        elif has_max:
-            extremal_side = "max"
+    if len(blocks) == 2 and low in blocks:
+        extremal_side = "both" if high in blocks else "min"
+    elif len(blocks) == 2 and high in blocks:
+        extremal_side = "max"
 
-    current = set(own)
-    removed = [v for v in domain if v not in current]
-    is_prefix = not removed or own[-1] < min(removed)
-    is_suffix = not removed or own[0] > max(removed)
+    removed = ((1 << len(domain)) - 1) & ~own
+    is_prefix = not removed or own < removed & -removed
+    is_suffix = not removed or removed < low
 
     # the allowed forms of an extra query: a strongly ineffective
     # revelation, a strongly only-extreme revelation, or an only-extreme
     # extremal step, on a two-type, prefix or suffix domain
+    top, bottom = own.bit_count() - 1, 0
     sep_max = extremal_side in ("max", "both")
     sep_min = extremal_side in ("min", "both")
-    top_form = (len(own) == 2 or is_prefix) and (
+    top_form = (len(rows) == 2 or is_prefix) and (
         (is_revelation and strongly_ineffective)
-        or (is_revelation and own[-1] in strongly_only)
-        or (sep_max and own[-1] in only_types)
+        or (is_revelation and top in strongly)
+        or (sep_max and top in only)
     )
     bottom_form = is_suffix and (
         (is_revelation and strongly_ineffective)
-        or (is_revelation and own[0] in strongly_only)
-        or (sep_min and own[0] in only_types)
+        or (is_revelation and bottom in strongly)
+        or (sep_min and bottom in only)
     )
 
-    def pick(cands):
-        if own[-1] in cands:
-            return own[-1]
-        if own[0] in cands:
-            return own[0]
-        return cands[0]
+    named = [domain[p] for p in bits(own)]
+
+    def pick(ranks):
+        return named[top if top in ranks else bottom if bottom in ranks else ranks[0]]
 
     if strongly_ineffective:
         kind = "StronglyIneffective"
     elif ineffective:
         kind = "Ineffective"
-    elif strongly_only:
-        kind = f"StronglyOnlyTEffective({format_rational(pick(strongly_only))})"
-    elif only_types:
-        kind = f"OnlyTEffective({format_rational(pick(only_types))})"
+    elif strongly:
+        kind = f"StronglyOnlyTEffective({format_rational(pick(strongly))})"
+    elif only:
+        kind = f"OnlyTEffective({format_rational(pick(only))})"
     elif is_revelation:
         kind = "Revelation"
     elif extremal_side:
@@ -393,8 +417,8 @@ def query_class(node_id, agent, own, domain, blocks, table) -> QueryClass:
         is_suffix=is_suffix,
         ineffective=ineffective,
         strongly_ineffective=strongly_ineffective,
-        only_types=tuple(only_types),
-        strongly_only_types=tuple(strongly_only),
+        only_types=tuple(named[r] for r in only),
+        strongly_only_types=tuple(named[r] for r in strongly),
         kind=kind,
         extra_allowed=top_form or bottom_form,
     )
@@ -465,16 +489,27 @@ def taxation_diagnostics(
     require_binary_outcomes(tree)
     sets = _commitment_sets(tree, k)
     findings: list[TaxationFinding] = []
+    numbered: dict[int, dict[int, int]] = {}  # agent -> leaf -> her (f, p)
     for u in tree.internal_ids:
         # a triple a < c < d needs a commitment set of three types
-        if all(len(cset) < 3 for cset in sets[u].values()):
+        if all(cset.bit_count() < 3 for cset in sets[u].values()):
             continue
         i = tree.nodes[u].agent
-        leaf_at = profile_leaves(tree, u)
-        for a in itertools.product(*tree.domain_at[u]):
-            larger = [v for v in sets[u][leaf_at[a]] if v > a[i]]
-            for ci, di in itertools.combinations(larger, 2):
-                found = _taxation_case(tree, u, i, a, ci, di, leaf_at)
+        if i not in numbered:
+            seen, numbered[i] = {}, {}  # pairs keyed by integer ratios
+            for leaf in tree.leaf_ids:
+                key = tuple(v.as_integer_ratio() for v in _pair(tree, leaf, i))
+                numbered[i][leaf] = seen.setdefault(key, len(seen))
+        scale_guard(prod(m.bit_count() for m in tree.mask_at[u]))
+        leaf_at = {
+            prof: leaf
+            for leaf, box in split_masks(tree, u)
+            for prof in itertools.product(*map(bits, box))
+        }
+        for a in itertools.product(*map(bits, tree.mask_at[u])):
+            larger = (sets[u][leaf_at[a]] >> (a[i] + 1)) << (a[i] + 1)
+            for ci, di in itertools.combinations(bits(larger), 2):
+                found = _taxation_case(tree, u, i, a, ci, di, leaf_at, numbered[i])
                 if found is not None:
                     findings.append(found)
                     if len(findings) >= max_findings:
@@ -482,8 +517,8 @@ def taxation_diagnostics(
     return findings
 
 
-def _taxation_case(tree, u, i, a, ci, di, leaf_at):
-    # the triple's walks from u part first where a parts from c or d
+def _taxation_case(tree, u, i, a, ci, di, leaf_at, numbered):
+    # a profile of positions, ci < di positions of agent i's types
     trips = (a[i], ci, di)
     la, lc, ld = (leaf_at[a[:i] + (v,) + a[i + 1 :]] for v in trips)
     cuts = [
@@ -494,47 +529,42 @@ def _taxation_case(tree, u, i, a, ci, di, leaf_at):
         return None
     split = min(cuts, key=tree.depth.__getitem__)
 
-    outside: set[Rat] = set()
+    trio = 1 << a[i] | 1 << ci | 1 << di
+    outside = 0
     nid = split
     while True:
-        sub = tree.nodes[nid]
-        if sub.agent == i:
-            for blk in sub.blocks:
-                if not set(blk) & set(trips):
-                    outside.update(blk)
+        if tree.nodes[nid].agent == i:
+            for m in tree.block_masks[nid]:
+                if not m & trio:
+                    outside |= m
         if nid == u:
             break
         nid = tree.parent[nid]
 
-    top = any(v > di for v in outside)
-    bottom = any(v < a[i] for v in outside)
-    inner = any(a[i] < v < di for v in outside)
+    top = outside >> (di + 1) != 0
+    bottom = outside & ((1 << a[i]) - 1) != 0
+    inner = outside & ((1 << di) - (2 << a[i])) != 0
 
-    def fp(leaf):
-        node = tree.nodes[leaf]
-        pay = Fraction(0) if node.payment is None else node.payment[i]
-        return (node.outcome[i], pay)
-
-    va, vc, vd = fp(la), fp(lc), fp(ld)
+    va, vc, vd = (numbered[leaf] for leaf in (la, lc, ld))
+    case = None
     if inner or (top and bottom):
-        if not (va == vc == vd):
-            return TaxationFinding(
-                u, i, a, ci, di, "all_equal",
-                f"outcomes {va}, {vc}, {vd} must coincide",
-            )
+        case = None if va == vc == vd else "all_equal"
     elif top:
-        if va != vc:
-            return TaxationFinding(
-                u, i, a, ci, di, "lower_pair",
-                f"outcomes {va} and {vc} must coincide",
-            )
+        case = None if va == vc else "lower_pair"
     elif bottom:
-        if vc != vd:
-            return TaxationFinding(
-                u, i, a, ci, di, "upper_pair",
-                f"outcomes {vc} and {vd} must coincide",
-            )
-    return None
+        case = None if vc == vd else "upper_pair"
+    if case is None:
+        return None
+    va, vc, vd = (_pair(tree, leaf, i) for leaf in (la, lc, ld))
+    detail = {
+        "all_equal": f"outcomes {va}, {vc}, {vd} must coincide",
+        "lower_pair": f"outcomes {va} and {vc} must coincide",
+        "upper_pair": f"outcomes {vc} and {vd} must coincide",
+    }[case]
+    prof = tuple(tree.domains[j][p] for j, p in enumerate(a))
+    return TaxationFinding(
+        u, i, prof, tree.domains[i][ci], tree.domains[i][di], case, detail
+    )
 
 
 @dataclass(frozen=True)
@@ -558,20 +588,26 @@ def strong_ineffectiveness_check(
     for u in tree.internal_ids:
         node = tree.nodes[u]
         i = node.agent
-        own, combos, table = _value_table(tree, u)
-        for t1, t2 in itertools.combinations(own, 2):
-            if tree.route(u, t1) == tree.route(u, t2):
+        dom = tree.domains[i]
+        rows, levels, pairs = _value_table(tree, u)
+        own = bits(tree.mask_at[u][i])
+        # the block each type goes to: the first one holding it
+        blocks = tree.block_masks[u]
+        side = [next(n for n, m in enumerate(blocks) if m >> q & 1) for q in own]
+        frows = [[levels[n] for n in row] for row in rows]
+        for r1, r2 in itertools.combinations(range(len(own)), 2):
+            if side[r1] == side[r2] or frows[r1] != frows[r2]:
                 continue
-            if any(table[(t1, x)][0] != table[(t2, x)][0] for x in combos):
-                continue
-            pooled = {table[(t1, x)] for x in combos}
-            pooled |= {table[(t2, x)] for x in combos}
+            pooled = [pairs[n] for n in set(rows[r1]) | set(rows[r2])]
             if len(pooled) > 1:
+                # sorted as ints scaled by each coordinate's lcd
+                fs, _ = _scaled([f for f, _ in pooled])
+                ps, _ = _scaled([p for _, p in pooled])
+                shown = [pair for _, _, pair in sorted(zip(fs, ps, pooled))]
                 findings.append(
                     PoolingFinding(
-                        u, i, t1, t2,
-                        "pointwise equal outcomes but differing pairs "
-                        f"{sorted(pooled)}",
+                        u, i, dom[own[r1]], dom[own[r2]],
+                        f"pointwise equal outcomes but differing pairs {shown}",
                     )
                 )
                 if len(findings) >= max_findings:
@@ -624,29 +660,20 @@ def _reveal(tree, k, nid: int, forced: dict[int, Rat], nodes: dict, counter) -> 
             )
         fresh = next(counter)
         nodes[fresh] = None  # reserve slot, fill after children
-        blocks = []
-        children = []
-        for t in own:
-            idx = tree.route(nid, t)
-            sub_forced = dict(forced)
-            sub_forced[node.agent] = t
-            blocks.append((t,))
-            children.append(
-                _reveal(tree, k, node.children[idx], sub_forced, nodes, counter)
+        children = tuple(
+            _reveal(
+                tree, k, node.children[tree.route(nid, t)],
+                {**forced, node.agent: t}, nodes, counter,
             )
-        nodes[fresh] = QueryNode(
-            id=fresh,
-            agent=node.agent,
-            blocks=tuple(blocks),
-            children=tuple(children),
+            for t in own
         )
+        blocks = tuple((t,) for t in own)
+        nodes[fresh] = QueryNode(fresh, node.agent, blocks, children)
         return fresh
     fresh = next(counter)
     nodes[fresh] = None
     children = tuple(
         _reveal(tree, k, c, forced, nodes, counter) for c in node.children
     )
-    nodes[fresh] = QueryNode(
-        id=fresh, agent=node.agent, blocks=node.blocks, children=children
-    )
+    nodes[fresh] = QueryNode(fresh, node.agent, node.blocks, children)
     return fresh

@@ -149,6 +149,25 @@ class TestErrorPaths:
         assert code == 2
         assert message in err
 
+    def test_duplicate_node_id_exits_2(self, capsys, tmp_path):
+        # a second "id": 1 used to replace the first leaf silently, and
+        # the verdict came from the second one
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps({
+            "agents": 1, "domains": [["1", "2"]], "root": 0,
+            "nodes": [
+                {"id": 0, "kind": "query", "agent": 0,
+                 "blocks": [["1"], ["2"]], "children": [1, 2]},
+                {"id": 1, "kind": "leaf", "outcome": ["1"], "payment": ["0"]},
+                {"id": 2, "kind": "leaf", "outcome": ["0"], "payment": ["0"]},
+                {"id": 1, "kind": "leaf", "outcome": ["0"], "payment": ["5"]},
+            ],
+        }, indent=1))
+        code, out, err = run(capsys, "verify", "--mechanism", str(p), "--k", "inf")
+        assert code == 2
+        assert out == ""
+        assert "node 1 (line" in err and "duplicate node id" in err
+
     @pytest.mark.parametrize(
         "kind,param",
         [("uniform", "rank"), ("graphic", "edges"), ("explicit", "maximal_sets")],

@@ -28,7 +28,12 @@ from ospkit.cmon import (
     _bellman,
     _tail_split,
 )
-from ospkit.model import LeafNode, random_k_limited_tree, tree_from_nested
+from ospkit.model import (
+    LeafNode,
+    random_k_limited_tree,
+    tree_from_nested,
+    types_of,
+)
 from ospkit.verifier import _value_table, classify_query
 from test_model import oracle_first_divergence
 from test_verifier import has_binary_outcomes, random_priced_trees
@@ -338,6 +343,14 @@ def oracle_tail_split(tree, u, agent):
     )
 
 
+def tail_split_types(tree, u, rows, levels):
+    """_tail_split with each mask given by its types."""
+    agent = tree.nodes[u].agent
+    return tuple(
+        types_of(tree, agent, m) for m in _tail_split(tree, u, rows, levels)
+    )
+
+
 def oracle_tail_classes(tree, u, agent):
     """(kind, bit, members, types) of the tail classes anchored at u,
     bucketing each profile by a walk from u."""
@@ -378,7 +391,8 @@ class TestTailOracle:
                 continue
             for u in t.internal_ids:
                 agent = t.nodes[u].agent
-                got = outcome_or_error(_tail_split, t, u, *_value_table(t, u))
+                rows, levels, _ = _value_table(t, u)
+                got = outcome_or_error(tail_split_types, t, u, rows, levels)
                 assert got == outcome_or_error(oracle_tail_split, t, u, agent)
                 seen["ambiguous"] += isinstance(got, str)
             for h in (0, 1):

@@ -37,6 +37,7 @@ from ospkit import (
     surviving_solutions,
     unremovable,
 )
+from ospkit import greedy
 from ospkit.fixtures import materialize
 from ospkit.model import (
     ImplementationTree,
@@ -631,6 +632,13 @@ class TestAgainstOracles:
                     val.domains[agent],
                 )
                 assert got == want
+                # the search asks the same of the valuation-side candidate
+                space = greedy._Space(
+                    PSystem.single_item(2), val.domains[agent], 0, 1, False
+                )
+                assert greedy._extra_allowed(
+                    space, agent, val.domain_at[u], as_nested(val, u)
+                ) == want
                 verdicts[got] += 1
         assert verdicts[True] and verdicts[False]
 
@@ -946,6 +954,12 @@ BUILDERS = {
     ),
     "random_k_limited_tree": lambda: random_k_limited_tree(
         random.Random(3), 2, [[1, 2, 3]] * 2, 1
+    ),
+    "search_two_way_greedy": lambda: search_two_way_greedy(
+        PSystem.single_item(2), [1, 2, 3, 4], 0, 1
+    ),
+    "search_two_way_greedy_outcome": lambda: search_two_way_greedy(
+        PSystem.single_item(2), [1, 2, 3, 4], 0, 1, greedy_outcome=True
     ),
 }
 

@@ -128,6 +128,35 @@ class TestMechanismFiles:
         ):
             loads_mechanism(text)
 
+    def test_duplicate_id_names_its_second_line(self):
+        text = json.dumps(
+            {
+                "agents": 1,
+                "domains": [["1", "2"]],
+                "root": 0,
+                "nodes": [
+                    {
+                        "id": 0,
+                        "kind": "query",
+                        "agent": 0,
+                        "blocks": [["1"], ["2"]],
+                        "children": [1, 2],
+                    },
+                    {"id": 1, "kind": "leaf", "outcome": ["1"], "payment": ["0"]},
+                    {"id": 2, "kind": "leaf", "outcome": ["0"], "payment": ["0"]},
+                    {"id": 1, "kind": "leaf", "outcome": ["0"], "payment": ["5"]},
+                ],
+            },
+            indent=1,
+        )
+        want = [n for n, line in enumerate(text.splitlines(), 1) if '"id": 1' in line]
+        assert len(want) == 2
+        with pytest.raises(
+            MechanismFormatError,
+            match=rf"node 1 \(line {want[1]}\): duplicate node id",
+        ):
+            loads_mechanism(text)
+
     @pytest.mark.parametrize(
         "nodes,message",
         [

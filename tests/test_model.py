@@ -21,7 +21,9 @@ from ospkit.model import (
     require_binary_outcomes,
     require_valid,
     split_box,
+    split_masks,
     tree_from_nested,
+    types_of,
     validate_tree,
 )
 
@@ -291,6 +293,55 @@ def test_query_depth_matches_path_count(seed):
 # -- oracles: the walks the split and the parting helper replace -------------
 
 
+def oracle_split_box(tree, node_id):
+    """split_box on types: each query places every value of the box with
+    `v in blk`, one Fraction comparison at a time."""
+    box = tree.domain_at[node_id]
+    if not all(box):
+        return
+    if tree.problems:
+        for j, d in enumerate(box):
+            for t in d:
+                if t not in tree.domains[j]:
+                    raise MechanismError(f"type {t} not in domain of agent {j}")
+    stack = [(node_id, box)]
+    while stack:
+        nid, box = stack.pop()
+        sub = tree.nodes[nid]
+        if isinstance(sub, LeafNode):
+            yield nid, box
+            continue
+        j = sub.agent
+        parts = [[] for _ in sub.blocks]
+        for v in box[j]:
+            for idx, blk in enumerate(sub.blocks):
+                if v in blk:
+                    parts[idx].append(v)
+                    break
+            else:
+                raise MechanismError(f"value {v} not in any block of node {nid}")
+        for idx, part in enumerate(parts):
+            if not part:
+                continue
+            cid = sub.children[idx] if idx < len(sub.children) else None
+            if cid not in tree.parent:
+                raise MechanismError(f"walk entered defective edge at node {nid}")
+            stack.append((cid, box[:j] + (tuple(part),) + box[j + 1 :]))
+
+
+def split_or_error(split, tree, node_id):
+    """The split's (leaf, box) list, each coordinate without repeats (a
+    mask holds a repeated value once), or the message it raised."""
+    try:
+        return [
+            (leaf, tuple(tuple(sorted(set(d))) for d in box))
+            for leaf, box in split(tree, node_id)
+        ]
+    except MechanismError as exc:
+        return str(exc)
+
+
+
 def oracle_first_divergence(tree, a, b):
     """Walk both profiles down from the root until their blocks differ."""
     pa = tree.as_profile(a)
@@ -356,6 +407,21 @@ class TestPartingAgainstOracles:
                 ) == len(leaf_at)
                 for prof in itertools.product(*t.domain_at[nid]):
                     assert t.path_of(prof)[-1] == leaf_at[prof]
+
+    def test_split_matches_fraction_split(self):
+        for t in small_trees(range(200)):
+            for nid in t.internal_ids:
+                assert list(split_box(t, nid)) == list(oracle_split_box(t, nid))
+                masks = [
+                    (leaf, tuple(types_of(t, j, m) for j, m in enumerate(box)))
+                    for leaf, box in split_masks(t, nid)
+                ]
+                assert masks == list(oracle_split_box(t, nid))
+                assert profile_leaves(t, nid) == {
+                    prof: leaf
+                    for leaf, box in oracle_split_box(t, nid)
+                    for prof in itertools.product(*box)
+                }
 
     def test_first_divergence_matches_walk(self):
         parted = 0
@@ -598,4 +664,16 @@ class TestValidityAgainstOracles:
             assert raised(require_binary_outcomes, t) == raised(
                 oracle_require_binary_outcomes, t
             )
+            for nid in t.preorder:
+                got = split_or_error(split_box, t, nid)
+                assert got == split_or_error(oracle_split_box, t, nid)
+                seen["split raised"] += isinstance(got, str)
+            for nid in t.internal_ids:
+                # every value of a block has its bit, and a foreign one none
+                dom = t.domains[t.nodes[nid].agent]
+                for blk, m in zip(t.nodes[nid].blocks, t.block_masks[nid]):
+                    assert types_of(t, t.nodes[nid].agent, m) == tuple(
+                        sorted({v for v in blk if v in dom})
+                    )
         assert all(seen[kind] for kind in MUTATIONS), seen
+        assert seen["split raised"], seen

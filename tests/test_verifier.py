@@ -26,22 +26,27 @@ from ospkit import (
 )
 from ospkit import verifier
 from ospkit.fixtures import appendix_b
+from ospkit.rational import format_rational
 from ospkit.model import (
     ImplementationTree,
     LeafNode,
     QueryNode,
     normalize_horizon,
     random_k_limited_tree,
+    split_box,
     tree_from_nested,
+    types_of,
 )
 from ospkit.verifier import (
     AlmostOrderedResult,
     CheckResult,
     Constraint,
+    QueryClass,
     TaxationFinding,
     _commitment_sets,
     _value_table,
 )
+from test_model import oracle_split_box
 
 
 def F(v):
@@ -94,6 +99,17 @@ class TestCheck:
             check_k_step_osp(t, 0)
 
 
+def commitment_types(tree, k):
+    """_commitment_sets with each mask given by its types."""
+    return {
+        u: {
+            leaf: types_of(tree, tree.nodes[u].agent, m)
+            for leaf, m in per_leaf.items()
+        }
+        for u, per_leaf in _commitment_sets(tree, k).items()
+    }
+
+
 def commitment_oracle(tree, u, leaf, k):
     # follow the leaf's branch through u and the next k own queries;
     # whatever types survive those blocks are still plausible
@@ -123,7 +139,7 @@ class TestCommitmentTypes:
     def test_matches_oracle_on_clock_trees(self, n, d):
         t = english_auction_tree(n, list(range(1, d + 1)))
         for k in (0, 1, 2, inf):
-            sets = _commitment_sets(t, k)
+            sets = commitment_types(t, k)
             for u in t.internal_ids:
                 for leaf in t.leaves_under[u]:
                     assert tuple(sets[u][leaf]) == commitment_oracle(t, u, leaf, k)
@@ -141,13 +157,13 @@ class TestCommitmentTypes:
         u = rng.choice(t.internal_ids)
         leaf = rng.choice(list(t.leaves_under[u]))
         k = rng.choice([0, 1, 2, inf])
-        assert tuple(_commitment_sets(t, k)[u][leaf]) == commitment_oracle(
+        assert tuple(commitment_types(t, k)[u][leaf]) == commitment_oracle(
             t, u, leaf, k
         )
 
     def test_monotone_in_horizon(self):
         t = english_auction_tree(2, [1, 2, 3])
-        sets = {k: _commitment_sets(t, k) for k in (0, 1, 2, inf)}
+        sets = {k: commitment_types(t, k) for k in (0, 1, 2, inf)}
         for u in t.internal_ids:
             for leaf in t.leaves_under[u]:
                 prev = None
@@ -507,6 +523,169 @@ def oracle_value_table(tree, node_id):
     return own, combos, table
 
 
+def fraction_value_table(tree, node_id):
+    """_value_table as a dict keyed by (own type, opponents' types),
+    filled from the leaf boxes of the Fraction split."""
+    i = tree.nodes[node_id].agent
+    dom = tree.domain_at[node_id]
+    combos = list(itertools.product(*(dom[:i] + dom[i + 1 :])))
+    table = {}
+    for leaf, box in oracle_split_box(tree, node_id):
+        sub = tree.nodes[leaf]
+        value = (sub.outcome[i], F(0) if sub.payment is None else sub.payment[i])
+        for x in itertools.product(*(box[:i] + box[i + 1 :])):
+            for t in box[i]:
+                table[(t, x)] = value
+    return dom[i], combos, table
+
+
+def table_as_dict(tree, node_id):
+    """_value_table in the form of oracle_value_table, after checking that
+    its numbers name distinct pairs and its levels name distinct f."""
+    rows, levels, pairs = _value_table(tree, node_id)
+    assert len(set(pairs)) == len(pairs) == len(levels)
+    for m, n in itertools.product(range(len(pairs)), repeat=2):
+        assert (levels[m] == levels[n]) == (pairs[m][0] == pairs[n][0])
+    i = tree.nodes[node_id].agent
+    dom = tree.domain_at[node_id]
+    own = dom[i]
+    combos = list(itertools.product(*(dom[:i] + dom[i + 1 :])))
+    assert len(rows) == len(own)
+    assert all(len(row) == len(combos) for row in rows)
+    table = {
+        (t, x): pairs[n]
+        for t, row in zip(own, rows)
+        for x, n in zip(combos, row)
+    }
+    return own, combos, table
+
+
+def oracle_value_rows(tree, node_id):
+    """oracle_value_table in the form of _value_table."""
+    own, combos, table = oracle_value_table(tree, node_id)
+    rows, levels, pairs = [], [], []
+    numbered, level_of = {}, {}
+    for t in own:
+        row = []
+        for x in combos:
+            value = table[(t, x)]
+            if value not in numbered:
+                numbered[value] = len(pairs)
+                pairs.append(value)
+                levels.append(level_of.setdefault(value[0], len(level_of)))
+            row.append(numbered[value])
+        rows.append(row)
+    return rows, levels, pairs
+
+
+def oracle_query_class(node_id, agent, own, domain, blocks, table) -> QueryClass:
+    """query_class on types: `own` and `domain` sorted tuples of types,
+    `blocks` tuples of types and `table` a dict from (own type, column of
+    opponent types) to (f, p), compared as Fractions."""
+    columns = {x for _, x in table}
+    ineffective = all(
+        len({table[(t, x)] for t in own}) == 1 for x in columns
+    )
+    strongly_ineffective = len(set(table.values())) == 1
+
+    only_types = []
+    strongly_only = []
+    if len(own) >= 2:
+        for t in own:
+            rest = [s for s in own if s != t]
+            per_column = all(
+                len({table[(s, x)] for s in rest}) == 1 for x in columns
+            )
+            if not per_column:
+                continue
+            effective = any(
+                table[(t, x)][0] != table[(rest[0], x)][0] for x in columns
+            )
+            if not effective:
+                continue
+            only_types.append(t)
+            cross = len({table[(s, x)] for s in rest for x in columns}) == 1
+            if cross:
+                strongly_only.append(t)
+
+    is_revelation = all(len(b) == 1 for b in blocks)
+    extremal_side = None
+    if len(blocks) == 2:
+        singles = [b for b in blocks if len(b) == 1]
+        has_min = any(b == (own[0],) for b in singles)
+        has_max = any(b == (own[-1],) for b in singles)
+        if has_min and has_max:
+            extremal_side = "both"
+        elif has_min:
+            extremal_side = "min"
+        elif has_max:
+            extremal_side = "max"
+
+    current = set(own)
+    removed = [v for v in domain if v not in current]
+    is_prefix = not removed or own[-1] < min(removed)
+    is_suffix = not removed or own[0] > max(removed)
+
+    sep_max = extremal_side in ("max", "both")
+    sep_min = extremal_side in ("min", "both")
+    top_form = (len(own) == 2 or is_prefix) and (
+        (is_revelation and strongly_ineffective)
+        or (is_revelation and own[-1] in strongly_only)
+        or (sep_max and own[-1] in only_types)
+    )
+    bottom_form = is_suffix and (
+        (is_revelation and strongly_ineffective)
+        or (is_revelation and own[0] in strongly_only)
+        or (sep_min and own[0] in only_types)
+    )
+
+    def pick(cands):
+        if own[-1] in cands:
+            return own[-1]
+        if own[0] in cands:
+            return own[0]
+        return cands[0]
+
+    if strongly_ineffective:
+        kind = "StronglyIneffective"
+    elif ineffective:
+        kind = "Ineffective"
+    elif strongly_only:
+        kind = f"StronglyOnlyTEffective({format_rational(pick(strongly_only))})"
+    elif only_types:
+        kind = f"OnlyTEffective({format_rational(pick(only_types))})"
+    elif is_revelation:
+        kind = "Revelation"
+    elif extremal_side:
+        kind = "Extremal"
+    else:
+        kind = "Query"
+
+    return QueryClass(
+        node=node_id,
+        agent=agent,
+        is_revelation=is_revelation,
+        extremal_side=extremal_side,
+        is_prefix=is_prefix,
+        is_suffix=is_suffix,
+        ineffective=ineffective,
+        strongly_ineffective=strongly_ineffective,
+        only_types=tuple(only_types),
+        strongly_only_types=tuple(strongly_only),
+        kind=kind,
+        extra_allowed=top_form or bottom_form,
+    )
+
+
+def oracle_classify(tree, node_id):
+    """classify_query from the walked table and the Fraction query_class."""
+    node = tree.nodes[node_id]
+    own, _, table = oracle_value_table(tree, node_id)
+    return oracle_query_class(
+        node_id, node.agent, own, tree.domains[node.agent], node.blocks, table
+    )
+
+
 def oracle_taxation(tree, k, max_findings=200):
     """taxation_diagnostics walking every available profile from each
     query node, with one commitment set walk per profile and one root
@@ -670,7 +849,7 @@ class TestAgainstOracles:
                 seen["truncated"] += got.truncated
             seen["failing"] += not got.ok
 
-            sets = _commitment_sets(t, k)
+            sets = commitment_types(t, k)
             assert set(sets) == set(t.internal_ids)
             for u in t.internal_ids:
                 assert set(sets[u]) == set(t.leaves_under[u])
@@ -687,11 +866,15 @@ class TestAgainstOracles:
                     is_almost_ordered(t, k)
 
             for u in t.internal_ids:
-                assert _value_table(t, u) == oracle_value_table(t, u)
+                want = oracle_value_table(t, u)
+                assert table_as_dict(t, u) == want
+                assert fraction_value_table(t, u) == want
+                assert list(split_box(t, u)) == list(oracle_split_box(t, u))
             classes = [classify_query(t, u) for u in t.internal_ids]
+            assert classes == [oracle_classify(t, u) for u in t.internal_ids]
             pooling = strong_ineffectiveness_check(t) if binary else None
             with monkeypatch.context() as m:
-                m.setattr(verifier, "_value_table", oracle_value_table)
+                m.setattr(verifier, "_value_table", oracle_value_rows)
                 assert classes == [classify_query(t, u) for u in t.internal_ids]
                 if binary:
                     assert pooling == strong_ineffectiveness_check(t)
@@ -741,7 +924,11 @@ class TestAgainstOracles:
             if has_binary_outcomes(t):
                 assert is_almost_ordered(t, k) == oracle_almost_ordered(t, k)
             for u in t.internal_ids:
-                assert _value_table(t, u) == oracle_value_table(t, u)
+                want = oracle_value_table(t, u)
+                assert table_as_dict(t, u) == want
+                assert fraction_value_table(t, u) == want
+                assert list(split_box(t, u)) == list(oracle_split_box(t, u))
+                assert classify_query(t, u) == oracle_classify(t, u)
             if has_binary_outcomes(t):
                 for cap in (1, 3, 200):
                     got = taxation_diagnostics(t, k, max_findings=cap)
@@ -792,7 +979,7 @@ class TestMalformedTrees:
                 ])),
             ],
         ))
-        own, combos, table = _value_table(t, 0)
+        own, combos, table = table_as_dict(t, 0)
         assert (own, combos, table) == oracle_value_table(t, 0)
         assert table[(F(2), (F(2),))] == (F(1), F(1))
 
