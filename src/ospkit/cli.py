@@ -431,9 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NATIVE_FORMAT = {"experiment": "csv"}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:

@@ -101,8 +101,8 @@ def _tail_split(tree: ImplementationTree, u: int, rows, levels):
     qc = query_class(u, agent, dom, own, tree.block_masks[u], rows, levels)
     if (len(current) == 2 or qc.is_prefix) and dom[current[-1]] in qc.only_types:
         return 1 << current[-1], own ^ (1 << current[-1])
-    if qc.is_suffix and dom[current[0]] in qc.only_types:
-        return 1 << current[0], own ^ (1 << current[0])
+    # a suffix form cannot tie here: an only-effective bottom type leaves
+    # groups {bottom} and {the rest}, tied only at two types, decided above
     raise MechanismError(
         f"ambiguous effective/pooled split at node {u} for agent {agent}"
     )
@@ -264,9 +264,7 @@ def _bellman(graph: OspGraph):
     dist = [0] * n
     pred: list[int | None] = [None] * n
     last = None
-
-    def relax_round():
-        nonlocal last
+    for _ in range(n):
         changed = False
         for a, b, w in edges:
             cand = dist[a] + w
@@ -275,36 +273,28 @@ def _bellman(graph: OspGraph):
                 pred[b] = a
                 changed = True
                 last = b
-        return changed
-
-    for _ in range(n):
-        if not relax_round():
+        if not changed:
             return [Fraction(d, lcd) for d in dist], None
 
-    # A cycle exists; walk predecessors until one closes on itself,
-    # relaxing further if the chain still ends at an untouched vertex.
+    # A cycle exists; walk predecessors until one closes on itself.  It
+    # does: a walk from `last`, lowered in round n, back to a vertex never
+    # lowered would have at most n-1 edges, and round n-1 priced it already.
+    x = last
+    seen: dict[int, int] = {}
+    order: list[int] = []
+    while x not in seen:
+        seen[x] = len(order)
+        order.append(x)
+        x = pred[x]
+    cycle = tuple(reversed(order[seen[x] :]))
     weight_of = {(a, b): w for a, b, w in edges}
-    for _ in range(n + 1):
-        x = last
-        seen: dict[int, int] = {}
-        order: list[int] = []
-        while x is not None and x not in seen:
-            seen[x] = len(order)
-            order.append(x)
-            x = pred[x]
-        if x is not None:
-            back = order[seen[x] :]
-            cycle = tuple(reversed(back))
-            total = 0
-            for pos, a in enumerate(cycle):
-                b = cycle[(pos + 1) % len(cycle)]
-                total += weight_of[(a, b)]
-            assert total < 0, "backtracked cycle must be negative"
-            return None, NegativeCycleWitness(
-                agent=graph.agent, cycle=cycle, weight=Fraction(total, lcd)
-            )
-        relax_round()
-    raise AssertionError("failed to close a negative cycle")
+    total = 0
+    for pos, a in enumerate(cycle):
+        total += weight_of[(a, cycle[(pos + 1) % len(cycle)])]
+    assert total < 0, "backtracked cycle must be negative"
+    return None, NegativeCycleWitness(
+        agent=graph.agent, cycle=cycle, weight=Fraction(total, lcd)
+    )
 
 
 def has_negative_cycle(graph: OspGraph) -> NegativeCycleWitness | None:

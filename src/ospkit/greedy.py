@@ -87,7 +87,8 @@ class PSystem:
         """Full downward-closure check (exponential; desk scale)."""
         n = self.ground_size
         scale_guard(2**n, "closure check")
-        if not self.feasible(frozenset()):
+        # the cache holds the empty set as feasible: ask the oracle itself
+        if not self._oracle(frozenset()):
             raise MechanismError("the empty set must be feasible")
         for bits in range(2**n):
             s = frozenset(i for i in range(n) if bits >> i & 1)
@@ -362,19 +363,12 @@ class _Elimination:
         ]
 
     def _flush(self) -> None:
-        # resolve deferred drops in index order: drop unless nothing
-        # feasible would survive, in which case the agent is locked in
+        # resolve deferred drops in index order; the state is closed under
+        # `_sync`, so some survivor avoids a pending agent and outlives her drop
         for j in sorted(self.pending):
             if j in self.chosen or j in self.excluded:
                 continue
-            try:
-                surviving_solutions(
-                    self.ps, self.chosen, frozenset(self.excluded) | {j}
-                )
-            except MechanismError:
-                self.chosen.add(j)
-            else:
-                self.excluded.add(j)
+            self.excluded.add(j)
             self._sync()
         self.pending = []
 
@@ -834,8 +828,7 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
             lhs, rhs = num * worst[1], worst[0] * den
             if lhs < rhs or (lhs == rhs and at < worst[2]):
                 worst = (num, den, at)
-    if worst is None:
-        return None, None
+    # the mirrored domains are nonempty, as is every box of split_masks
     num, den, at = worst
     return Fraction(num, den), tuple(dom0[i] for i in at)
 
@@ -875,11 +868,9 @@ def search_two_way_greedy(
     kk = normalize_horizon(k)
     target = parse_rational(target_ratio)
     space = _Space(ps, dom0, kk, target, greedy_outcome)
-    try:
-        seed_ch = frozenset(unremovable(ps, frozenset(), frozenset()))
-        seed_ex = frozenset(removable(ps, frozenset(), frozenset()))
-    except MechanismError:
-        seed_ch, seed_ex = frozenset(), frozenset()
+    # the empty set is feasible, so some maximal set survives: neither raises
+    seed_ch = unremovable(ps, frozenset(), frozenset())
+    seed_ex = removable(ps, frozenset(), frozenset())
     root = ((dom0, dom0), (None, None), (0, 0), None, seed_ch, seed_ex)
     nested = _search(space, root)
     if nested is None:

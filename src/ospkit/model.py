@@ -157,9 +157,6 @@ class ImplementationTree:
         structural: list[str] = []
         checks: list[str] = []
         self.nonbinary: tuple[int, Rat] | None = None
-        # below a flagged query a domain may repeat a value, which the
-        # mask test below cannot see; those nodes get the full diagnosis
-        doubtful: set[int] = set()
         self.parent: dict[int, int | None] = {self.root: None}
         self.depth: dict[int, int] = {self.root: 0}
         # keyed by integer ratio: a Fraction hashes in Python code
@@ -225,18 +222,16 @@ class ImplementationTree:
             bms = self.block_masks[nid] = shared.setdefault(bms, bms)
             # nonempty blocks whose masks add up to the domain's, holding
             # as many values: a partition (a shared, repeated or foreign
-            # value loses a bit), unless the domain repeats a value
+            # value loses a bit); a domain differs from its mask only below
+            # a block with a foreign or repeated value, and all those are kept
             if (
-                nid in doubtful
+                nid in kept
                 or len(bms) < 2
                 or not all(node.blocks)
                 or sum(map(len, node.blocks)) != masks[j].bit_count()
                 or sum(bms) != masks[j]
             ):
-                found = _block_problems(nid, self.domain_at[nid][j], node.blocks)
-                checks.extend(found)
-                if found:
-                    doubtful.add(nid)
+                checks.extend(_block_problems(nid, self.domain_at[nid][j], node.blocks))
             if len(node.children) != len(node.blocks):
                 structural.append(
                     f"node {nid}: {len(node.blocks)} blocks, "
@@ -256,8 +251,6 @@ class ImplementationTree:
                 if literal or len(blk) != m.bit_count():
                     dom = self.domain_at[nid]
                     kept[cid] = dom[:j] + (tuple(sorted(blk)),) + dom[j + 1 :]
-                if nid in doubtful:
-                    doubtful.add(cid)
                 stack.append(cid)
 
         unreachable = sorted(set(self.nodes) - set(self.preorder))

@@ -34,7 +34,5 @@ def parse_rational(text: str | int | float | Fraction) -> Rat:
 
 def format_rational(value: Rat) -> str:
     """Canonical text form: integer part only when the denominator is 1."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    # str of a Fraction already is that form; other numbers go through one
+    return str(value if type(value) in (Fraction, int) else Fraction(value))

@@ -27,6 +27,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# agent 0 wins at her higher cost: no payments make it truthful
+ANTI_MONOTONE = {
+    "agents": 2,
+    "domains": [["-2", "-1"], ["-1"]],
+    "root": 0,
+    "nodes": [
+        {"id": 0, "kind": "query", "agent": 0,
+         "blocks": [["-2"], ["-1"]], "children": [1, 2]},
+        {"id": 1, "kind": "leaf", "outcome": ["0", "1"], "payment": ["0", "0"]},
+        {"id": 2, "kind": "leaf", "outcome": ["1", "0"], "payment": ["0", "0"]},
+    ],
+}
+
+
 @pytest.fixture
 def appendix_file(tmp_path, capsys):
     path = tmp_path / "appendix.json"
@@ -378,6 +392,19 @@ class TestPayments:
         assert code == 2
         assert "not k-limited" in err
 
+    def test_negative_cycle_writes_nothing(self, capsys, tmp_path):
+        bad = tmp_path / "anti.json"
+        bad.write_text(render_report(ANTI_MONOTONE))
+        priced = tmp_path / "priced.json"
+        code, out, err = run(capsys, "payments", "--mechanism", str(bad), "--k", "0",
+                             "--out", str(priced))
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "fail"
+        assert [c["agent"] for c in report["negative_cycles"]] == [0]
+        assert "no payments exist" in err
+        assert not priced.exists()
+
 
 class TestCmon:
     def test_pass_and_graph_dump(self, capsys, tmp_path, si24_file):
@@ -399,18 +426,7 @@ class TestCmon:
 
     def test_failure_reports_cycle(self, capsys, tmp_path):
         bad = tmp_path / "anti.json"
-        nested = {
-            "agents": 2,
-            "domains": [["-2", "-1"], ["-1"]],
-            "root": 0,
-            "nodes": [
-                {"id": 0, "kind": "query", "agent": 0,
-                 "blocks": [["-2"], ["-1"]], "children": [1, 2]},
-                {"id": 1, "kind": "leaf", "outcome": ["0", "1"], "payment": ["0", "0"]},
-                {"id": 2, "kind": "leaf", "outcome": ["1", "0"], "payment": ["0", "0"]},
-            ],
-        }
-        bad.write_text(render_report(nested))
+        bad.write_text(render_report(ANTI_MONOTONE))
         code, out, _ = run(capsys, "cmon", "--mechanism", str(bad), "--k", "0")
         assert code == 1
         report = json.loads(out)

@@ -451,6 +451,17 @@ class TestClassPartition:
             assert sorted(seen) == sorted(itertools.product(*t.domains))
             assert len(seen) == len(set(seen))
 
+    def test_refuses_leaf_across_tail_split(self):
+        # a seeded tree that is not 0-limited for agent 0
+        rng = random.Random(2148)
+        a = rng.randint(1, 3)
+        doms = [list(range(1, rng.randint(3, 5) + 1)) for _ in range(a)]
+        t = random_k_limited_tree(rng, a, doms, rng.choice([1, 2, 3]))
+        assert (t.agents, len(t.nodes)) == (2, 14)
+        want = "leaf 9 spans both sides of the split at 7"
+        with pytest.raises(MechanismError, match=want):
+            build_profile_classes(t, 0, 0)
+
     def test_every_leaf_is_classified(self):
         t = english_auction_tree(2, [1, 2, 3])
         part = build_profile_classes(t, 0, 1)

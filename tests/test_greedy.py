@@ -102,6 +102,9 @@ class TestPSystem:
         with pytest.raises(MechanismError, match="downward closed"):
             bad.validate()
         PSystem.explicit(3, [{0, 1}, {2}]).validate()
+        # an oracle rejecting the empty set, though the cache holds it
+        with pytest.raises(MechanismError, match="empty set must be feasible"):
+            PSystem(2, lambda s: len(s) == 1).validate()
 
     def test_rank_quotient(self):
         assert rank_quotient(PSystem.single_item(3)) == 1
@@ -937,6 +940,24 @@ class TestStepperAgainstOracles:
             settled += tree.nodes[tree.root].kind == "leaf"
             seen.add((len(domain) % 2, any(v.denominator > 1 for v in domain)))
         assert settled and len(seen) == 4
+
+    @pytest.mark.parametrize("start", [0, 250, 500, 750])
+    def test_states_stay_closed(self, start):
+        # no element common to every survivor, or in none, stays unresolved
+        # at any query or at the end, so a deferred drop always leaves one
+        for seed in range(start, start + 250):
+            ps, domain = random_instance(random.Random(seed))
+            dom0 = greedy._valuation_domain(domain)
+            stack = [greedy._Elimination(ps, dom0)]
+            while stack:
+                state = stack.pop()
+                assert not unremovable(ps, state.chosen, state.excluded)
+                assert not removable(ps, state.chosen, state.excluded)
+                if state.query is not None:
+                    no = state.copy()
+                    state.step(True)
+                    no.step(False)
+                    stack += [state, no]
 
 
 # -- tree builders leave no reference cycles ---------------------------------

@@ -42,6 +42,11 @@ class TestRationals:
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(Fraction(-7, 2)) == "-7/2"
         assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+        assert format_rational(-3) == "-3"
+        assert format_rational(True) == "1"
+        assert format_rational(False) == "0"
+        assert format_rational(0.25) == "1/4"
+        assert format_rational(-2.0) == "-2"
 
 
 class TestHorizon:

@@ -279,6 +279,28 @@ class TestKLimited:
         res = is_k_limited(compress(t), 1)
         assert not res.ok
 
+    def test_third_query_busts_budget(self):
+        # the second query is an allowed extra form; the third is one too many
+        t = tree_from_nested(1, [[1, 2, 3, 4]], (
+            "q", 0, [
+                ([4], ("leaf", (0,), None)),
+                ([1, 2, 3], (
+                    "q", 0, [
+                        ([3], ("leaf", (1,), None)),
+                        ([1, 2], (
+                            "q", 0, [
+                                ([1], ("leaf", (0,), None)),
+                                ([2], ("leaf", (0,), None)),
+                            ],
+                        )),
+                    ],
+                )),
+            ],
+        ))
+        res = is_k_limited(t, 0)
+        assert not res.ok
+        assert res.reason == "query number 3 to agent 0 on a single path"
+
 
 class TestTaxation:
     def test_passing_horizon_is_clean(self):
@@ -350,6 +372,30 @@ class TestReveal:
             ],
         ))
         assert mechanism_to_data(reveal_at_k2(t, 0)) == mechanism_to_data(t)
+
+    def test_splices_out_deeper_queries(self):
+        t = tree_from_nested(1, [[1, 2, 3, 4, 5]], (
+            "q", 0, [
+                ([1, 3, 5], (
+                    "q", 0, [
+                        ([1, 5], (
+                            "q", 0, [
+                                ([1], ("leaf", (0,), None)),
+                                ([5], ("leaf", (0,), None)),
+                            ],
+                        )),
+                        ([3], ("leaf", (0,), None)),
+                    ],
+                )),
+                ([2, 4], ("leaf", (1,), None)),
+            ],
+        ))
+        out = reveal_at_k2(t, 0)
+        for v in (1, 2, 3, 4, 5):
+            assert out.leaf_of((v,)).outcome == t.leaf_of((v,)).outcome
+        # the revelation answers the third query, which is gone
+        assert max(out.query_depth[nid][0] for nid in out.internal_ids) == 2
+        assert len(out.internal_ids) == 2
 
     def test_preserves_auction_outcomes(self):
         t = compress(extract_tree(PSystem.single_item(2), [1, 2, 3, 4]))
