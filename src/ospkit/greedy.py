@@ -40,8 +40,10 @@ from .verifier import _value_table, is_k_limited, query_class
 class PSystem:
     """Downward-closed feasibility system with a cached oracle.
 
-    The oracle is a predicate over frozensets; maximal sets are
-    enumerated once (desk scale only) and reused everywhere.
+    The oracle is a predicate over frozensets; it is asked about each
+    subset at most once.  Inside, a subset is an int mask (bit e stands
+    for ground element e), and the maximal sets are enumerated once as
+    masks (desk scale only) and reused everywhere.
     """
 
     def __init__(self, ground_size: int, feasible, name: str = "custom"):
@@ -50,38 +52,34 @@ class PSystem:
         self.ground_size = int(ground_size)
         self.name = name
         self._oracle = feasible
-        self._cache: dict[frozenset, bool] = {frozenset(): True}
-        self._maximal: tuple[frozenset, ...] | None = None
+        self._cache: dict[int, bool] = {0: True}
+        self._maximal: tuple[int, ...] | None = None
 
     def feasible(self, subset) -> bool:
         s = frozenset(subset)
+        if not all(isinstance(e, int) for e in s):
+            raise MechanismError("ground elements must be ints")
         if not all(0 <= e < self.ground_size for e in s):
             raise MechanismError(f"element outside ground set in {sorted(s)}")
-        if s not in self._cache:
-            self._cache[s] = bool(self._oracle(s))
-        return self._cache[s]
+        return self._feasible_mask(_mask(s))
 
-    def maximal_sets(self) -> tuple[frozenset, ...]:
+    def _feasible_mask(self, m: int) -> bool:
+        hit = self._cache.get(m)
+        if hit is None:
+            hit = self._cache[m] = bool(self._oracle(frozenset(bits(m))))
+        return hit
+
+    def _masks(self) -> tuple[int, ...]:
         if self._maximal is None:
             n = self.ground_size
             scale_guard(2**n, "feasibility enumeration")
-            feas = []
-            for bits in range(2**n):
-                s = frozenset(i for i in range(n) if bits >> i & 1)
-                if self.feasible(s):
-                    feas.append(s)
-            out = [
-                s
-                for s in feas
-                if all(
-                    not self.feasible(s | {e})
-                    for e in range(n)
-                    if e not in s
-                )
-            ]
-            out.sort(key=lambda s: tuple(sorted(s)))
-            self._maximal = tuple(out)
+            tops = _maximal_within(self, (1 << n) - 1)
+            self._maximal = tuple(sorted(tops, key=bits))
         return self._maximal
+
+    def maximal_sets(self) -> tuple[frozenset, ...]:
+        """The maximal feasible sets, in the order of their sorted elements."""
+        return tuple(frozenset(bits(m)) for m in self._masks())
 
     def validate(self) -> None:
         """Full downward-closure check (exponential; desk scale)."""
@@ -90,15 +88,14 @@ class PSystem:
         # the cache holds the empty set as feasible: ask the oracle itself
         if not self._oracle(frozenset()):
             raise MechanismError("the empty set must be feasible")
-        for bits in range(2**n):
-            s = frozenset(i for i in range(n) if bits >> i & 1)
-            if not self.feasible(s):
+        for m in range(2**n):
+            if not self._feasible_mask(m):
                 continue
-            for e in s:
-                if not self.feasible(s - {e}):
+            for e in bits(m):
+                if not self._feasible_mask(m ^ 1 << e):
                     raise MechanismError(
-                        f"not downward closed: {sorted(s)} is feasible "
-                        f"but {sorted(s - {e})} is not"
+                        f"not downward closed: {bits(m)} is feasible "
+                        f"but {bits(m ^ 1 << e)} is not"
                     )
 
     @classmethod
@@ -159,9 +156,8 @@ def rank_quotient(ps: PSystem) -> Fraction:
     n = ps.ground_size
     scale_guard(3**n, "rank enumeration")
     best: Fraction | None = None
-    for bits in range(1, 2**n):
-        sub = frozenset(i for i in range(n) if bits >> i & 1)
-        sizes = [len(t) for t in _maximal_within(ps, sub)]
+    for sub in range(1, 2**n):
+        sizes = [t.bit_count() for t in _maximal_within(ps, sub)]
         upper = max(sizes)
         if upper == 0:
             continue
@@ -171,47 +167,68 @@ def rank_quotient(ps: PSystem) -> Fraction:
     return best if best is not None else Fraction(1)
 
 
-def _maximal_within(ps: PSystem, sub: frozenset) -> list[frozenset]:
-    elems = sorted(sub)
-    out = []
-    for bits in range(2 ** len(elems)):
-        t = frozenset(e for j, e in enumerate(elems) if bits >> j & 1)
-        if ps.feasible(t) and all(
-            not ps.feasible(t | {e}) for e in sub - t
-        ):
-            out.append(t)
-    return out
+def _mask(elements) -> int:
+    m = 0
+    for e in elements:
+        m |= 1 << e
+    return m
 
 
-def surviving_solutions(ps: PSystem, chosen, excluded) -> tuple[frozenset, ...]:
-    """Maximal feasible sets containing ``chosen`` and avoiding ``excluded``."""
-    chosen = frozenset(chosen)
-    excluded = frozenset(excluded)
-    keep = [
-        t
-        for t in ps.maximal_sets()
-        if chosen <= t and not (t & excluded)
-    ]
+def _maximal_within(ps: PSystem, within: int) -> list[int]:
+    # the feasible submasks of `within` (walked downwards from it) that are
+    # not one element short of another one
+    subs = [within]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & within)
+    fits = [t for t in subs if ps._feasible_mask(t)]
+    short = {s & ~(1 << e) for s in fits for e in bits(s)}
+    return [t for t in fits if t not in short]
+
+
+def _survivors(ps: PSystem, c: int, x: int) -> list[int]:
+    # the maximal sets holding every element of mask c and none of mask x
+    keep = [t for t in ps._masks() if t & c == c and not t & x]
     if not keep:
         raise MechanismError(
             "no maximal feasible set is consistent with the current state"
         )
-    return tuple(keep)
+    return keep
+
+
+def _forced(ps: PSystem, c: int, x: int) -> tuple[int, int]:
+    # masks of the elements outside c and x that every survivor holds,
+    # and that none holds
+    common, union = -1, 0
+    for t in _survivors(ps, c, x):
+        common &= t
+        union |= t
+    return common & ~c, ((1 << ps.ground_size) - 1) & ~union & ~x
+
+
+def _state(ps: PSystem, chosen, excluded) -> tuple[int, int]:
+    # a chosen element outside the ground set leaves no survivor (bit n
+    # stands for it), and an excluded one changes nothing
+    ground = range(ps.ground_size)
+    c, x = frozenset(chosen), frozenset(excluded)
+    stray = 0 if all(e in ground for e in c) else 1 << ps.ground_size
+    c_mask = _mask(e for e in ground if e in c) | stray
+    return c_mask, _mask(e for e in ground if e in x)
+
+
+def surviving_solutions(ps: PSystem, chosen, excluded) -> tuple[frozenset, ...]:
+    """Maximal feasible sets containing ``chosen`` and avoiding ``excluded``."""
+    keep = _survivors(ps, *_state(ps, chosen, excluded))
+    return tuple(frozenset(bits(t)) for t in keep)
 
 
 def unremovable(ps: PSystem, chosen, excluded) -> frozenset:
     """Elements outside the current state that appear in every survivor."""
-    keep = surviving_solutions(ps, chosen, excluded)
-    common = frozenset.intersection(*keep)
-    return common - frozenset(chosen) - frozenset(excluded)
+    return frozenset(bits(_forced(ps, *_state(ps, chosen, excluded))[0]))
 
 
 def removable(ps: PSystem, chosen, excluded) -> frozenset:
     """Elements outside the current state that appear in no survivor."""
-    keep = surviving_solutions(ps, chosen, excluded)
-    union = frozenset.union(*keep)
-    ground = frozenset(range(ps.ground_size))
-    return ground - union - frozenset(chosen) - frozenset(excluded)
+    return frozenset(bits(_forced(ps, *_state(ps, chosen, excluded))[1]))
 
 
 def forward_greedy_solution(ps: PSystem, weights) -> frozenset:
@@ -219,11 +236,11 @@ def forward_greedy_solution(ps: PSystem, weights) -> frozenset:
     w = [parse_rational(v) for v in weights]
     if len(w) != ps.ground_size:
         raise MechanismError("one weight per ground element is required")
-    out: set[int] = set()
+    out = 0
     for e in sorted(range(len(w)), key=lambda e: (-w[e], e)):
-        if ps.feasible(out | {e}):
-            out.add(e)
-    return frozenset(out)
+        if ps._feasible_mask(out | 1 << e):
+            out |= 1 << e
+    return frozenset(bits(out))
 
 
 def reverse_greedy_solution(ps: PSystem, weights) -> frozenset:
@@ -231,13 +248,13 @@ def reverse_greedy_solution(ps: PSystem, weights) -> frozenset:
     w = [parse_rational(v) for v in weights]
     if len(w) != ps.ground_size:
         raise MechanismError("one weight per ground element is required")
-    keep = list(ps.maximal_sets())
+    keep = ps._masks()
     for e in sorted(range(len(w)), key=lambda e: (w[e], e)):
-        rest = [t for t in keep if e not in t]
+        rest = [t for t in keep if not t >> e & 1]
         if rest:
             keep = rest
     assert len(keep) == 1
-    return keep[0]
+    return frozenset(bits(keep[0]))
 
 
 @dataclass(frozen=True)
@@ -271,7 +288,8 @@ class _Elimination:
     """One alternating bottom/top elimination, stopped at its next query.
 
     The state is the per-agent domains, the chosen, excluded and pending
-    (deferred) agents, and a cursor ``at`` naming where the rounds stand.
+    (deferred) agents as int masks ``ch``, ``ex`` and ``pending``, and a
+    cursor ``at`` naming where the rounds stand.
     ``query`` is the pending (agent, direction, value, domain), or None
     once every membership is resolved.  ``step`` applies an answer and
     runs to the next query or to the end; ``copy`` forks the run, so a
@@ -294,9 +312,9 @@ class _Elimination:
         self.ps = ps
         self.b = 1 - len(dom0) % 2
         self.doms = [dom0] * ps.ground_size
-        self.chosen = set(unremovable(ps, frozenset(), frozenset()))
-        self.excluded = set(removable(ps, frozenset(), frozenset()))
-        self.pending: list[int] = []
+        self.full = (1 << ps.ground_size) - 1
+        self.ch, self.ex = _forced(ps, 0, 0)
+        self.pending = 0
         self.asked = 0
         self.answer = False
         self.lead = self.spins = None
@@ -312,10 +330,15 @@ class _Elimination:
         twin = _Elimination.__new__(_Elimination)
         twin.__dict__.update(self.__dict__)
         twin.doms = list(self.doms)
-        twin.chosen = set(self.chosen)
-        twin.excluded = set(self.excluded)
-        twin.pending = list(self.pending)
         return twin
+
+    @property
+    def chosen(self) -> frozenset:
+        return frozenset(bits(self.ch))
+
+    @property
+    def excluded(self) -> frozenset:
+        return frozenset(bits(self.ex))
 
     def step(self, answer: bool) -> None:
         agent, direction, value, _ = self.query
@@ -324,12 +347,12 @@ class _Elimination:
         if answer:
             self.doms[agent] = (value,)
             if self.defer:
-                self.pending.append(agent)
+                self.pending |= 1 << agent
             elif direction == "bottom":
-                self.excluded.add(agent)
+                self.ex |= 1 << agent
                 self._sync()
             else:
-                self.chosen.add(agent)
+                self.ch |= 1 << agent
                 self._sync()
         elif direction == "bottom":
             self.doms[agent] = self.doms[agent][1:]
@@ -339,38 +362,26 @@ class _Elimination:
             self.at = "settle"
         self._run()
 
-    def _alive(self) -> list[int]:
-        return [
-            j
-            for j in range(self.ps.ground_size)
-            if j not in self.chosen and j not in self.excluded and j not in self.pending
-        ]
+    def _alive(self) -> int:
+        return self.full & ~(self.ch | self.ex | self.pending)
 
     def _sync(self) -> None:
-        # `unremovable` and `removable` from one scan of the survivors
-        ps, chosen, excluded = self.ps, self.chosen, self.excluded
-        ground = frozenset(range(ps.ground_size))
-        while True:
-            keep = surviving_solutions(ps, chosen, excluded)
-            grew = frozenset.intersection(*keep) - chosen - excluded
-            shrank = ground - frozenset.union(*keep) - chosen - excluded
-            if not grew and not shrank:
-                break
-            chosen.update(grew)
-            excluded.update(shrank)
-        self.pending = [
-            j for j in self.pending if j not in chosen and j not in excluded
-        ]
+        # one scan reaches the closure: every survivor holds what it adds
+        # to `ch` and avoids what it adds to `ex`, so they all survive it
+        grew, shrank = _forced(self.ps, self.ch, self.ex)
+        self.ch |= grew
+        self.ex |= shrank
+        self.pending &= ~(self.ch | self.ex)
 
     def _flush(self) -> None:
         # resolve deferred drops in index order; the state is closed under
         # `_sync`, so some survivor avoids a pending agent and outlives her drop
-        for j in sorted(self.pending):
-            if j in self.chosen or j in self.excluded:
+        for j in bits(self.pending):
+            if (self.ch | self.ex) >> j & 1:
                 continue
-            self.excluded.add(j)
+            self.ex |= 1 << j
             self._sync()
-        self.pending = []
+        self.pending = 0
 
     def _ask(
         self, agent: int, direction: str, resume: str, defer: bool = False
@@ -386,7 +397,7 @@ class _Elimination:
         while True:
             at = self.at
             if at == "climb":
-                first = self._alive()[0]
+                first = bits(self._alive())[0]
                 if len(doms[first]) < 2:
                     self.at = self.then
                 else:
@@ -394,7 +405,7 @@ class _Elimination:
             elif at == "climbed":
                 self.at = "climb" if self.answer else self.then
             elif at == "round":
-                order = self._alive()
+                order = bits(self._alive())
                 self.lead = order[0]
                 self.order, self.idx = tuple(order[1:]), 0
                 if len(doms[self.lead]) > 2 + b or any(
@@ -408,25 +419,25 @@ class _Elimination:
                 while self.idx < len(self.order):
                     j = self.order[self.idx]
                     self.idx += 1
-                    if j in self._alive() and len(doms[j]) > 2:
+                    if self._alive() >> j & 1 and len(doms[j]) > 2:
                         return self._ask(j, "bottom", "paired")
                 self._flush()
                 self.at = "lead" if self._alive() else "settle"
             elif at == "paired":
                 j = self.query[0]
-                if j in self._alive():
+                if self._alive() >> j & 1:
                     return self._ask(j, "bottom", "pairs", defer=True)
                 self.at = "pairs"
             elif at == "lead":
-                if self.lead in self._alive() and len(doms[self.lead]) > 2 + b:
+                if self._alive() >> self.lead & 1 and len(doms[self.lead]) > 2 + b:
                     return self._ask(self.lead, "bottom", "lead_again")
                 self.at = "catch_up"
             elif at == "lead_again":
-                if self.lead in self._alive():
+                if self._alive() >> self.lead & 1:
                     return self._ask(self.lead, "bottom", "catch_up")
                 self.at = "catch_up"
             elif at == "catch_up":
-                if self._alive()[0] != self.lead:
+                if bits(self._alive())[0] != self.lead:
                     # the lead dropped out: bring her successor up to her
                     self.then, self.at = "stall", "climb"
                 else:
@@ -439,9 +450,9 @@ class _Elimination:
                 while self.idx < len(self.order):
                     j = self.order[self.idx]
                     self.idx += 1
-                    if j in self._alive() and len(doms[j]) >= 2:
+                    if self._alive() >> j & 1 and len(doms[j]) >= 2:
                         return self._ask(j, "top", "tops")
-                if self.lead in self._alive() and len(doms[self.lead]) >= 2:
+                if self._alive() >> self.lead & 1 and len(doms[self.lead]) >= 2:
                     return self._ask(self.lead, "bottom", "settle")
                 self.at = "settle"
             else:
@@ -449,16 +460,14 @@ class _Elimination:
 
     def _settle(self) -> None:
         self._flush()
-        rest = self._alive()
+        rest = bits(self._alive())
         if rest:
-            self.chosen.add(rest[0])
+            self.ch |= 1 << rest[0]
             self._sync()
-            for e in self._alive():
-                if self.ps.feasible(frozenset(self.chosen | {e})):
-                    self.chosen.add(e)
-        self.excluded.update(
-            j for j in range(self.ps.ground_size) if j not in self.chosen
-        )
+            for e in bits(self._alive()):
+                if self.ps._feasible_mask(self.ch | 1 << e):
+                    self.ch |= 1 << e
+        self.ex = self.full & ~self.ch
         self.query = None
 
 
@@ -509,9 +518,7 @@ def run_two_way_greedy(ps: PSystem, domain, truth=None, answers=None) -> GreedyR
             raise NeedAnswer(agent, direction, value, snap)
         trace.append(QueryRecord(agent, direction, value, snap, answer))
         state.step(answer)
-    return GreedyResult(
-        frozenset(state.chosen), frozenset(state.excluded), tuple(trace)
-    )
+    return GreedyResult(state.chosen, state.excluded, tuple(trace))
 
 
 def as_cost_tree(tree: ImplementationTree) -> ImplementationTree:
@@ -559,9 +566,7 @@ def _grow(state: _Elimination, nodes: dict, counter) -> int:
     # module-level for the reason given at model._from_nested
     nid = next(counter)
     if state.query is None:
-        outcome = tuple(
-            1 if j in state.chosen else 0 for j in range(state.ps.ground_size)
-        )
+        outcome = tuple(state.ch >> j & 1 for j in range(state.ps.ground_size))
         nodes[nid] = LeafNode(nid, outcome, None)
         return nid
     agent, direction, value, snap = state.query
@@ -868,10 +873,8 @@ def search_two_way_greedy(
     kk = normalize_horizon(k)
     target = parse_rational(target_ratio)
     space = _Space(ps, dom0, kk, target, greedy_outcome)
-    # the empty set is feasible, so some maximal set survives: neither raises
-    seed_ch = unremovable(ps, frozenset(), frozenset())
-    seed_ex = removable(ps, frozenset(), frozenset())
-    root = ((dom0, dom0), (None, None), (0, 0), None, seed_ch, seed_ex)
+    # the empty set is feasible, so some maximal set survives: no raise
+    root = ((dom0, dom0), (None, None), (0, 0), None, *_forced(ps, 0, 0))
     nested = _search(space, root)
     if nested is None:
         return SearchResult(False, None, None, space.explored)
@@ -888,7 +891,7 @@ class _Space:
 
     def __init__(self, ps: PSystem, dom0, kk, target, greedy_outcome: bool):
         self.ps, self.kk, self.target = ps, kk, target
-        self.greedy_outcome, self.maximal = greedy_outcome, ps.maximal_sets()
+        self.greedy_outcome, self.maximal = greedy_outcome, ps._masks()
         cost_dom = self.cost_dom = tuple(sorted(-v for v in dom0))
         self.cost_at = {v.as_integer_ratio(): p for p, v in enumerate(cost_dom)}
         self.best, self.greedy, self.memo = {}, {}, {}  # keyed by profile, state
@@ -896,13 +899,15 @@ class _Space:
 
     def opt(self, prof) -> Fraction:
         if prof not in self.best:
-            sums = (sum((prof[e] for e in t), Fraction(0)) for t in self.maximal)
+            sums = (
+                sum((prof[e] for e in bits(t)), Fraction(0)) for t in self.maximal
+            )
             self.best[prof] = max(sums)
         return self.best[prof]
 
-    def greedy_out(self, prof) -> frozenset:
+    def greedy_out(self, prof) -> int:
         if prof not in self.greedy:
-            self.greedy[prof] = forward_greedy_solution(self.ps, prof)
+            self.greedy[prof] = _mask(forward_greedy_solution(self.ps, prof))
         return self.greedy[prof]
 
 
@@ -937,27 +942,27 @@ def _search(space: _Space, state):
     doms, dirs, runs, last, ch, ex = state
     result = None
     for t in space.maximal:
-        if not ch <= t or t & ex:
+        if t & ch != ch or t & ex:
             continue
         good = True
         for prof in itertools.product(*doms):
             if space.greedy_outcome and t != space.greedy_out(prof):
                 good = False
                 break
-            got = sum((prof[e] for e in t), Fraction(0))
+            got = sum((prof[e] for e in bits(t)), Fraction(0))
             best = space.opt(prof)
             ratio = Fraction(1) if best == 0 else got / best
             if ratio < space.target:
                 good = False
                 break
         if good:
-            out = tuple(1 if j in t else 0 for j in range(2))
+            out = tuple(t >> j & 1 for j in range(2))
             result = ("leaf", out, None)
             break
     if result is None:
         for agent in (0, 1):
             own = doms[agent]
-            if len(own) < 2 or agent in ch or agent in ex:
+            if len(own) < 2 or (ch | ex) >> agent & 1:
                 continue
             nruns = runs[agent] + (0 if last == agent else 1)
             if space.kk is not inf and nruns > space.kk + 2:
@@ -979,11 +984,11 @@ def _search(space: _Space, state):
                     rest = own[:-1] if fashion == "greedy" else own[1:]
                     try:
                         if fashion == "greedy":
-                            ch2 = ch | {agent}
-                            ex2 = ex | removable(space.ps, ch2, ex)
+                            ch2 = ch | 1 << agent
+                            ex2 = ex | _forced(space.ps, ch2, ex)[1]
                         else:
-                            ex2 = ex | {agent}
-                            ch2 = ch | unremovable(space.ps, ch, ex2)
+                            ex2 = ex | 1 << agent
+                            ch2 = ch | _forced(space.ps, ch, ex2)[0]
                     except MechanismError:
                         continue
                     dirs2 = list(dirs)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+from fractions import Fraction
 from math import inf
 
 from .model import ImplementationTree, LeafNode, QueryNode
@@ -34,6 +35,18 @@ def _line_of_node(text: str, ordinal: int) -> int | None:
         if pos < 0:
             return None
     return text.count("\n", 0, pos) + 1
+
+
+def _integer(value) -> int:
+    """An integer field: an int, an integral float or integer text.
+
+    A bool or a float with a fractional part raises ValueError; int()
+    would read True as 1 and truncate 2.9 to 2."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def parse_horizon(text: str) -> int | float:
@@ -61,12 +74,20 @@ def loads_mechanism(text: str) -> ImplementationTree:
     for key in ("agents", "domains", "nodes", "root"):
         if key not in data:
             raise MechanismFormatError(f"missing key {key!r}")
+    # each distinct text is parsed once; other values keep their errors
+    seen: dict[str, Fraction] = {}
+
+    def rational(v) -> Fraction:
+        if type(v) is not str:
+            return parse_rational(v)
+        if v not in seen:
+            seen[v] = parse_rational(v)
+        return seen[v]
+
     try:
-        agents = int(data["agents"])
-        domains = [
-            [parse_rational(v) for v in dom] for dom in data["domains"]
-        ]
-        root = int(data["root"])
+        agents = _integer(data["agents"])
+        domains = [[rational(v) for v in dom] for dom in data["domains"]]
+        root = _integer(data["root"])
     except (TypeError, ValueError) as exc:
         raise MechanismFormatError(f"bad header: {exc}") from exc
 
@@ -77,28 +98,28 @@ def loads_mechanism(text: str) -> ImplementationTree:
         if not isinstance(entry, dict):
             raise MechanismFormatError(f"nodes[{ordinal}] must be a node object")
         try:
-            nid = int(entry["id"])
+            nid = _integer(entry["id"])
             if nid in nodes:
                 raise MechanismFormatError("duplicate node id")
             kind = entry["kind"]
             if kind == "leaf":
-                outcome = tuple(parse_rational(v) for v in entry["outcome"])
+                outcome = tuple(rational(v) for v in entry["outcome"])
                 payment = entry.get("payment")
                 pay = (
                     None
                     if payment is None
-                    else tuple(parse_rational(v) for v in payment)
+                    else tuple(rational(v) for v in payment)
                 )
                 nodes[nid] = LeafNode(id=nid, outcome=outcome, payment=pay)
             elif kind == "query":
                 blocks = tuple(
-                    tuple(sorted(parse_rational(v) for v in blk))
+                    tuple(sorted(rational(v) for v in blk))
                     for blk in entry["blocks"]
                 )
-                children = tuple(int(c) for c in entry["children"])
+                children = tuple(_integer(c) for c in entry["children"])
                 nodes[nid] = QueryNode(
                     id=nid,
-                    agent=int(entry["agent"]),
+                    agent=_integer(entry["agent"]),
                     blocks=blocks,
                     children=children,
                 )
@@ -186,14 +207,14 @@ def loads_instance(text: str):
     kind = data["kind"]
     params = data.get("params", {}) or {}
     try:
-        n = int(data["n"])
+        n = _integer(data["n"])
         domain = tuple(sorted(parse_rational(v) for v in data["domain"]))
         if kind == "single_item":
             ps = PSystem.single_item(n)
         elif kind == "uniform":
-            ps = PSystem.uniform(n, int(params["rank"]))
+            ps = PSystem.uniform(n, _integer(params["rank"]))
         elif kind == "graphic":
-            edges = [tuple(e) for e in params["edges"]]
+            edges = [tuple(map(_integer, e)) for e in params["edges"]]
             if len(edges) != n:
                 raise MechanismFormatError(
                     f"{len(edges)} edges for {n} elements"
@@ -201,7 +222,7 @@ def loads_instance(text: str):
             ps = PSystem.graphic(edges)
         elif kind == "explicit":
             ps = PSystem.explicit(
-                n, [frozenset(s) for s in params["maximal_sets"]]
+                n, [frozenset(map(_integer, s)) for s in params["maximal_sets"]]
             )
         else:
             raise MechanismFormatError(f"unknown instance kind {kind!r}")

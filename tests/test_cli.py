@@ -236,6 +236,52 @@ class TestErrorPaths:
         assert out == ""
         assert f"bad {flag}" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag,data,message",
+        [
+            (["verify", "--k", "1"], "--mechanism", "english", "bad header"),
+            (
+                ["greedy", "--truth", "1,2,2"], "--instance",
+                {"kind": "uniform", "n": 3.9, "domain": ["1", "2"],
+                 "params": {"rank": 1.5}},
+                "bad uniform instance",
+            ),
+            (
+                ["greedy", "--truth", "1,2,2"], "--instance",
+                {"kind": "explicit", "n": 3, "domain": ["1", "2"],
+                 "params": {"maximal_sets": [[0.5, 2], [1]]}},
+                "bad explicit instance",
+            ),
+            (
+                ["approx"], "--instance",
+                {"kind": "graphic", "n": 3, "domain": ["1", "2"],
+                 "params": {"edges": [[0, 1], [1, 2], [0, 1.5]]}},
+                "bad graphic instance",
+            ),
+            (
+                ["approx"], "--instance",
+                {"kind": "single_item", "n": float("inf"), "domain": ["1", "2"]},
+                "bad single_item instance",
+            ),
+        ],
+        ids=["mechanism_header", "uniform", "explicit", "graphic", "infinite_n"],
+    )
+    def test_fractional_integer_field_exits_2(
+        self, capsys, tmp_path, argv, flag, data, message
+    ):
+        # int() used to truncate these, and each file got a verdict
+        if data == "english":
+            data = json.loads(mechanism_text("english(2,3)"))
+            data["agents"], data["root"] = 2.9, 0.4
+            root = next(node for node in data["nodes"] if node["id"] == 0)
+            root["children"] = [c + 0.5 for c in root["children"]]
+        p = tmp_path / "fractional.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, flag, str(p))
+        assert code == 2
+        assert out == ""
+        assert message in err and "not an integer" in err
+
     def test_help_exits_clean(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
@@ -324,7 +370,7 @@ def run_mutated(tmp_path, flag, text, verbs, is_valid):
     for argv in verbs:
         code = cli.main([*argv, flag, str(path)])
         assert code in (0, 1, 2), (argv, text)
-        if code == 1:
+        if code != 2:
             assert is_valid(text), (argv, text)
 
 
@@ -344,8 +390,8 @@ def valid_instance(text):
 
 
 class TestMutatedFiles:
-    """Malformed files end in exit 2, never in a crash; exit 1 (a failing
-    verdict) comes only from a valid file."""
+    """Malformed files end in exit 2, never in a crash; exit 0 and exit 1
+    (a verdict) come only from a valid file."""
 
     @settings(
         max_examples=60,

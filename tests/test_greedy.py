@@ -92,6 +92,9 @@ class TestPSystem:
         ps = PSystem.single_item(2)
         with pytest.raises(MechanismError):
             ps.feasible({5})
+        for junk in ({"0"}, {0.5}, {None}):
+            with pytest.raises(MechanismError, match="must be ints"):
+                ps.feasible(junk)
         with pytest.raises(MechanismError):
             PSystem.uniform(2, -1)
         with pytest.raises(MechanismError):
@@ -958,6 +961,133 @@ class TestStepperAgainstOracles:
                     state.step(True)
                     no.step(False)
                     stack += [state, no]
+
+
+# -- oracles: the p-system and its survivors on frozensets ------------------
+
+
+def oracle_maximal_sets(ps):
+    """PSystem.maximal_sets enumerating frozensets, as before masks."""
+    n = ps.ground_size
+    feas = []
+    for bits in range(2**n):
+        s = frozenset(i for i in range(n) if bits >> i & 1)
+        if ps.feasible(s):
+            feas.append(s)
+    out = [
+        s
+        for s in feas
+        if all(not ps.feasible(s | {e}) for e in range(n) if e not in s)
+    ]
+    out.sort(key=lambda s: tuple(sorted(s)))
+    return tuple(out)
+
+
+def oracle_maximal_within(ps, sub):
+    elems = sorted(sub)
+    out = []
+    for bits in range(2 ** len(elems)):
+        t = frozenset(e for j, e in enumerate(elems) if bits >> j & 1)
+        if ps.feasible(t) and all(not ps.feasible(t | {e}) for e in sub - t):
+            out.append(t)
+    return out
+
+
+def oracle_rank_quotient(ps):
+    n = ps.ground_size
+    best = None
+    for bits in range(1, 2**n):
+        sub = frozenset(i for i in range(n) if bits >> i & 1)
+        sizes = [len(t) for t in oracle_maximal_within(ps, sub)]
+        if max(sizes) == 0:
+            continue
+        q = Fraction(min(sizes), max(sizes))
+        if best is None or q < best:
+            best = q
+    return best if best is not None else Fraction(1)
+
+
+def oracle_surviving_solutions(ps, chosen, excluded):
+    chosen = frozenset(chosen)
+    excluded = frozenset(excluded)
+    keep = [
+        t for t in oracle_maximal_sets(ps) if chosen <= t and not (t & excluded)
+    ]
+    if not keep:
+        raise MechanismError(
+            "no maximal feasible set is consistent with the current state"
+        )
+    return tuple(keep)
+
+
+def oracle_unremovable(ps, chosen, excluded):
+    keep = oracle_surviving_solutions(ps, chosen, excluded)
+    return frozenset.intersection(*keep) - frozenset(chosen) - frozenset(excluded)
+
+
+def oracle_removable(ps, chosen, excluded):
+    keep = oracle_surviving_solutions(ps, chosen, excluded)
+    ground = frozenset(range(ps.ground_size))
+    return ground - frozenset.union(*keep) - frozenset(chosen) - frozenset(excluded)
+
+
+def result_or_error(fn, *args):
+    try:
+        return ("result", fn(*args))
+    except MechanismError as exc:
+        return ("error", str(exc))
+
+
+class TestMasksAgainstOracles:
+    """The p-system on int masks against the frozenset enumerations, with
+    a fresh copy of each system whose oracle logs what it is asked."""
+
+    def assert_matches(self, ps, rng):
+        asked = []
+
+        def logged(s):
+            asked.append(s)
+            return ps._oracle(s)
+
+        mine = PSystem(ps.ground_size, logged, ps.name)
+        assert mine.maximal_sets() == oracle_maximal_sets(ps)
+        assert rank_quotient(mine) == oracle_rank_quotient(ps)
+        n = ps.ground_size
+        raised = 0
+        for _ in range(8):
+            # now and then an element outside the ground set, or a float
+            pool = list(range(n)) + [-1, n, 10**12, 1.0]
+            chosen = frozenset(e for e in pool if rng.random() < 0.25)
+            excluded = frozenset(e for e in pool if rng.random() < 0.25)
+            for new, old in [
+                (surviving_solutions, oracle_surviving_solutions),
+                (unremovable, oracle_unremovable),
+                (removable, oracle_removable),
+            ]:
+                got = result_or_error(new, mine, chosen, excluded)
+                assert got == result_or_error(old, ps, chosen, excluded)
+            raised += got[0] == "error"
+        assert all(
+            type(s) is frozenset and all(type(e) is int and 0 <= e < n for e in s)
+            for s in asked
+        )
+        # every subset but the empty one, which the cache holds from the start
+        assert len(set(asked)) == len(asked) == 2**n - 1
+        return raised
+
+    @pytest.mark.parametrize("name", ORACLE_FIXTURES)
+    def test_fixture_instances(self, name):
+        ps, _ = materialize(name)[1]
+        self.assert_matches(ps, random.Random(name))
+
+    @pytest.mark.parametrize("start", [0, 250, 500, 750])
+    def test_seeded_systems(self, start):
+        raised = [
+            self.assert_matches(random_instance(random.Random(seed))[0], rng)
+            for seed in range(start, start + 250)
+            for rng in [random.Random(-seed)]
+        ]
+        assert 0 < sum(raised) < 8 * len(raised)
 
 
 # -- tree builders leave no reference cycles ---------------------------------
