@@ -65,9 +65,9 @@ def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit(text: str, *paths: str | None) -> None:
+    for path in filter(None, paths):
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
 
@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
         ],
         "structural": structural,
     }
-    _emit(render_report(data), args.report or args.out)
+    _emit(render_report(data), args.out, args.report)
     _status(
         f"{data['verdict']}: {len(result.violations)} violation(s), "
         f"{result.checked} constraints checked"
@@ -165,6 +165,8 @@ def cmd_payments(args) -> int:
         sys.stdout.write(render_report(data))
         _status("no payments exist: negative cycle in the class graph")
         return 1
+    if not args.out:
+        raise MechanismError("payments needs --out MECHFILE")
     dump_mechanism(result.tree, args.out)
     _status(f"wrote priced mechanism to {args.out}")
     return 0

@@ -4,9 +4,10 @@ For one agent and a commitment horizon k, profiles group into classes:
 paths that query her at most k+1 times contribute their leaf's box as a
 single class, and paths reaching a (k+2)-th query contribute up to four,
 splitting her domain there into the effective types and the pooled rest,
-then by her binary outcome.  Payments exist for the tree exactly when
-the weighted graph over these classes has no negative cycle; shortest
-path labels from an added zero-source then price every leaf.
+then by her binary outcome; a class is held as its leaves' boxes.
+Payments exist for the tree exactly when the weighted graph over these
+classes has no negative cycle; shortest path labels from an added
+zero-source then price every leaf.
 
 The graph never pairs profiles: the edges at a query to the agent join
 the classes of the leaves under one child with those of the leaves under
@@ -48,12 +49,21 @@ TAIL_NEUTRAL = "tail_neutral"
 
 @dataclass(frozen=True)
 class ProfileClass:
+    """A class of the agent's profiles: the union of `boxes`, the
+    disjoint `domain_at` boxes of its leaves in leaf preorder.  `types`
+    are the agent's types some member holds, ascending."""
+
     agent: int
     anchor: int
     slice_kind: str
     bit: int
-    members: tuple[tuple[Rat, ...], ...]
+    boxes: tuple[tuple[tuple[Rat, ...], ...], ...]
     types: tuple[Rat, ...]
+
+    @property
+    def members(self) -> tuple[tuple[Rat, ...], ...]:
+        """The class's profiles, sorted, listed anew on every read."""
+        return tuple(sorted(p for box in self.boxes for p in itertools.product(*box)))
 
 
 @dataclass(frozen=True)
@@ -115,67 +125,39 @@ def build_profile_classes(
 
     Every profile lands in exactly one class, the one anchored at its own
     path's endpoint: its leaf when that path queries the agent at most
-    k+1 times, else the node of the (k+2)-th query.
+    k+1 times, else the node of the (k+2)-th query.  A leaf's box lies
+    whole in one class, so one pass over the leaves builds them.
     """
+    require_valid(tree)  # else leaf boxes need not split the profiles
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
     scale_guard(prod(map(len, tree.domains)))
 
-    # (anchor, slice, bit) -> (members, types), in class order; members
-    # come out sorted: each is a product of sorted coordinates
-    keyed: dict[tuple, tuple] = {}
-    tail_sides: dict[int, tuple] = {}
+    # every split is made before any leaf is placed, so an ambiguous split
+    # is reported ahead of a leaf across a split
+    tail_sides: dict[int, tuple[int, int]] = {}
     anchor_of: dict[int, int] = {}  # leaf -> its (k+2)-th query, if any
-
-    for nid in tree.preorder:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            if k != inf and tree.query_depth[nid][agent] > k + 1:
-                continue
-            box = tree.domain_at[nid]
-            key = (nid, SETTLED, int(node.outcome[agent]))
-            keyed[key] = (tuple(itertools.product(*box)), box[agent])
+    for nid in tree.internal_ids:  # at k = inf, k + 2 is no query depth
+        if tree.nodes[nid].agent != agent or tree.query_depth[nid][agent] != k + 2:
             continue
-        if k == inf or node.agent != agent:
-            continue
-        if tree.query_depth[nid][agent] != k + 2:
-            continue
-        rows, levels, pairs = _value_table(tree, nid)
-        effective, pooled = _tail_split(tree, nid, rows, levels)
-        tail_sides[nid] = (effective, pooled)
+        rows, levels, _ = _value_table(tree, nid)
+        tail_sides[nid] = _tail_split(tree, nid, rows, levels)
         anchor_of.update(dict.fromkeys(tree.leaves_under[nid], nid))
-        # a side's profiles in product order, bucketed by the agent's bit;
-        # the rows' columns run over the opponents in that order, so the
-        # profile (x, t, y) is in column x * after + y of t's row
-        current = bits(tree.mask_at[nid][agent])
-        won = [int(f) for f, _ in pairs]
-        box = [types_of(tree, j, m) for j, m in enumerate(tree.mask_at[nid])]
-        before, after = prod(map(len, box[:agent])), prod(map(len, box[agent + 1 :]))
-        for kind, side in ((TAIL_EFFECTIVE, effective), (TAIL_NEUTRAL, pooled)):
-            box[agent] = types_of(tree, agent, side)
-            bitrows = [
-                [won[n] for n in rows[r]]
-                for r, q in enumerate(current) if side >> q & 1
-            ]
-            buckets: tuple[list, list] = ([], [])
-            cells = itertools.product(range(before), bitrows, range(after))
-            for prof, (x, bitrow, y) in zip(itertools.product(*box), cells):
-                buckets[bitrow[x * after + y]].append(prof)
-            for bit in (0, 1):
-                if buckets[bit]:
-                    types = [t for t, row in zip(box[agent], bitrows) if bit in row]
-                    keyed[(nid, kind, bit)] = (tuple(buckets[bit]), tuple(types))
 
-    index = {key: n for n, key in enumerate(keyed)}
-    classes = [ProfileClass(agent, *key, *value) for key, value in keyed.items()]
-
-    leaf_class: dict[int, int] = {}
+    # (anchor, slice, bit) -> the class's leaves, in class order: an
+    # anchor's leaves are consecutive, and the first one lays out its
+    # classes, effective before pooled, bit 0 before bit 1
+    keyed: dict[tuple, list[int]] = {}
+    tail_masks: dict[tuple, int] = {}  # a tail class's types, as a mask
     for leaf in tree.leaf_ids:
-        anchor = anchor_of.get(leaf)
         bit = int(tree.nodes[leaf].outcome[agent])
+        anchor = anchor_of.get(leaf)
         if anchor is None:
-            leaf_class[leaf] = index[(leaf, SETTLED, bit)]
+            keyed[leaf, SETTLED, bit] = [leaf]
             continue
+        if leaf == tree.leaves_under[anchor][0]:
+            for kind in (TAIL_EFFECTIVE, TAIL_NEUTRAL):
+                keyed[anchor, kind, 0], keyed[anchor, kind, 1] = [], []
         effective, pooled = tail_sides[anchor]
         own = tree.mask_at[leaf][agent]
         if not own & ~effective:
@@ -187,7 +169,20 @@ def build_profile_classes(
                 f"leaf {leaf} spans both sides of the split at {anchor}; "
                 "the tree is not k-limited"
             )
-        leaf_class[leaf] = index[(anchor, kind, bit)]
+        keyed[anchor, kind, bit].append(leaf)
+        tail_masks[anchor, kind, bit] = tail_masks.get((anchor, kind, bit), 0) | own
+
+    classes: list[ProfileClass] = []
+    leaf_class: dict[int, int] = {}
+    for key, leaves in keyed.items():
+        if not leaves:
+            continue
+        leaf_class.update(dict.fromkeys(leaves, len(classes)))
+        boxes = tuple(map(tree.domain_at.__getitem__, leaves))
+        types = boxes[0][agent]  # a settled class has one box
+        if key in tail_masks:
+            types = types_of(tree, agent, tail_masks[key])
+        classes.append(ProfileClass(agent, *key, boxes, types))
 
     return ClassPartition(
         agent=agent, horizon=k, classes=tuple(classes), leaf_class=leaf_class
@@ -205,9 +200,6 @@ def build_k_osp_graph(tree: ImplementationTree, k, agent: int) -> OspGraph:
     type of the source with the outcome difference, so a worse outcome
     prices at the largest type and a better one at the smallest.
     """
-    # leaf boxes split the profiles, as the class graph assumes, only
-    # when the blocks partition every domain
-    require_valid(tree)
     return _class_graph(tree, build_profile_classes(tree, k, agent))
 
 
@@ -372,12 +364,12 @@ def sticky_edges_check(tree: ImplementationTree, k) -> StickyResult:
         for ca, cb, _ in graph.edges:
             if ca > cb:
                 continue
-            va = graph.vertices[ca]
-            vb = graph.vertices[cb]
-            scale_guard(len(va.members) * len(vb.members), "member pairs")
+            xs = graph.vertices[ca].members
+            ys = graph.vertices[cb].members
+            scale_guard(len(xs) * len(ys), "member pairs")
             shared = None
-            for x in va.members:
-                for y in vb.members:
+            for x in xs:
+                for y in ys:
                     where = parting_node(tree, leaf_at[x], leaf_at[y])
                     if where is None or tree.nodes[where].agent != agent:
                         return StickyResult(

@@ -17,7 +17,7 @@ import csv
 import io as _io
 import json
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 
 from .model import ImplementationTree, LeafNode, QueryNode
 from .rational import format_rational, parse_rational
@@ -126,10 +126,13 @@ def loads_mechanism(text: str) -> ImplementationTree:
             else:
                 raise MechanismFormatError(f"unknown kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
+            problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            if "id" not in entry:  # counting "id" keys would find the next node
+                raise MechanismFormatError(f"nodes[{ordinal}]: {problem}") from exc
             where = _line_of_node(text, ordinal)
             loc = f" (line {where})" if where else ""
             raise MechanismFormatError(
-                f"node {entry.get('id')}{loc}: {exc}"
+                f"node {entry['id']}{loc}: {problem}"
             ) from exc
 
     try:
@@ -287,7 +290,7 @@ def graph_to_data(graph) -> dict:
                 "slice": cls.slice_kind,
                 "bit": int(cls.bit),
                 "types": [format_rational(v) for v in cls.types],
-                "size": len(cls.members),
+                "size": sum(prod(map(len, box)) for box in cls.boxes),
             }
         )
     edges = [

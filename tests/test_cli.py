@@ -104,6 +104,17 @@ class TestVerify:
         assert structural["strong_ineffectiveness"] == 0
         assert structural["taxation"] == 0
 
+    def test_out_and_report_get_the_same_bytes(self, capsys, english_file, tmp_path):
+        # --report used to win, and --out was dropped without a word
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        code, out, _ = run(
+            capsys, "verify", "--mechanism", str(english_file), "--k", "2",
+            "--out", str(a), "--report", str(b),
+        )
+        assert code == 0
+        assert a.read_text() == b.read_text() == out
+
     def test_byte_identical_reports(self, capsys, english_file, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -303,6 +314,26 @@ class TestErrorPaths:
         assert out == ""
         assert "about 10^477121 strategy profiles exceeds scale guard" in err
         assert len(err) < 200
+
+    def test_payments_without_out(self, capsys, tmp_path, monkeypatch, si24_file):
+        # a payable tree used to end in a TypeError on open(None), exit 3
+        monkeypatch.chdir(tmp_path)
+        tree = tmp_path / "t.json"
+        assert cli.main(["greedy", "extract-tree", "--instance", str(si24_file),
+                         "--out", str(tree)]) == 0
+        anti = tmp_path / "anti.json"
+        anti.write_text(render_report(ANTI_MONOTONE))
+        capsys.readouterr()
+        files = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, "payments", "--mechanism", str(tree), "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert "payments needs --out MECHFILE" in err
+        # a tree without payments still reports its cycles
+        code, out, _ = run(capsys, "payments", "--mechanism", str(anti), "--k", "0")
+        assert code == 1
+        assert json.loads(out)["negative_cycles"]
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_internal_error_exits_3(self, capsys, monkeypatch, si24_file):
         def crash(*args):

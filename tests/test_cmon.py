@@ -50,7 +50,7 @@ def dummy_graph(edges):
             anchor=i,
             slice_kind="tail",
             bit=0,
-            members=((F(i),),),
+            boxes=(((F(i),),),),
             types=(F(i),),
         )
         for i in range(1 + max(max(a, b) for a, b, _ in edges))
@@ -303,6 +303,8 @@ class TestGraphOracle:
         ))
         with pytest.raises(MechanismError, match="in two blocks"):
             build_k_osp_graph(t, 0, 0)
+        with pytest.raises(MechanismError, match="in two blocks"):
+            build_profile_classes(t, 0, 0)
         with pytest.raises(MechanismError):
             synthesize_payments(t, 0)
 
@@ -513,6 +515,47 @@ class TestSynthesis:
         raw = extract_tree(PSystem.single_item(2), [1, 2, 3, 4])
         with pytest.raises(MechanismError, match="not k-limited"):
             synthesize_payments(raw, 0)
+
+
+def assert_classes_are_leaf_boxes(tree, k, agent):
+    """Each class holds the boxes of the leaves mapped to it, in leaf
+    preorder, and lists as members their disjoint union, sorted; returns
+    the number of classes checked, 0 when the partition is refused."""
+    try:
+        part = build_profile_classes(tree, k, agent)
+    except MechanismError:
+        return 0
+    for n, cls in enumerate(part.classes):
+        leaves = [leaf for leaf in tree.leaf_ids if part.leaf_class[leaf] == n]
+        assert cls.boxes == tuple(tree.domain_at[leaf] for leaf in leaves)
+        union = [p for box in cls.boxes for p in itertools.product(*box)]
+        assert len(set(union)) == len(union)
+        assert cls.members == tuple(sorted(union))
+    return len(part.classes)
+
+
+class TestLeafBoxes:
+    """Classes as leaf boxes, on the trees of TestTailOracle."""
+
+    def test_members_are_the_union_of_boxes(self):
+        checked = 0
+        for t, _ in random_priced_trees(range(250)):
+            if not has_binary_outcomes(t):
+                continue
+            for h in (0, 1):
+                for agent in range(t.agents):
+                    checked += assert_classes_are_leaf_boxes(t, h, agent)
+        assert checked > 0
+
+    def test_fixture_members_are_the_union_of_boxes(self):
+        cases = [
+            (english_auction_tree(3, [1, 2, 3]), 0),
+            (compress(extract_tree(PSystem.single_item(3), [1, 2, 3, 4, 5])), 1),
+            (compress(extract_tree(PSystem.uniform(4, 2), [1, 2, 3, 4])), 0),
+        ]
+        for t, k in cases:
+            for agent in range(t.agents):
+                assert assert_classes_are_leaf_boxes(t, k, agent) > 0
 
 
 def oracle_sticky(tree, k):

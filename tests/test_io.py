@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 
 import pytest
 
 from ospkit import (
     MechanismFormatError,
     PSystem,
+    compress,
     dumps_mechanism,
     english_auction_tree,
     extract_tree,
@@ -133,6 +134,44 @@ class TestMechanismFiles:
         ):
             loads_mechanism(text)
 
+    def test_node_without_id_is_named_by_its_index(self):
+        # the count of "id" keys used to name the next node's line
+        text = json.dumps(
+            {
+                "agents": 1,
+                "domains": [["1", "2"]],
+                "root": 0,
+                "nodes": [
+                    {"kind": "leaf", "outcome": ["1"]},
+                    {"id": 1, "kind": "leaf", "outcome": ["0"]},
+                ],
+            },
+            indent=1,
+        )
+        with pytest.raises(MechanismFormatError) as info:
+            loads_mechanism(text)
+        assert str(info.value) == "nodes[0]: missing key 'id'"
+
+    @pytest.mark.parametrize(
+        "entry,key",
+        [
+            ({"id": 0, "kind": "leaf"}, "outcome"),
+            ({"id": 0, "outcome": ["1"]}, "kind"),
+            ({"id": 0, "kind": "query", "blocks": [["1"], ["2"]]}, "children"),
+        ],
+    )
+    def test_missing_node_key_is_named(self, entry, key):
+        text = json.dumps(
+            {"agents": 1, "domains": [["1", "2"]], "root": 0, "nodes": [entry]},
+            indent=1,
+        )
+        want = next(n for n, line in enumerate(text.splitlines(), 1) if '"id"' in line)
+        with pytest.raises(
+            MechanismFormatError,
+            match=rf"^node 0 \(line {want}\): missing key '{key}'$",
+        ):
+            loads_mechanism(text)
+
     def test_duplicate_id_names_its_second_line(self):
         text = json.dumps(
             {
@@ -247,6 +286,26 @@ def test_graph_dump_shape():
     for e in data["edges"]:
         assert set(e) == {"from", "to", "weight"}
         parse_rational(e["weight"])
+
+
+@pytest.mark.parametrize(
+    "tree,k",
+    [
+        (english_auction_tree(3, [1, 2, 3, 4, 5]), 2),
+        (english_auction_tree(3, [1, 2, 3]), 0),
+        (compress(extract_tree(PSystem.single_item(3), [1, 2, 3, 4, 5])), 1),
+        (compress(extract_tree(PSystem.uniform(4, 2), [1, 2, 3, 4])), 0),
+    ],
+    ids=["english_3_5_k2", "english_3_3_k0", "single_item_3_5_k1", "uniform_4_2_4_k0"],
+)
+def test_graph_dump_sizes_count_every_profile(tree, k):
+    profiles = prod(map(len, tree.domains))
+    tails = 0
+    for agent in range(tree.agents):
+        data = graph_to_data(build_k_osp_graph(tree, k, agent))
+        assert sum(v["size"] for v in data["vertices"]) == profiles
+        tails += sum(v["slice"] != "settled" for v in data["vertices"])
+    assert tails > 0
 
 
 def test_render_report_deterministic():
