@@ -150,7 +150,7 @@ def build_profile_classes(
     keyed: dict[tuple, list[int]] = {}
     tail_masks: dict[tuple, int] = {}  # a tail class's types, as a mask
     for leaf in tree.leaf_ids:
-        bit = int(tree.nodes[leaf].outcome[agent])
+        bit = tree.winners[leaf] >> agent & 1
         anchor = anchor_of.get(leaf)
         if anchor is None:
             keyed[leaf, SETTLED, bit] = [leaf]

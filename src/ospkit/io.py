@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import inf, prod
 
 from .model import ImplementationTree, LeafNode, QueryNode
@@ -27,14 +29,45 @@ class MechanismFormatError(ValueError):
     pass
 
 
-def _line_of_node(text: str, ordinal: int) -> int | None:
-    """Line of the ordinal-th (0-based) "id" key in the raw text."""
-    pos = -1
-    for _ in range(ordinal + 1):
-        pos = text.find('"id"', pos + 1)
-        if pos < 0:
-            return None
-    return text.count("\n", 0, pos) + 1
+_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace json allows
+_DECODER = json.JSONDecoder()
+
+
+def _skip(text: str, pos: int) -> int:
+    """The first position at or after pos that json reads as no space."""
+    return _SPACE.match(text, pos).end()
+
+
+def _members(text: str, pos: int):
+    """(key, key position, value position) of each member of the json
+    object starting at pos, in text order; the text must be valid json."""
+    pos = _skip(text, pos + 1)
+    while text[pos] == '"':
+        key, end = _DECODER.raw_decode(text, pos)
+        value = _skip(text, _skip(text, end) + 1)  # past the colon
+        yield key, pos, value
+        _, end = _DECODER.raw_decode(text, value)
+        pos = _skip(text, end)
+        if text[pos] == ",":
+            pos = _skip(text, pos + 1)
+
+
+def _line_of_node(text: str, ordinal: int) -> int:
+    """Line of the "id" key of the ordinal-th (0-based) entry of the
+    top-level "nodes" list in valid json text.  As in `json.loads`, a
+    repeated key means its last occurrence."""
+    at = None
+    for key, _, value in _members(text, _skip(text, 0)):
+        if key == "nodes":
+            at = value
+    for _ in range(ordinal):  # from the bracket or comma before an entry
+        _, end = _DECODER.raw_decode(text, _skip(text, at + 1))
+        at = _skip(text, end)
+    where = None
+    for key, pos, _ in _members(text, _skip(text, at + 1)):
+        if key == "id":
+            where = pos
+    return text.count("\n", 0, where) + 1
 
 
 def _integer(value) -> int:
@@ -127,12 +160,11 @@ def loads_mechanism(text: str) -> ImplementationTree:
                 raise MechanismFormatError(f"unknown kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
             problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            if "id" not in entry:  # counting "id" keys would find the next node
+            if "id" not in entry:
                 raise MechanismFormatError(f"nodes[{ordinal}]: {problem}") from exc
             where = _line_of_node(text, ordinal)
-            loc = f" (line {where})" if where else ""
             raise MechanismFormatError(
-                f"node {entry['id']}{loc}: {problem}"
+                f"node {entry['id']} (line {where}): {problem}"
             ) from exc
 
     try:
@@ -184,7 +216,7 @@ def mechanism_to_data(tree: ImplementationTree) -> dict:
 
 
 def dumps_mechanism(tree: ImplementationTree) -> str:
-    return json.dumps(mechanism_to_data(tree), sort_keys=True, indent=2) + "\n"
+    return render_report(mechanism_to_data(tree))
 
 
 def dump_mechanism(tree: ImplementationTree, path: str) -> None:
@@ -301,8 +333,58 @@ def graph_to_data(graph) -> dict:
 
 
 def render_report(data: dict) -> str:
-    """Canonical report text: sorted keys, two-space indent, newline end."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Canonical report text: sorted keys, two-space indent, newline end.
+
+    The bytes are those of `json.dumps(data, sort_keys=True, indent=2)`
+    plus the newline; with an indent that call runs the pure-Python
+    encoder, so each container is joined here in one go instead, its
+    strings quoted by the C encoder.  A value json cannot write raises
+    the same TypeError."""
+    return _canonical(data, "\n") + "\n"
+
+
+def _canonical(o, indent: str) -> str:
+    # indent is the newline and the indent of the line o starts on; the
+    # checks run in the order `json.encoder` makes them
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (inf, -inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_canonical(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_key(k) + ": " + _canonical(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    # json writes a scalar key as the quoted text of the scalar
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _canonical(key, "") + '"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
 
 
 def write_report(data: dict, path: str | None) -> str:

@@ -26,8 +26,12 @@ answer every bulk question about where profiles go.
 subtree and yields each leaf with the box, as masks, that reaches it;
 every table keyed by profile or by (own type, opponents) is built from
 it (`split_box` and `profile_leaves` are its views on types), so no
-consumer walks from the root once per profile.  `parting_node` finds
-where the walks to two leaves part: at their lowest common ancestor.
+consumer walks from the root once per profile.  On a valid tree that
+box is the leaf's own `mask_at` entry, so the split only lists
+`leaves_under` right to left; the walk down the blocks is made only on
+a malformed tree, where it finds the defect a profile would hit.
+`parting_node` finds where the walks to two leaves part: at their
+lowest common ancestor.
 `ImplementationTree.path_of` and `leaf_of` remain the single-profile walk.
 """
 
@@ -45,7 +49,7 @@ from .rational import Rat, parse_rational
 
 DEFAULT_SCALE_GUARD = 100_000
 
-_BINARY = ((0, 1), (1, 1))  # the outcomes 0 and 1 as integer ratios
+_ZERO, _ONE = (0, 1), (1, 1)  # the outcomes 0 and 1 as integer ratios
 
 
 class MechanismError(ValueError):
@@ -132,6 +136,11 @@ class ImplementationTree:
                              own in preorder
       nonbinary              (leaf id, value) of the first outcome other
                              than 0 or 1 in preorder, or None
+      winners[leaf]          int mask over agents: bit j set when agent j's
+                             outcome at the leaf is 1
+
+    `commitments` starts empty: the verifier keeps its commitment sets
+    there, one entry per horizon it tells apart.
     """
 
     def __init__(self, agents: int, domains, root: int, nodes) -> None:
@@ -157,6 +166,8 @@ class ImplementationTree:
         structural: list[str] = []
         checks: list[str] = []
         self.nonbinary: tuple[int, Rat] | None = None
+        self.winners: dict[int, int] = {}
+        self.commitments: dict[int | float, dict[int, dict[int, int]]] = {}
         self.parent: dict[int, int | None] = {self.root: None}
         self.depth: dict[int, int] = {self.root: 0}
         # keyed by integer ratio: a Fraction hashes in Python code
@@ -193,11 +204,14 @@ class ImplementationTree:
                     checks.append(f"leaf {nid}: outcome length {len(node.outcome)}")
                 if node.payment is not None and len(node.payment) != self.agents:
                     checks.append(f"leaf {nid}: payment length {len(node.payment)}")
-                if self.nonbinary is None:
-                    for v in node.outcome:
-                        if v.as_integer_ratio() not in _BINARY:
-                            self.nonbinary = (nid, v)
-                            break
+                won = 0
+                for j, v in enumerate(node.outcome):
+                    ratio = v.as_integer_ratio()
+                    if ratio == _ONE:
+                        won |= 1 << j
+                    elif ratio != _ZERO and self.nonbinary is None:
+                        self.nonbinary = (nid, v)
+                self.winners[nid] = won
                 continue
             if not 0 <= node.agent < self.agents:
                 raise MechanismError(f"node {nid} queries unknown agent {node.agent}")
@@ -456,20 +470,29 @@ def split_masks(tree: ImplementationTree, node_id: int):
     """Yield (leaf id, box) for every leaf reached from node_id, where
     box[j] masks agent j's types available at node_id that reach the leaf.
 
-    Each query splits the box by its block masks as `route` does: a value
-    in two blocks goes to the first, and a value in no block, an edge to
-    an unknown child or a type outside the agents' domains raises.  The
-    yielded boxes partition the node's box; a box with no profile reaches
-    no leaf."""
+    Leaves come right to left, as a depth-first walk that stacks each
+    query's children in block order meets them.  The yielded boxes
+    partition the node's box; a box with no profile reaches no leaf.
+
+    On a valid tree the blocks partition every current domain, so the box
+    reaching a leaf is the leaf's own `mask_at` entry and no walk is made.
+    On a malformed one each query splits the box by its block masks as
+    `route` does: a value in two blocks goes to the first, and a value in
+    no block, an edge to an unknown child or a type outside the agents'
+    domains raises."""
+    if not tree.problems:
+        mask_at = tree.mask_at
+        for leaf in reversed(tree.leaves_under[node_id]):
+            yield leaf, mask_at[leaf]
+        return
     start = tree.domain_at[node_id]
     if not all(start):
         return
-    if tree.problems:
-        # only a defective block can bring a foreign type into a box
-        for j, d in enumerate(start):
-            for t in d:
-                if t.as_integer_ratio() not in tree.positions[j]:
-                    raise MechanismError(f"type {t} not in domain of agent {j}")
+    # only a defective block can bring a foreign type into a box
+    for j, d in enumerate(start):
+        for t in d:
+            if t.as_integer_ratio() not in tree.positions[j]:
+                raise MechanismError(f"type {t} not in domain of agent {j}")
     stack = [(node_id, tree.mask_at[node_id])]
     while stack:
         nid, box = stack.pop()

@@ -23,6 +23,14 @@ are masks, payments compare as ints scaled by common denominators, and
 a query's value table, from one split of its box (`model.split_masks`),
 numbers each distinct (f, p).  Fractions are built only for what a
 result reports.
+
+The commitment sets of one tree and horizon are built once and kept on
+the tree, so `check_k_step_osp`, `is_almost_ordered` and
+`taxation_diagnostics` share them.  The pooling check tabulates a query
+only when the table can matter: two types with equal outcome rows win
+on as many opponent profiles, so it first adds up each type's wins over
+the leaf boxes and compares rows only for types in different blocks
+whose counts tie.
 """
 
 from __future__ import annotations
@@ -56,7 +64,16 @@ def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, int]]:
 
     Walks each leaf's root path once.  Where u is the m-th query to agent
     i on that path, the set is i's domain at the node just after the
-    (m+k)-th query to i, or at the leaf when fewer queries remain."""
+    (m+k)-th query to i, or at the leaf when fewer queries remain.
+
+    Built once per tree and horizon, kept in `tree.commitments` and
+    shared by every caller, which only reads it.  A horizon at or beyond
+    the most queries to one agent on a path reaches every leaf, so it
+    shares the entry of inf."""
+    if k >= max(map(max, tree.query_depth.values())):
+        k = inf
+    if k in tree.commitments:
+        return tree.commitments[k]
     sets: dict[int, dict[int, int]] = {u: {} for u in tree.internal_ids}
     for leaf in tree.leaf_ids:
         path = []
@@ -73,6 +90,7 @@ def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, int]]:
                 end = m + k
                 h = leaf if end >= len(positions) else path[positions[end] + 1]
                 sets[path[pos]][leaf] = tree.mask_at[h][i]
+    tree.commitments[k] = sets
     return sets
 
 
@@ -235,7 +253,7 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
         csets = sets[u]
         rows = [
             [
-                (leaf, int(tree.nodes[leaf].outcome[i]), csets[leaf])
+                (leaf, tree.winners[leaf] >> i & 1, csets[leaf])
                 for leaf in tree.leaves_under.get(cid, ())
             ]
             for cid in node.children
@@ -275,14 +293,21 @@ def _value_table(tree: ImplementationTree, node_id: int):
     boxes of `split_masks`: rows[r][c] numbers her pair when she holds her
     r-th current type and her opponents their c-th profile (in product
     order), pairs[n] is the pair numbered n and levels[n] numbers its f.
-    Returns (rows, levels, pairs).  Payment-free leaves pay zero."""
+    Returns (rows, levels, pairs).  Payment-free leaves pay zero.
+
+    A column is a mixed-radix number: each opponent's rank among her
+    current types is one digit, the last opponent's the fastest."""
     i = tree.nodes[node_id].agent
     box = tree.mask_at[node_id]
     scale_guard(prod(m.bit_count() for m in box))
     rank = {p: r for r, p in enumerate(bits(box[i]))}
-    others = [bits(m) for j, m in enumerate(box) if j != i]
-    column = {x: c for c, x in enumerate(itertools.product(*others))}
-    rows = [[0] * len(column) for _ in rank]
+    weight, width = {}, 1  # opponent -> the place value of her digit
+    for j in reversed(range(len(box))):
+        if j != i:
+            weight[j] = width
+            width *= box[j].bit_count()
+    rows = [[0] * width for _ in rank]
+    digits: dict[tuple[int, int], list[int]] = {}  # (j, mask) -> its values
     numbered, level_of, pairs, levels = {}, {}, [], []  # dicts keyed by ratios
     for leaf, sub in split_masks(tree, node_id):
         f, p = pair = _pair(tree, leaf, i)
@@ -291,8 +316,13 @@ def _value_table(tree: ImplementationTree, node_id: int):
         if n == len(pairs):
             pairs.append(pair)
             levels.append(level_of.setdefault(key[0], len(level_of)))
-        others = [bits(m) for j, m in enumerate(sub) if j != i]
-        cols = [column[x] for x in itertools.product(*others)]
+        cols = [0]
+        for j, w in weight.items():
+            values = digits.get((j, sub[j]))
+            if values is None:
+                below = ((1 << q) - 1 & box[j] for q in bits(sub[j]))
+                values = digits[j, sub[j]] = [w * m.bit_count() for m in below]
+            cols = [c + v for c in cols for v in values]
         for q in bits(sub[i]):
             row = rows[rank[q]]
             for c in cols:
@@ -586,17 +616,31 @@ def strong_ineffectiveness_check(
     require_binary_outcomes(tree)
     findings: list[PoolingFinding] = []
     for u in tree.internal_ids:
-        node = tree.nodes[u]
-        i = node.agent
-        dom = tree.domains[i]
-        rows, levels, pairs = _value_table(tree, u)
+        i = tree.nodes[u].agent
         own = bits(tree.mask_at[u][i])
         # the block each type goes to: the first one holding it
         blocks = tree.block_masks[u]
         side = [next(n for n, m in enumerate(blocks) if m >> q & 1) for q in own]
+        # types with equal f-rows win on as many opponent profiles; only
+        # pairs that tie on that count are tabulated and compared
+        wins = dict.fromkeys(own, 0)
+        for leaf, sub in split_masks(tree, u):
+            if tree.winners[leaf] >> i & 1:
+                opponents = prod(map(int.bit_count, sub)) // sub[i].bit_count()
+                for q in bits(sub[i]):
+                    wins[q] += opponents
+        candidates = [
+            (r1, r2)
+            for r1, r2 in itertools.combinations(range(len(own)), 2)
+            if side[r1] != side[r2] and wins[own[r1]] == wins[own[r2]]
+        ]
+        if not candidates:
+            continue
+        dom = tree.domains[i]
+        rows, levels, pairs = _value_table(tree, u)
         frows = [[levels[n] for n in row] for row in rows]
-        for r1, r2 in itertools.combinations(range(len(own)), 2):
-            if side[r1] == side[r2] or frows[r1] != frows[r2]:
+        for r1, r2 in candidates:
+            if frows[r1] != frows[r2]:
                 continue
             pooled = [pairs[n] for n in set(rows[r1]) | set(rows[r2])]
             if len(pooled) > 1:

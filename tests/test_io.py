@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import inf, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ospkit import (
     MechanismFormatError,
@@ -87,7 +88,9 @@ class TestMechanismFiles:
     def test_dumps_is_canonical(self):
         t = appendix_b()
         assert dumps_mechanism(t) == dumps_mechanism(appendix_b())
-        assert dumps_mechanism(t).endswith("\n")
+        assert dumps_mechanism(t) == (
+            json.dumps(mechanism_to_data(t), sort_keys=True, indent=2) + "\n"
+        )
 
     def test_invalid_json_is_line_anchored(self):
         with pytest.raises(MechanismFormatError, match="line 1"):
@@ -132,6 +135,50 @@ class TestMechanismFiles:
             MechanismFormatError,
             match=rf"node {bad['id']} \(line {want}\): unknown kind 'sideways'",
         ):
+            loads_mechanism(text)
+
+    def test_id_outside_the_nodes_list_shifts_no_line(self):
+        # a top-level "comment" sorts before "nodes" and holds an "id" key
+        text = json.dumps(
+            {
+                "agents": 1,
+                "comment": {"id": "x"},
+                "domains": [["1", "2"]],
+                "nodes": [
+                    {
+                        "agent": 0,
+                        "blocks": [["1"], ["2"]],
+                        "children": [1, 2],
+                        "id": 0,
+                        "kind": "sideways",
+                    }
+                ],
+                "root": 0,
+            },
+            sort_keys=True,
+            indent=2,
+        )
+        want = text.splitlines().index('      "id": 0,') + 1
+        assert text.index('"id": "x"') < text.index('"id": 0')
+        with pytest.raises(
+            MechanismFormatError,
+            match=rf"node 0 \(line {want}\): unknown kind 'sideways'",
+        ):
+            loads_mechanism(text)
+
+    def test_later_entries_and_repeated_keys_are_located(self):
+        # one line per entry; the second "nodes" key is the one json keeps
+        entries = [
+            '{"id": 0, "kind": "leaf", "outcome": ["0"]}',
+            '{"kind": "leaf", "id": 1, "outcome": ["0"], "note": {"id": 7}}',
+            '{"id": 2, "kind": "sideways"}',
+        ]
+        text = (
+            '{"agents": 1, "domains": [["1"]], "root": 0,\n'
+            ' "nodes": [{"id": 5, "kind": "leaf", "outcome": ["0"]}],\n'
+            ' "nodes" : [\n  ' + ",\n  ".join(entries) + "\n ]\n}"
+        )
+        with pytest.raises(MechanismFormatError, match=r"node 2 \(line 6\): unknown"):
             loads_mechanism(text)
 
     def test_node_without_id_is_named_by_its_index(self):
@@ -313,6 +360,73 @@ def test_render_report_deterministic():
     b = render_report({"a": [2, 3], "b": 1})
     assert a == b
     assert a.index('"a"') < a.index('"b"')
+
+
+# strings with non-ASCII, control, quote and lone surrogate characters
+_TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u2028", "\ud800", "a\udfff", "é€😀", ""]
+)
+_SCALARS = (
+    _TEXT
+    | st.integers()
+    | st.integers(-(10**80), 10**80)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e300])
+    | st.booleans()
+    | st.none()
+)
+_KEYS = st.one_of(
+    _TEXT, st.integers(-5, 5) | st.booleans(), st.floats(allow_nan=False), st.none()
+)
+
+
+def _json_values(children):
+    # a dict's keys mostly share one kind, so that most of them sort
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.dictionaries(st.integers(-9, 9) | st.booleans(), children, max_size=4)
+        | st.dictionaries(st.floats(), children, max_size=4)
+        | st.dictionaries(st.none(), children, max_size=1)
+        | st.dictionaries(_KEYS, children, max_size=3)
+    )
+
+
+JSON_VALUES = st.recursive(_SCALARS, _json_values, max_leaves=20)
+
+
+class TestCanonicalWriter:
+    """render_report against `json.dumps(sort_keys=True, indent=2)`."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(JSON_VALUES)
+    def test_same_bytes_as_json_dumps(self, value):
+        try:
+            want = json.dumps(value, sort_keys=True, indent=2) + "\n"
+        except TypeError as exc:  # keys of kinds that do not sort together
+            with pytest.raises(TypeError) as got:
+                render_report(value)
+            assert str(got.value) == str(exc)
+        else:
+            assert render_report(value) == want
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [Fraction(1, 2)]},
+            Fraction(3),
+            [1, {"b": object()}],
+            {(1, 2): "tuple key"},
+            {"a": 1, 2: "mixed keys"},
+        ],
+    )
+    def test_same_type_error(self, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            render_report(value)
+        assert str(got.value) == str(want.value)
 
 
 def test_render_csv_header_always():

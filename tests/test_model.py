@@ -329,6 +329,24 @@ def oracle_split_box(tree, node_id):
             stack.append((cid, box[:j] + (tuple(part),) + box[j + 1 :]))
 
 
+def oracle_split_masks(tree, node_id):
+    """split_masks by its walk down the blocks: each query splits the box
+    by its block masks, and children are stacked in block order."""
+    stack = [(node_id, tree.mask_at[node_id])]
+    while stack:
+        nid, box = stack.pop()
+        sub = tree.nodes[nid]
+        if isinstance(sub, LeafNode):
+            yield nid, box
+            continue
+        j = sub.agent
+        rest = box[j]
+        for m, cid in zip(tree.block_masks[nid], sub.children):
+            if rest & m:
+                stack.append((cid, box[:j] + (rest & m,) + box[j + 1 :]))
+            rest &= ~m
+
+
 def split_or_error(split, tree, node_id):
     """The split's (leaf, box) list, each coordinate without repeats (a
     mask holds a repeated value once), or the message it raised."""
@@ -382,6 +400,9 @@ def oracle_equivalence_class(tree, node_id, profile, k):
     return tuple(sorted(members))
 
 
+FRACTIONS = [Fraction(v) for v in ("1/3", "1/2", "1", "3/2", "2", "7/3", "3")]
+
+
 def small_trees(seeds):
     """Seeded k-limited trees with 2-3 agents and 2-3 types each, at most
     27 profiles, so every profile pair stays cheap."""
@@ -422,6 +443,25 @@ class TestPartingAgainstOracles:
                     for leaf, box in oracle_split_box(t, nid)
                     for prof in itertools.product(*box)
                 }
+
+    def test_split_reads_leaf_masks_as_the_walk_splits(self):
+        # valid trees with up to 4 types per agent and fractional types
+        seen = Counter()
+        for seed in range(1000):
+            rng = random.Random(seed)
+            agents = rng.randint(1, 3)
+            domains = [
+                sorted(rng.sample(FRACTIONS, rng.randint(1, 4)))
+                for _ in range(agents)
+            ]
+            t = random_k_limited_tree(rng, agents, domains, rng.choice([0, 1, inf]))
+            assert not t.problems
+            for nid in t.preorder:
+                got = list(split_masks(t, nid))
+                assert got == list(oracle_split_masks(t, nid))
+                seen["leaves"] += len(got)
+            seen["deep"] += len(t.leaf_ids) >= 8
+        assert seen["deep"] > 20
 
     def test_first_divergence_matches_walk(self):
         parted = 0
@@ -664,6 +704,10 @@ class TestValidityAgainstOracles:
             assert raised(require_binary_outcomes, t) == raised(
                 oracle_require_binary_outcomes, t
             )
+            assert t.winners == {
+                nid: sum(1 << j for j, v in enumerate(t.nodes[nid].outcome) if v == 1)
+                for nid in t.leaf_ids
+            }
             for nid in t.preorder:
                 got = split_or_error(split_box, t, nid)
                 assert got == split_or_error(oracle_split_box, t, nid)

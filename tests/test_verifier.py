@@ -41,6 +41,7 @@ from ospkit.verifier import (
     AlmostOrderedResult,
     CheckResult,
     Constraint,
+    PoolingFinding,
     QueryClass,
     TaxationFinding,
     _commitment_sets,
@@ -979,6 +980,111 @@ class TestAgainstOracles:
                 for cap in (1, 3, 200):
                     got = taxation_diagnostics(t, k, max_findings=cap)
                     assert got == oracle_taxation(t, k, max_findings=cap)
+
+
+def oracle_commitment_sets(tree, k):
+    """_commitment_sets built anew on every call: one walk up from each
+    leaf to the root."""
+    sets = {u: {} for u in tree.internal_ids}
+    for leaf in tree.leaf_ids:
+        path = []
+        nid = leaf
+        while nid is not None:
+            path.append(nid)
+            nid = tree.parent[nid]
+        path.reverse()
+        asked = {}  # agent -> path positions of her queries
+        for pos in range(len(path) - 1):
+            asked.setdefault(tree.nodes[path[pos]].agent, []).append(pos)
+        for i, positions in asked.items():
+            for m, pos in enumerate(positions):
+                end = m + k
+                h = leaf if end >= len(positions) else path[positions[end] + 1]
+                sets[path[pos]][leaf] = tree.mask_at[h][i]
+    return sets
+
+
+def oracle_strong_ineffectiveness(tree, max_findings=200):
+    """strong_ineffectiveness_check comparing the f-rows of the whole
+    value table at every query, for every pair of types in different
+    blocks."""
+    require_binary_outcomes(tree)
+    findings = []
+    for u in tree.internal_ids:
+        i = tree.nodes[u].agent
+        dom = tree.domains[i]
+        rows, levels, pairs = oracle_value_rows(tree, u)
+        own = [dom.index(t) for t in tree.domain_at[u][i]]
+        blocks = tree.nodes[u].blocks
+        side = [next(n for n, b in enumerate(blocks) if dom[q] in b) for q in own]
+        frows = [[levels[n] for n in row] for row in rows]
+        for r1, r2 in itertools.combinations(range(len(own)), 2):
+            if side[r1] == side[r2] or frows[r1] != frows[r2]:
+                continue
+            pooled = sorted({pairs[n] for n in set(rows[r1]) | set(rows[r2])})
+            if len(pooled) > 1:
+                detail = f"pointwise equal outcomes but differing pairs {pooled}"
+                findings.append(
+                    PoolingFinding(u, i, dom[own[r1]], dom[own[r2]], detail)
+                )
+                if len(findings) >= max_findings:
+                    return findings
+    return findings
+
+
+class TestFastPathsAgainstOracles:
+    """The win-count filter of the pooling check and the commitment sets
+    kept per horizon against the whole value table and a build per call,
+    on 1000 seeded k-limited trees."""
+
+    def test_pooling_findings_match_whole_tables(self):
+        seen = Counter()
+        trees = [t for t, _ in random_priced_trees(range(1000))]
+        trees += [t for t, h in random_taxed_trees(range(200)) if h == 0]
+        for t in trees:
+            if not has_binary_outcomes(t):
+                continue
+            total = None
+            for cap in (200, 5, 2, 1):
+                if total is not None and cap > total:
+                    continue
+                got = strong_ineffectiveness_check(t, max_findings=cap)
+                assert got == oracle_strong_ineffectiveness(t, max_findings=cap)
+                if total is None:
+                    total = len(got)
+                    seen["found"] += total > 0
+                seen["cut"] += cap < total
+            seen["trees"] += 1
+        assert seen["trees"] > 700 and seen["found"] > 100 and seen["cut"] > 100
+
+    def test_commitment_sets_once_per_horizon(self, monkeypatch):
+        seen = Counter()
+        rng = random.Random(7)
+        trees = [t for t, _ in random_priced_trees(range(1000))]
+        for t in trees + [english_auction_tree(2, [1, 2, 3, 4])]:
+            binary = has_binary_outcomes(t)
+            deepest = max(max(t.query_depth[x]) for x in t.leaf_ids)
+            horizons = [0, 1, 2, inf]
+            rng.shuffle(horizons)
+            asked = set()
+            for k in horizons + horizons[::-1]:
+                sets = verifier._commitment_sets(t, k)
+                assert sets == oracle_commitment_sets(t, k)
+                assert verifier._commitment_sets(t, k) is sets
+                asked.add(k if k < deepest else inf)
+                assert set(t.commitments) == asked
+                got = [check_k_step_osp(t, k)]
+                if binary:
+                    got += [is_almost_ordered(t, k), taxation_diagnostics(t, k)]
+                with monkeypatch.context() as m:
+                    m.setattr(verifier, "_commitment_sets", oracle_commitment_sets)
+                    want = [check_k_step_osp(t, k)]
+                    if binary:
+                        want += [is_almost_ordered(t, k), taxation_diagnostics(t, k)]
+                assert got == want
+            seen[len(t.commitments)] += 1
+        # the horizons of a tree share entries only at or past its depth
+        assert seen[1] and seen[2] and seen[3] and seen[4] == 1
 
 
 class TestMalformedTrees:
