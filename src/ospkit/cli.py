@@ -7,10 +7,11 @@ for an internal error (a bug in ospkit, reported on one stderr line), so
 a crash never reads as a verdict.
 
 Reports are canonical json (sorted keys, rationals as "num/den" strings),
-so identical inputs and seed give byte-identical output; the experiment
-verb emits CSV.  Wall-clock timing is printed to stderr only and never
-enters a report.  The environment variable OSPKIT_SCALE_GUARD overrides
-the enumeration cap (default 10^5 profiles).
+so identical inputs give byte-identical output; the experiment verb
+emits CSV, or the same rows as json with --format json.  Wall-clock
+timing is printed to stderr only and never enters a report.  The
+environment variable OSPKIT_SCALE_GUARD overrides the enumeration cap
+(default 10^5 profiles).
 """
 
 from __future__ import annotations
@@ -65,19 +66,11 @@ def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(text: str, *paths: str | None) -> None:
-    for path in filter(None, paths):
+def _emit(text: str, path: str | None) -> None:
+    if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
-
-
-def _require_format(args, native: str) -> None:
-    fmt = getattr(args, "format", None)
-    if fmt is not None and fmt != native:
-        raise MechanismError(
-            f"the {args.command} verb only writes {native} output"
-        )
 
 
 def _rational(text: str, flag: str):
@@ -138,7 +131,7 @@ def cmd_verify(args) -> int:
         ],
         "structural": structural,
     }
-    _emit(render_report(data), args.out, args.report)
+    _emit(render_report(data), args.out)
     _status(
         f"{data['verdict']}: {len(result.violations)} violation(s), "
         f"{result.checked} constraints checked"
@@ -329,7 +322,7 @@ def cmd_experiment(args) -> int:
         }
         for name, d, k, ok, ratio, qmax in cells
     ]
-    if getattr(args, "format", None) == "json":
+    if args.format == "json":
         _emit(render_report({"rows": rows}), args.out)
     else:
         _emit(render_csv(rows, EXPERIMENT_COLUMNS), args.out)
@@ -338,15 +331,6 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized suites (reports depend only on inputs and seed)",
-    )
-    common.add_argument(
-        "--format", choices=["json", "csv"], default=None, help="output format"
-    )
     common.add_argument("--out", default=None, help="write output to this file")
 
     parser = argparse.ArgumentParser(
@@ -357,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="check a mechanism")
     p.add_argument("--mechanism", required=True)
     p.add_argument("--k", required=True, help="horizon: a non-negative int or 'inf'")
-    p.add_argument("--report", default=None, help="also write the report here")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -428,6 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="instance fixture name; repeat for more",
     )
     p.add_argument("--ks", default="0", help='horizons "0,1,2"')
+    p.add_argument(
+        "--format", choices=["csv", "json"], default="csv", help="output format"
+    )
     p.set_defaults(func=cmd_experiment)
 
     return parser
@@ -444,8 +430,6 @@ def main(argv=None) -> int:
         return 2
     start = time.perf_counter()
     try:
-        if args.command != "experiment":
-            _require_format(args, "json")
         code = args.func(args)
     except (MechanismFormatError, MechanismError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,8 +28,8 @@ from .model import (
     bits,
     normalize_horizon,
     require_binary_outcomes,
+    require_valid,
     scale_guard,
-    split_masks,
     tree_from_nested,
     types_of,
 )
@@ -589,6 +589,7 @@ def is_revealable(tree: ImplementationTree, node_id: int) -> bool:
     maximum is allocated, or every profile with her cost above the
     current minimum is rejected.
     """
+    require_valid(tree)
     node = tree.node(node_id)
     if node.kind != "query":
         raise MechanismError("revealability is a query-node property")
@@ -596,8 +597,9 @@ def is_revealable(tree: ImplementationTree, node_id: int) -> bool:
     own = tree.mask_at[node_id][agent]
     lowest, highest = own & -own, 1 << own.bit_length() >> 1
     low_won, high_lost = True, True
-    for leaf, box in split_masks(tree, node_id):
+    for leaf in tree.leaves_under[node_id]:
         out = tree.nodes[leaf].outcome[agent]
+        box = tree.mask_at[leaf]
         if box[agent] & -box[agent] < highest and out != 1:
             low_won = False
         if box[agent] > lowest and out != 0:
@@ -623,6 +625,7 @@ def is_two_way_greedy(tree: ImplementationTree) -> TwoWayReport:
     on the rejected side (reverse fashion).  An agent may change fashion
     along a path only where her domain is revealable.
     """
+    require_valid(tree)
     require_binary_outcomes(tree)
 
     def side_outcomes(child: int, agent: int) -> set[int]:
@@ -664,6 +667,7 @@ def is_two_way_greedy(tree: ImplementationTree) -> TwoWayReport:
 def compress(tree: ImplementationTree) -> ImplementationTree:
     """Merge consecutive same-agent queries into multi-block queries.
     Nodes are renumbered in preorder."""
+    require_valid(tree)
     nodes: dict[int, QueryNode | LeafNode] = {}
     root = _compressed(tree, tree.root, nodes, itertools.count())
     return ImplementationTree(tree.agents, tree.domains, root, nodes)
@@ -700,6 +704,7 @@ def serialize(tree: ImplementationTree) -> ImplementationTree:
     that are already binary with an extreme singled out pass through.
     Leaf routing is preserved exactly.  Nodes are numbered in preorder.
     """
+    require_valid(tree)
     nodes: dict[int, QueryNode | LeafNode] = {}
     root = _narrowed(tree, tree.root, {}, nodes, itertools.count())
     return ImplementationTree(tree.agents, tree.domains, root, nodes)
@@ -797,7 +802,10 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     Each leaf box of the tree is walked once.  Welfare is summed on ints,
     the valuations scaled by the least common denominator, and ratios
     are compared by cross-multiplication over a positive denominator.
+    Needs binary outcomes.
     """
+    require_valid(tree)
+    require_binary_outcomes(tree)
     n = ps.ground_size
     if tree.agents != n:
         raise MechanismError("tree and system disagree on the number of agents")
@@ -813,9 +821,9 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     last = len(dom0) - 1
     maximal = ps.maximal_sets()
     worst = None  # (numerator, positive denominator, profile positions)
-    for leaf, box in split_masks(tree, tree.root):
-        won = [j for j, f in zip(range(n), tree.nodes[leaf].outcome) if f]
-        cols = [[last - p for p in bits(m)] for m in box]
+    for leaf in tree.leaf_ids:
+        won = bits(tree.winners[leaf])
+        cols = [[last - p for p in bits(m)] for m in tree.mask_at[leaf]]
         vals = [[ints[i] for i in col] for col in cols]
         for at, prof in zip(itertools.product(*cols), itertools.product(*vals)):
             value = prof.__getitem__
@@ -833,7 +841,7 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
             lhs, rhs = num * worst[1], worst[0] * den
             if lhs < rhs or (lhs == rhs and at < worst[2]):
                 worst = (num, den, at)
-    # the mirrored domains are nonempty, as is every box of split_masks
+    # the mirrored domains are nonempty, as is every leaf box of a valid tree
     num, den, at = worst
     return Fraction(num, den), tuple(dom0[i] for i in at)
 

@@ -20,16 +20,15 @@ costs O(1) however often a caller asks.
 
 Every domain is totally ordered, so a type's position in its agent's
 sorted domain keeps its order; the same walk records every block and
-every current domain as an int mask over those positions.  Two routines
-answer every bulk question about where profiles go.
-`split_masks` splits the box of profiles available at a node down its
-subtree and yields each leaf with the box, as masks, that reaches it;
-every table keyed by profile or by (own type, opponents) is built from
-it (`split_box` and `profile_leaves` are its views on types), so no
-consumer walks from the root once per profile.  On a valid tree that
-box is the leaf's own `mask_at` entry, so the split only lists
-`leaves_under` right to left; the walk down the blocks is made only on
-a malformed tree, where it finds the defect a profile would hit.
+every current domain as an int mask over those positions.  On a valid
+tree the blocks partition every current domain, so the profiles
+available at a node that reach a leaf below it are exactly the leaf's
+own box, `mask_at[leaf]` (as types, `domain_at[leaf]`): every table
+keyed by profile or by (own type, opponents) reads those boxes for the
+leaves in `leaves_under[node]`, and no consumer walks from the root once
+per profile.  On a malformed tree a leaf's box need not hold the
+profiles that reach it, so every analysis and rewrite calls
+`require_valid` first and refuses such a tree.
 `parting_node` finds where the walks to two leaves part: at their
 lowest common ancestor.
 `ImplementationTree.path_of` and `leaf_of` remain the single-profile walk.
@@ -423,6 +422,7 @@ def k_step_neighborhood(tree: ImplementationTree, node_id: int, k):
     the next same-agent queries (or leaves) and covered holds only the
     internal other-agent nodes before them.
     """
+    require_valid(tree)
     k = normalize_horizon(k)
     node = tree.nodes[node_id]
     if not isinstance(node, QueryNode):
@@ -433,7 +433,7 @@ def k_step_neighborhood(tree: ImplementationTree, node_id: int, k):
 
     # a path ends at a leaf or at its max(k, 1)-th later query to i; at
     # k=0 the plan commits through none of its endpoints
-    stack = [(cid, 0) for cid in node.children if cid in tree.parent]
+    stack = [(cid, 0) for cid in node.children]
     while stack:
         nid, seen = stack.pop()
         covered.add(nid)
@@ -446,7 +446,7 @@ def k_step_neighborhood(tree: ImplementationTree, node_id: int, k):
             if seen == max(k, 1):
                 endpoints.add(nid)
                 continue
-        stack.extend((cid, seen) for cid in sub.children if cid in tree.parent)
+        stack.extend((cid, seen) for cid in sub.children)
     if k == 0:
         covered -= endpoints
     return frozenset(covered), frozenset(endpoints)
@@ -466,72 +466,15 @@ def types_of(tree: ImplementationTree, agent: int, mask: int) -> tuple[Rat, ...]
     return tuple(tree.domains[agent][p] for p in bits(mask))
 
 
-def split_masks(tree: ImplementationTree, node_id: int):
-    """Yield (leaf id, box) for every leaf reached from node_id, where
-    box[j] masks agent j's types available at node_id that reach the leaf.
-
-    Leaves come right to left, as a depth-first walk that stacks each
-    query's children in block order meets them.  The yielded boxes
-    partition the node's box; a box with no profile reaches no leaf.
-
-    On a valid tree the blocks partition every current domain, so the box
-    reaching a leaf is the leaf's own `mask_at` entry and no walk is made.
-    On a malformed one each query splits the box by its block masks as
-    `route` does: a value in two blocks goes to the first, and a value in
-    no block, an edge to an unknown child or a type outside the agents'
-    domains raises."""
-    if not tree.problems:
-        mask_at = tree.mask_at
-        for leaf in reversed(tree.leaves_under[node_id]):
-            yield leaf, mask_at[leaf]
-        return
-    start = tree.domain_at[node_id]
-    if not all(start):
-        return
-    # only a defective block can bring a foreign type into a box
-    for j, d in enumerate(start):
-        for t in d:
-            if t.as_integer_ratio() not in tree.positions[j]:
-                raise MechanismError(f"type {t} not in domain of agent {j}")
-    stack = [(node_id, tree.mask_at[node_id])]
-    while stack:
-        nid, box = stack.pop()
-        sub = tree.nodes[nid]
-        if isinstance(sub, LeafNode):
-            yield nid, box
-            continue
-        j = sub.agent
-        rest = box[j]
-        parts = []
-        for m in tree.block_masks[nid]:
-            parts.append(rest & m)
-            rest &= ~m
-        if rest:
-            v = tree.domains[j][bits(rest)[0]]
-            raise MechanismError(f"value {v} not in any block of node {nid}")
-        for idx, part in enumerate(parts):
-            if not part:
-                continue
-            cid = sub.children[idx] if idx < len(sub.children) else None
-            if cid not in tree.parent:
-                raise MechanismError(f"walk entered defective edge at node {nid}")
-            stack.append((cid, box[:j] + (part,) + box[j + 1 :]))
-
-
-def split_box(tree: ImplementationTree, node_id: int):
-    """`split_masks` with each box given by its types."""
-    for leaf, box in split_masks(tree, node_id):
-        yield leaf, tuple(types_of(tree, j, m) for j, m in enumerate(box))
-
-
 def profile_leaves(tree: ImplementationTree, node_id: int) -> dict[tuple, int]:
-    """The leaf each profile available at node_id reaches, from one split
-    of the node's box."""
+    """The leaf each profile available at node_id reaches, from the boxes
+    of the leaves below it."""
+    require_valid(tree)
     scale_guard(prod(m.bit_count() for m in tree.mask_at[node_id]))
     return {
         prof: leaf
-        for leaf, box in split_box(tree, node_id)
-        for prof in itertools.product(*box)
+        for leaf in tree.leaves_under[node_id]
+        for prof in itertools.product(*tree.domain_at[leaf])
     }
 
 

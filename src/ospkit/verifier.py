@@ -20,9 +20,10 @@ both call it.
 
 All of it runs on type positions and masks (`model`): commitment sets
 are masks, payments compare as ints scaled by common denominators, and
-a query's value table, from one split of its box (`model.split_masks`),
-numbers each distinct (f, p).  Fractions are built only for what a
-result reports.
+a query's value table, filled from the boxes of the leaves below it
+(`ImplementationTree.mask_at`), numbers each distinct (f, p).  Fractions
+are built only for what a result reports.  Every entry point refuses a
+malformed tree (`model.require_valid`) before it reads a box.
 
 The commitment sets of one tree and horizon are built once and kept on
 the tree, so `check_k_step_osp`, `is_almost_ordered` and
@@ -49,8 +50,8 @@ from .model import (
     normalize_horizon,
     parting_node,
     require_binary_outcomes,
+    require_valid,
     scale_guard,
-    split_masks,
 )
 from .rational import Rat, format_rational
 
@@ -153,6 +154,7 @@ def check_k_step_osp(
     max_violations.  `checked` counts the ordered leaf pairs covered
     before any truncation, the truncating pair included.
     """
+    require_valid(tree)
     k = normalize_horizon(k)
     missing = [nid for nid in tree.leaf_ids if tree.nodes[nid].payment is None]
     if missing:
@@ -176,7 +178,7 @@ def check_k_step_osp(
         types, value = scaled[i]
         csets = sets[u]
         rows = [
-            [(leaf, *value[leaf]) for leaf in tree.leaves_under.get(cid, ())]
+            [(leaf, *value[leaf]) for leaf in tree.leaves_under[cid]]
             for cid in node.children
         ]
         # the largest payment per outcome level below each child: a leaf
@@ -244,6 +246,7 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
     the node, both profiles, and the two offending types c >= d; it is
     the first failing leaf pair in the order of `check_k_step_osp`.
     """
+    require_valid(tree)
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
     sets = _commitment_sets(tree, k)
@@ -254,7 +257,7 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
         rows = [
             [
                 (leaf, tree.winners[leaf] >> i & 1, csets[leaf])
-                for leaf in tree.leaves_under.get(cid, ())
+                for leaf in tree.leaves_under[cid]
             ]
             for cid in node.children
         ]
@@ -289,11 +292,12 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
 
 
 def _value_table(tree: ImplementationTree, node_id: int):
-    """The queried agent's (f, p) table at node_id, filled from the leaf
-    boxes of `split_masks`: rows[r][c] numbers her pair when she holds her
-    r-th current type and her opponents their c-th profile (in product
-    order), pairs[n] is the pair numbered n and levels[n] numbers its f.
-    Returns (rows, levels, pairs).  Payment-free leaves pay zero.
+    """The queried agent's (f, p) table at node_id of a valid tree, filled
+    from the boxes `mask_at[leaf]` of the leaves below it: rows[r][c]
+    numbers her pair when she holds her r-th current type and her
+    opponents their c-th profile (in product order), pairs[n] is the pair
+    numbered n and levels[n] numbers its f.  Returns (rows, levels,
+    pairs).  Payment-free leaves pay zero.
 
     A column is a mixed-radix number: each opponent's rank among her
     current types is one digit, the last opponent's the fastest."""
@@ -309,7 +313,8 @@ def _value_table(tree: ImplementationTree, node_id: int):
     rows = [[0] * width for _ in rank]
     digits: dict[tuple[int, int], list[int]] = {}  # (j, mask) -> its values
     numbered, level_of, pairs, levels = {}, {}, [], []  # dicts keyed by ratios
-    for leaf, sub in split_masks(tree, node_id):
+    for leaf in tree.leaves_under[node_id]:
+        sub = tree.mask_at[leaf]
         f, p = pair = _pair(tree, leaf, i)
         key = f.as_integer_ratio(), p.as_integer_ratio()
         n = numbered.setdefault(key, len(pairs))
@@ -356,6 +361,7 @@ class QueryClass:
 
 
 def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
+    require_valid(tree)
     node = tree.nodes[node_id]
     if not isinstance(node, QueryNode):
         raise MechanismError(f"node {node_id} is not a query node")
@@ -468,6 +474,7 @@ def is_k_limited(tree: ImplementationTree, k) -> KLimitedResult:
     """Per-path query budgets: at most k+1 queries per agent, or k+2 when
     the last one has one of the allowed harmless forms
     (`QueryClass.extra_allowed`).  Needs binary outcomes."""
+    require_valid(tree)
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
     if k == inf:
@@ -515,6 +522,7 @@ def taxation_diagnostics(
     three to identical (f, p); one above d ties a to c; one below a ties
     c to d.  Violations are structural evidence against k-step
     obviousness even before payments are checked in full."""
+    require_valid(tree)
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
     sets = _commitment_sets(tree, k)
@@ -533,8 +541,8 @@ def taxation_diagnostics(
         scale_guard(prod(m.bit_count() for m in tree.mask_at[u]))
         leaf_at = {
             prof: leaf
-            for leaf, box in split_masks(tree, u)
-            for prof in itertools.product(*map(bits, box))
+            for leaf in tree.leaves_under[u]
+            for prof in itertools.product(*map(bits, tree.mask_at[leaf]))
         }
         for a in itertools.product(*map(bits, tree.mask_at[u])):
             larger = (sets[u][leaf_at[a]] >> (a[i] + 1)) << (a[i] + 1)
@@ -613,19 +621,21 @@ def strong_ineffectiveness_check(
     share them jointly: identical f against every opponent profile
     forces one constant (f, p) across both branches.  Violations break
     obvious strategyproofness at any horizon."""
+    require_valid(tree)
     require_binary_outcomes(tree)
     findings: list[PoolingFinding] = []
     for u in tree.internal_ids:
         i = tree.nodes[u].agent
         own = bits(tree.mask_at[u][i])
-        # the block each type goes to: the first one holding it
+        # the block each type goes to
         blocks = tree.block_masks[u]
         side = [next(n for n, m in enumerate(blocks) if m >> q & 1) for q in own]
         # types with equal f-rows win on as many opponent profiles; only
         # pairs that tie on that count are tabulated and compared
         wins = dict.fromkeys(own, 0)
-        for leaf, sub in split_masks(tree, u):
+        for leaf in tree.leaves_under[u]:
             if tree.winners[leaf] >> i & 1:
+                sub = tree.mask_at[leaf]
                 opponents = prod(map(int.bit_count, sub)) // sub[i].bit_count()
                 for q in bits(sub[i]):
                     wins[q] += opponents
@@ -668,6 +678,7 @@ def reveal_at_k2(tree: ImplementationTree, k) -> ImplementationTree:
     Computed outcomes and payments are unchanged on every profile.  A
     node that is already a revelation passes through untouched.
     """
+    require_valid(tree)
     k = normalize_horizon(k)
     if k == inf:
         return tree

@@ -104,23 +104,18 @@ class TestVerify:
         assert structural["strong_ineffectiveness"] == 0
         assert structural["taxation"] == 0
 
-    def test_out_and_report_get_the_same_bytes(self, capsys, english_file, tmp_path):
-        # --report used to win, and --out was dropped without a word
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        code, out, _ = run(
-            capsys, "verify", "--mechanism", str(english_file), "--k", "2",
-            "--out", str(a), "--report", str(b),
-        )
-        assert code == 0
-        assert a.read_text() == b.read_text() == out
-
     def test_byte_identical_reports(self, capsys, english_file, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        run(capsys, "verify", "--mechanism", str(english_file), "--k", "2", "--report", str(a))
-        run(capsys, "verify", "--mechanism", str(english_file), "--k", "2", "--report", str(b))
-        assert a.read_bytes() == b.read_bytes()
+        # --out writes the printed bytes, the same on every run
+        printed = []
+        for name in ("a.json", "b.json"):
+            code, out, _ = run(
+                capsys, "verify", "--mechanism", str(english_file), "--k", "2",
+                "--out", str(tmp_path / name),
+            )
+            assert code == 0
+            printed.append(out.encode())
+        a, b = (tmp_path / name for name in ("a.json", "b.json"))
+        assert a.read_bytes() == b.read_bytes() == printed[0] == printed[1]
 
 
 class TestErrorPaths:
@@ -146,7 +141,34 @@ class TestErrorPaths:
             "--format", "csv",
         )
         assert code == 2
-        assert "json" in err
+        assert "unrecognized arguments: --format csv" in err
+
+    # each verb's required arguments, positionals filled so that none
+    # takes the flag's value; the parser refuses a flag before any file
+    # is read or written
+    VERBS = {
+        "verify": ["--mechanism", "m.json", "--k", "0"],
+        "payments": ["--mechanism", "m.json", "--k", "0"],
+        "cmon": ["--mechanism", "m.json", "--k", "0"],
+        "greedy": ["extract-tree", "--instance", "i.json"],
+        "approx": ["--instance", "i.json"],
+        "search": ["--instance", "i.json", "--k", "0", "--ratio", "1"],
+        "fixtures": ["appendix_b"],
+        "experiment": [],
+    }
+
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [(verb, ("--seed", "1")) for verb in VERBS]
+        + [(verb, ("--format", "json")) for verb in VERBS if verb != "experiment"]
+        + [("verify", ("--report", "r.json"))],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_flags_no_verb_reads_are_refused(self, capsys, verb, flag):
+        code, out, err = run(capsys, verb, *self.VERBS[verb], *flag)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_no_verb(self, capsys):
         code, _, _ = run(capsys)
@@ -608,14 +630,16 @@ instance,d,k,verdict_k_limitable,worst_ratio,queries_max
 
 class TestExperiment:
     def test_threshold_sweep_csv(self, capsys):
-        code, out, _ = run(
-            capsys, "experiment",
-            "--instance", "single_item(3,6)",
-            "--instance", "single_item(2,4)",
-            "--ks", "0,1,2",
-        )
-        assert code == 0
-        assert out == EXPECTED_CSV
+        # csv is the default format, and --format csv asks for it
+        for fmt in ([], ["--format", "csv"]):
+            code, out, _ = run(
+                capsys, "experiment",
+                "--instance", "single_item(3,6)",
+                "--instance", "single_item(2,4)",
+                "--ks", "0,1,2", *fmt,
+            )
+            assert code == 0
+            assert out == EXPECTED_CSV
 
     def test_no_instances_gives_header(self, capsys):
         code, out, _ = run(capsys, "experiment")

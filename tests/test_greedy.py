@@ -359,6 +359,23 @@ class TestApproxRatio:
         with pytest.raises(MechanismError, match="number of agents"):
             approx_ratio(PSystem.single_item(3), tree, [1, 2])
 
+    def test_fractional_outcomes_are_refused(self):
+        # a half share is no win: the ratio of 0/1 trees does not apply
+        ps = PSystem.single_item(2)
+        tree = extract_tree(ps, [1, 2])
+        half = Fraction(1, 2)
+        nodes = {
+            nid: LeafNode(nid, tuple(half if f == 1 else f for f in node.outcome))
+            if isinstance(node, LeafNode)
+            else node
+            for nid, node in tree.nodes.items()
+        }
+        halved = ImplementationTree(2, tree.domains, tree.root, nodes)
+        assert halved.nonbinary == (1, half)
+        assert approx_ratio(ps, tree, [1, 2])[0] == 1
+        with pytest.raises(MechanismError, match="non-binary outcome 1/2"):
+            approx_ratio(ps, halved, [1, 2])
+
 
 def test_profile_enumerations_respect_scale_guard(monkeypatch):
     ps = PSystem.single_item(2)

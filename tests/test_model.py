@@ -20,8 +20,6 @@ from ospkit.model import (
     random_k_limited_tree,
     require_binary_outcomes,
     require_valid,
-    split_box,
-    split_masks,
     tree_from_nested,
     types_of,
     validate_tree,
@@ -294,17 +292,11 @@ def test_query_depth_matches_path_count(seed):
 
 
 def oracle_split_box(tree, node_id):
-    """split_box on types: each query places every value of the box with
-    `v in blk`, one Fraction comparison at a time."""
-    box = tree.domain_at[node_id]
-    if not all(box):
-        return
-    if tree.problems:
-        for j, d in enumerate(box):
-            for t in d:
-                if t not in tree.domains[j]:
-                    raise MechanismError(f"type {t} not in domain of agent {j}")
-    stack = [(node_id, box)]
+    """The leaf boxes below node_id on types, by a walk down the blocks:
+    each query places every value of the box with `v in blk`, one
+    Fraction comparison at a time, and children are stacked in block
+    order.  The tree must be valid."""
+    stack = [(node_id, tree.domain_at[node_id])]
     while stack:
         nid, box = stack.pop()
         sub = tree.nodes[nid]
@@ -320,18 +312,14 @@ def oracle_split_box(tree, node_id):
                     break
             else:
                 raise MechanismError(f"value {v} not in any block of node {nid}")
-        for idx, part in enumerate(parts):
-            if not part:
-                continue
-            cid = sub.children[idx] if idx < len(sub.children) else None
-            if cid not in tree.parent:
-                raise MechanismError(f"walk entered defective edge at node {nid}")
-            stack.append((cid, box[:j] + (tuple(part),) + box[j + 1 :]))
+        for part, cid in zip(parts, sub.children):
+            if part:
+                stack.append((cid, box[:j] + (tuple(part),) + box[j + 1 :]))
 
 
 def oracle_split_masks(tree, node_id):
-    """split_masks by its walk down the blocks: each query splits the box
-    by its block masks, and children are stacked in block order."""
+    """oracle_split_box on masks: each query splits the box by its block
+    masks, and children are stacked in block order."""
     stack = [(node_id, tree.mask_at[node_id])]
     while stack:
         nid, box = stack.pop()
@@ -345,19 +333,6 @@ def oracle_split_masks(tree, node_id):
             if rest & m:
                 stack.append((cid, box[:j] + (rest & m,) + box[j + 1 :]))
             rest &= ~m
-
-
-def split_or_error(split, tree, node_id):
-    """The split's (leaf, box) list, each coordinate without repeats (a
-    mask holds a repeated value once), or the message it raised."""
-    try:
-        return [
-            (leaf, tuple(tuple(sorted(set(d))) for d in box))
-            for leaf, box in split(tree, node_id)
-        ]
-    except MechanismError as exc:
-        return str(exc)
-
 
 
 def oracle_first_divergence(tree, a, b):
@@ -421,10 +396,10 @@ class TestPartingAgainstOracles:
     def test_split_matches_walks(self):
         for t in small_trees(range(200)):
             for nid in t.internal_ids:
-                boxes = list(split_box(t, nid))
                 leaf_at = profile_leaves(t, nid)
                 assert sum(
-                    len(list(itertools.product(*box))) for _, box in boxes
+                    len(list(itertools.product(*t.domain_at[leaf])))
+                    for leaf in t.leaves_under[nid]
                 ) == len(leaf_at)
                 for prof in itertools.product(*t.domain_at[nid]):
                     assert t.path_of(prof)[-1] == leaf_at[prof]
@@ -432,12 +407,14 @@ class TestPartingAgainstOracles:
     def test_split_matches_fraction_split(self):
         for t in small_trees(range(200)):
             for nid in t.internal_ids:
-                assert list(split_box(t, nid)) == list(oracle_split_box(t, nid))
+                below = list(reversed(t.leaves_under[nid]))
+                want = list(oracle_split_box(t, nid))
+                assert [(leaf, t.domain_at[leaf]) for leaf in below] == want
                 masks = [
                     (leaf, tuple(types_of(t, j, m) for j, m in enumerate(box)))
-                    for leaf, box in split_masks(t, nid)
+                    for leaf, box in oracle_split_masks(t, nid)
                 ]
-                assert masks == list(oracle_split_box(t, nid))
+                assert masks == want
                 assert profile_leaves(t, nid) == {
                     prof: leaf
                     for leaf, box in oracle_split_box(t, nid)
@@ -457,7 +434,8 @@ class TestPartingAgainstOracles:
             t = random_k_limited_tree(rng, agents, domains, rng.choice([0, 1, inf]))
             assert not t.problems
             for nid in t.preorder:
-                got = list(split_masks(t, nid))
+                below = reversed(t.leaves_under[nid])
+                got = [(leaf, t.mask_at[leaf]) for leaf in below]
                 assert got == list(oracle_split_masks(t, nid))
                 seen["leaves"] += len(got)
             seen["deep"] += len(t.leaf_ids) >= 8
@@ -698,9 +676,8 @@ class TestValidityAgainstOracles:
             want = oracle_validate_tree(t)
             assert validate_tree(t) == want
             assert t.problems == tuple(want)
-            assert raised(require_valid, t) == (
-                f"malformed mechanism: {want[0]}" if want else None
-            )
+            message = f"malformed mechanism: {want[0]}" if want else None
+            assert raised(require_valid, t) == message
             assert raised(require_binary_outcomes, t) == raised(
                 oracle_require_binary_outcomes, t
             )
@@ -708,10 +685,11 @@ class TestValidityAgainstOracles:
                 nid: sum(1 << j for j, v in enumerate(t.nodes[nid].outcome) if v == 1)
                 for nid in t.leaf_ids
             }
-            for nid in t.preorder:
-                got = split_or_error(split_box, t, nid)
-                assert got == split_or_error(oracle_split_box, t, nid)
-                seen["split raised"] += isinstance(got, str)
+            # every analysis refuses a malformed tree before it reads a box
+            refused = raised(lambda tree: profile_leaves(tree, tree.root), t)
+            assert refused == message
+            seen["profiles refused"] += refused is not None
+            seen["profiles listed"] += refused is None
             for nid in t.internal_ids:
                 # every value of a block has its bit, and a foreign one none
                 dom = t.domains[t.nodes[nid].agent]
@@ -720,4 +698,4 @@ class TestValidityAgainstOracles:
                         sorted({v for v in blk if v in dom})
                     )
         assert all(seen[kind] for kind in MUTATIONS), seen
-        assert seen["split raised"], seen
+        assert seen["profiles refused"] and seen["profiles listed"], seen

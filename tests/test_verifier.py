@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import inf
@@ -10,16 +11,27 @@ from hypothesis import given, settings, strategies as st
 from ospkit import (
     MechanismError,
     PSystem,
+    approx_ratio,
+    build_k_osp_graph,
+    build_profile_classes,
     check_k_step_osp,
     classify_query,
     compress,
     english_auction_tree,
+    equivalence_class,
     extract_tree,
     is_almost_ordered,
+    is_k_limitable,
     is_k_limited,
+    is_revealable,
+    is_two_way_greedy,
+    k_step_neighborhood,
+    k_vs_infinity_equivalence,
     mechanism_to_data,
     require_binary_outcomes,
     reveal_at_k2,
+    serialize,
+    sticky_edges_check,
     strong_ineffectiveness_check,
     synthesize_payments,
     taxation_diagnostics,
@@ -32,8 +44,8 @@ from ospkit.model import (
     LeafNode,
     QueryNode,
     normalize_horizon,
+    profile_leaves,
     random_k_limited_tree,
-    split_box,
     tree_from_nested,
     types_of,
 )
@@ -916,7 +928,9 @@ class TestAgainstOracles:
                 want = oracle_value_table(t, u)
                 assert table_as_dict(t, u) == want
                 assert fraction_value_table(t, u) == want
-                assert list(split_box(t, u)) == list(oracle_split_box(t, u))
+                below = reversed(t.leaves_under[u])
+                boxes = [(leaf, t.domain_at[leaf]) for leaf in below]
+                assert boxes == list(oracle_split_box(t, u))
             classes = [classify_query(t, u) for u in t.internal_ids]
             assert classes == [oracle_classify(t, u) for u in t.internal_ids]
             pooling = strong_ineffectiveness_check(t) if binary else None
@@ -974,7 +988,9 @@ class TestAgainstOracles:
                 want = oracle_value_table(t, u)
                 assert table_as_dict(t, u) == want
                 assert fraction_value_table(t, u) == want
-                assert list(split_box(t, u)) == list(oracle_split_box(t, u))
+                below = reversed(t.leaves_under[u])
+                boxes = [(leaf, t.domain_at[leaf]) for leaf in below]
+                assert boxes == list(oracle_split_box(t, u))
                 assert classify_query(t, u) == oracle_classify(t, u)
             if has_binary_outcomes(t):
                 for cap in (1, 3, 200):
@@ -1087,65 +1103,116 @@ class TestFastPathsAgainstOracles:
         assert seen[1] and seen[2] and seen[3] and seen[4] == 1
 
 
-class TestMalformedTrees:
-    """Trees that construction tolerates but no walk can cross."""
-
-    def test_value_in_no_block(self):
-        t = tree_from_nested(2, [[1, 2], [1, 2, 3]], (
-            "q", 0, [
-                ([1], ("leaf", (0, 0), (F(0), F(0)))),
-                ([2], ("q", 1, [
-                    ([1], ("leaf", (1, 0), (F(1), F(0)))),
-                    ([2], ("leaf", (0, 1), (F(0), F(1)))),
-                ])),
-            ],
-        ))
-        with pytest.raises(MechanismError, match="not in any block"):
-            classify_query(t, 0)
-        with pytest.raises(MechanismError, match="not in any block"):
-            strong_ineffectiveness_check(t)
-
-    def test_value_outside_the_domain(self):
-        t = tree_from_nested(1, [[1, 2]], (
-            "q", 0, [
-                ([1], ("leaf", (0,), (F(0),))),
-                ([2, 5], ("q", 0, [
-                    ([2], ("leaf", (1,), (F(1),))),
-                    ([5], ("leaf", (0,), (F(0),))),
-                ])),
-            ],
-        ))
-        with pytest.raises(MechanismError, match="not in domain"):
-            classify_query(t, 2)
-        with pytest.raises(MechanismError, match="not in domain"):
-            strong_ineffectiveness_check(t)
-
-    def test_value_in_two_blocks_goes_to_the_first(self):
-        # the root table walks no ancestor, so it must route 2 as route does
-        t = tree_from_nested(2, [[1, 2, 3], [1, 2]], (
-            "q", 0, [
-                ([1, 2], ("leaf", (1, 0), (F(1), F(0)))),
-                ([2, 3], ("q", 1, [
-                    ([1], ("leaf", (0, 1), (F(0), F(1)))),
-                    ([2], ("leaf", (0, 0), (F(2), F(0)))),
-                ])),
-            ],
-        ))
-        own, combos, table = table_as_dict(t, 0)
-        assert (own, combos, table) == oracle_value_table(t, 0)
-        assert table[(F(2), (F(2),))] == (F(1), F(1))
-
-    # a child id no node carries, and a block with no child at all
-    @pytest.mark.parametrize("children", [(1, 9), (1,)])
-    def test_unknown_child(self, children):
+def malformed_trees():
+    """Trees that construction tolerates and records problems for: a value
+    in two blocks, a value in no block, a value outside the domain, a
+    child id no node carries, and a block with no child at all."""
+    yield tree_from_nested(2, [[1, 2, 3], [1, 2]], (
+        "q", 0, [
+            ([1, 2], ("leaf", (1, 0), (F(1), F(0)))),
+            ([2, 3], ("q", 1, [
+                ([1], ("leaf", (0, 1), (F(0), F(1)))),
+                ([2], ("leaf", (0, 0), (F(2), F(0)))),
+            ])),
+        ],
+    ))
+    yield tree_from_nested(2, [[1, 2], [1, 2, 3]], (
+        "q", 0, [
+            ([1], ("leaf", (0, 0), (F(0), F(0)))),
+            ([2], ("q", 1, [
+                ([1], ("leaf", (1, 0), (F(1), F(0)))),
+                ([2], ("leaf", (0, 1), (F(0), F(1)))),
+            ])),
+        ],
+    ))
+    yield tree_from_nested(1, [[1, 2]], (
+        "q", 0, [
+            ([1], ("leaf", (0,), (F(0),))),
+            ([2, 5], ("q", 0, [
+                ([2], ("leaf", (1,), (F(1),))),
+                ([5], ("leaf", (0,), (F(0),))),
+            ])),
+        ],
+    ))
+    for children in [(1, 9), (1,)]:
         nodes = {
             0: QueryNode(
                 id=0, agent=0, blocks=((F(1),), (F(2),)), children=children
             ),
             1: LeafNode(id=1, outcome=(F(0),), payment=(F(0),)),
         }
-        t = ImplementationTree(1, [[1, 2]], 0, nodes)
-        with pytest.raises(MechanismError, match="defective edge"):
-            classify_query(t, 0)
-        with pytest.raises(MechanismError, match="defective edge"):
+        yield ImplementationTree(1, [[1, 2]], 0, nodes)
+
+
+class TestMalformedTrees:
+    """Each walk refuses a malformed tree with the first problem recorded at
+    construction, at whichever node it starts."""
+
+    @staticmethod
+    def assert_refused(t, node, problem):
+        message = re.escape("malformed mechanism: " + problem)
+        with pytest.raises(MechanismError, match=f"^{message}$"):
+            classify_query(t, node)
+        with pytest.raises(MechanismError, match=f"^{message}$"):
             strong_ineffectiveness_check(t)
+
+    def test_value_in_no_block(self):
+        t = list(malformed_trees())[1]
+        self.assert_refused(t, 0, "node 2: domain values [Fraction(3, 1)] not covered")
+
+    def test_value_outside_the_domain(self):
+        t = list(malformed_trees())[2]
+        self.assert_refused(t, 2, "node 0: value 5 outside the current domain")
+
+    # a child id no node carries, and a block with no child at all
+    @pytest.mark.parametrize("children", [(1, 9), (1,)])
+    def test_unknown_child(self, children):
+        problem = {
+            (1, 9): "node 0: unknown child 9",
+            (1,): "node 0: 2 blocks, 1 children",
+        }[children]
+        nodes = {
+            0: QueryNode(
+                id=0, agent=0, blocks=((F(1),), (F(2),)), children=children
+            ),
+            1: LeafNode(id=1, outcome=(F(0),), payment=(F(0),)),
+        }
+        self.assert_refused(ImplementationTree(1, [[1, 2]], 0, nodes), 0, problem)
+
+
+# every public analysis and rewrite of a tree, called as on a valid one
+ANALYSES = {
+    "check_k_step_osp": lambda t: check_k_step_osp(t, 1),
+    "is_almost_ordered": lambda t: is_almost_ordered(t, 1),
+    "is_k_limited": lambda t: is_k_limited(t, 0),
+    "classify_query": lambda t: classify_query(t, t.root),
+    "taxation_diagnostics": lambda t: taxation_diagnostics(t, 1),
+    "strong_ineffectiveness_check": strong_ineffectiveness_check,
+    "reveal_at_k2": lambda t: reveal_at_k2(t, 0),
+    "reveal_at_k2 at inf": lambda t: reveal_at_k2(t, inf),
+    "k_step_neighborhood": lambda t: k_step_neighborhood(t, t.root, 1),
+    "profile_leaves": lambda t: profile_leaves(t, t.root),
+    "equivalence_class": lambda t: equivalence_class(
+        t, t.root, t.box_min(t.root), 1
+    ),
+    "compress": compress,
+    "serialize": serialize,
+    "is_k_limitable": lambda t: is_k_limitable(t, 0),
+    "is_revealable": lambda t: is_revealable(t, t.root),
+    "is_two_way_greedy": is_two_way_greedy,
+    "approx_ratio": lambda t: approx_ratio(PSystem.single_item(t.agents), t, [1, 2]),
+    "build_profile_classes": lambda t: build_profile_classes(t, 1, 0),
+    "build_k_osp_graph": lambda t: build_k_osp_graph(t, 1, 0),
+    "synthesize_payments": lambda t: synthesize_payments(t, 1),
+    "sticky_edges_check": lambda t: sticky_edges_check(t, 1),
+    "k_vs_infinity_equivalence": lambda t: k_vs_infinity_equivalence(t, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYSES))
+def test_every_analysis_refuses_a_malformed_tree(name):
+    for t in malformed_trees():
+        assert t.problems
+        with pytest.raises(MechanismError) as caught:
+            ANALYSES[name](t)
+        assert str(caught.value) == "malformed mechanism: " + t.problems[0]
