@@ -46,7 +46,6 @@ from .io import (
 )
 from .model import (
     MechanismError,
-    query_count,
     require_binary_outcomes,
     require_valid,
 )
@@ -81,14 +80,7 @@ def _rational(text: str, flag: str):
 
 
 def _max_queries(tree) -> int:
-    return max(
-        (
-            query_count(tree, agent, leaf)
-            for leaf in tree.leaf_ids
-            for agent in range(tree.agents)
-        ),
-        default=0,
-    )
+    return max(map(max, tree.query_depth.values()))
 
 
 def cmd_verify(args) -> int:
@@ -200,6 +192,8 @@ def cmd_cmon(args) -> int:
 
 
 def cmd_greedy(args) -> int:
+    if args.action not in (None, "extract-tree"):
+        raise MechanismError(f"unknown greedy action {args.action!r}")
     ps, domain = load_instance(args.instance)
     if args.action == "extract-tree":
         if not args.out:
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "greedy", parents=[common], help="run the two-way elimination"
     )
     p.add_argument(
-        "action", nargs="?", choices=["extract-tree"], default=None,
+        "action", nargs="?", default=None,
         help="extract-tree: write the full implementation tree instead",
     )
     p.add_argument("--instance", required=True)

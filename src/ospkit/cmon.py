@@ -40,7 +40,7 @@ from .model import (
     types_of,
 )
 from .rational import Rat
-from .verifier import _value_table, is_k_limited, query_class
+from .verifier import _value_table, is_k_limited
 
 SETTLED = "settled"
 TAIL_EFFECTIVE = "tail_effective"
@@ -107,12 +107,11 @@ def _tail_split(tree: ImplementationTree, u: int, rows, levels):
     if len(groups[0]) > len(groups[1]):
         pooled = sum(1 << current[r] for r in groups[0])
         return own ^ pooled, pooled
-    dom = tree.domains[agent]
-    qc = query_class(u, agent, dom, own, tree.block_masks[u], rows, levels)
-    if (len(current) == 2 or qc.is_prefix) and dom[current[-1]] in qc.only_types:
+    # a tie settles by the only-extreme form only at two types, where two
+    # groups of one make the top type only-effective; among n >= 3 types an
+    # only-effective top or bottom leaves groups of n - 1 and 1, no tie
+    if len(current) == 2:
         return 1 << current[-1], own ^ (1 << current[-1])
-    # a suffix form cannot tie here: an only-effective bottom type leaves
-    # groups {bottom} and {the rest}, tied only at two types, decided above
     raise MechanismError(
         f"ambiguous effective/pooled split at node {u} for agent {agent}"
     )

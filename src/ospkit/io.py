@@ -95,7 +95,8 @@ def parse_horizon(text: str) -> int | float:
     return k
 
 
-def loads_mechanism(text: str) -> ImplementationTree:
+def _json_object(text: str, what: str, keys) -> dict:
+    """The json object a `what` file holds, with every one of `keys`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -103,10 +104,15 @@ def loads_mechanism(text: str) -> ImplementationTree:
             f"invalid json at line {exc.lineno}: {exc.msg}"
         ) from exc
     if not isinstance(data, dict):
-        raise MechanismFormatError("mechanism file must hold a json object")
-    for key in ("agents", "domains", "nodes", "root"):
+        raise MechanismFormatError(f"{what} file must hold a json object")
+    for key in keys:
         if key not in data:
             raise MechanismFormatError(f"missing key {key!r}")
+    return data
+
+
+def loads_mechanism(text: str) -> ImplementationTree:
+    data = _json_object(text, "mechanism", ("agents", "domains", "nodes", "root"))
     # each distinct text is parsed once; other values keep their errors
     seen: dict[str, Fraction] = {}
 
@@ -228,17 +234,7 @@ def loads_instance(text: str):
     """Parse an instance file into (PSystem, valuation domain)."""
     from .greedy import PSystem
 
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MechanismFormatError(
-            f"invalid json at line {exc.lineno}: {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise MechanismFormatError("instance file must hold a json object")
-    for key in ("kind", "n", "domain"):
-        if key not in data:
-            raise MechanismFormatError(f"missing key {key!r}")
+    data = _json_object(text, "instance", ("kind", "n", "domain"))
     kind = data["kind"]
     params = data.get("params", {}) or {}
     try:

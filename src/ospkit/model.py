@@ -20,10 +20,11 @@ costs O(1) however often a caller asks.
 
 Every domain is totally ordered, so a type's position in its agent's
 sorted domain keeps its order; the same walk records every block and
-every current domain as an int mask over those positions.  On a valid
-tree the blocks partition every current domain, so the profiles
-available at a node that reach a leaf below it are exactly the leaf's
-own box, `mask_at[leaf]` (as types, `domain_at[leaf]`): every table
+every current domain as an int mask over those positions (`block_masks`,
+`mask_at`) and every current domain as a tuple of types (`domain_at`).
+On a valid tree the blocks partition every current domain, so the
+profiles available at a node that reach a leaf below it are exactly the
+leaf's own box, `mask_at[leaf]` (as types, `domain_at[leaf]`): every table
 keyed by profile or by (own type, opponents) reads those boxes for the
 leaves in `leaves_under[node]`, and no consumer walks from the root once
 per profile.  On a malformed tree a leaf's box need not hold the
@@ -39,7 +40,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, log10, prod
@@ -123,7 +123,7 @@ class ImplementationTree:
       parent, depth          per reachable node id
       positions[i]           integer ratio -> position in agent i's domain
       mask_at[nid]           per-agent current domains as masks over those
-      domain_at[nid]         the same as tuples of types, built on demand
+      domain_at[nid]         the same as tuples of types
       block_masks[nid]       the blocks of query nid as masks
       query_depth[nid]       per-agent query counts on the root..nid path,
                              counting nid itself when it is a query
@@ -176,11 +176,12 @@ class ImplementationTree:
         )
         self.mask_at = {self.root: tuple((1 << len(d)) - 1 for d in self.domains)}
         self.block_masks: dict[int, tuple[int, ...]] = {}
-        # tuples kept: each leaf's, which cmon reads once per agent
-        kept: dict[int, tuple[tuple[Rat, ...], ...]] = {}
         # each agent's current domains by mask: a tree has few distinct ones
         named = [{(1 << len(d)) - 1: d} for d in self.domains]
-        self.domain_at = _Domains(named, self.mask_at, kept)
+        self.domain_at = {self.root: self.domains}
+        # nodes below a block with a foreign or repeated value, where a
+        # domain is the written block, not the types its mask names
+        literal: set[int] = set()
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.query_depth: dict[int, tuple[int, ...]] = {}
         self.preorder: list[int] = []
@@ -197,8 +198,6 @@ class ImplementationTree:
             if isinstance(node, LeafNode):
                 self.query_depth[nid] = base
                 self.leaf_ids.append(nid)
-                if nid not in kept:
-                    kept[nid] = tuple(map(dict.__getitem__, named, self.mask_at[nid]))
                 if len(node.outcome) != self.agents:
                     checks.append(f"leaf {nid}: outcome length {len(node.outcome)}")
                 if node.payment is not None and len(node.payment) != self.agents:
@@ -218,41 +217,36 @@ class ImplementationTree:
             qd = base[:j] + (base[j] + 1,) + base[j + 1 :]
             self.query_depth[nid] = shared.setdefault(qd, qd)  # few distinct
             self.internal_ids.append(nid)
-            masks = self.mask_at[nid]
+            masks, dom = self.mask_at[nid], self.domain_at[nid]
             at = self.positions[j]
             bms = []
             for blk in node.blocks:
-                held = [at.get(v.as_integer_ratio()) for v in blk]  # None: foreign
                 m = 0
-                for p in held:
+                for v in blk:
+                    p = at.get(v.as_integer_ratio())  # None: foreign
                     if p is not None:
                         m |= 1 << p
                 bms.append(m)
-                if m not in named[j]:  # the block itself, when it is that tuple
-                    clean = len(blk) == m.bit_count() and held == sorted(held)
-                    named[j][m] = tuple(blk) if clean else types_of(self, j, m)
             bms = tuple(bms)  # a tree has few distinct ones: share them
             bms = self.block_masks[nid] = shared.setdefault(bms, bms)
             # nonempty blocks whose masks add up to the domain's, holding
             # as many values: a partition (a shared, repeated or foreign
             # value loses a bit); a domain differs from its mask only below
-            # a block with a foreign or repeated value, and all those are kept
+            # a block with a foreign or repeated value, all in `literal`
             if (
-                nid in kept
+                nid in literal
                 or len(bms) < 2
                 or not all(node.blocks)
                 or sum(map(len, node.blocks)) != masks[j].bit_count()
                 or sum(bms) != masks[j]
             ):
-                checks.extend(_block_problems(nid, self.domain_at[nid][j], node.blocks))
+                checks.extend(_block_problems(nid, dom[j], node.blocks))
             if len(node.children) != len(node.blocks):
                 structural.append(
                     f"node {nid}: {len(node.blocks)} blocks, "
                     f"{len(node.children)} children"
                 )
-            pairs = list(zip(node.blocks, bms, node.children))
-            literal = nid in kept  # then so is every child
-            for blk, m, cid in reversed(pairs):
+            for blk, m, cid in reversed(list(zip(node.blocks, bms, node.children))):
                 if cid not in self.nodes:
                     structural.append(f"node {nid}: unknown child {cid}")
                     continue
@@ -261,9 +255,14 @@ class ImplementationTree:
                 self.parent[cid] = nid
                 self.depth[cid] = self.depth[nid] + 1
                 self.mask_at[cid] = masks[:j] + (m,) + masks[j + 1 :]
-                if literal or len(blk) != m.bit_count():
-                    dom = self.domain_at[nid]
-                    kept[cid] = dom[:j] + (tuple(sorted(blk)),) + dom[j + 1 :]
+                if nid in literal or len(blk) != m.bit_count():
+                    literal.add(cid)
+                    mine = tuple(sorted(blk))
+                else:  # the types m names: share one tuple per mask
+                    mine = named[j].get(m)
+                    if mine is None:
+                        mine = named[j][m] = tuple(sorted(blk))
+                self.domain_at[cid] = dom[:j] + (mine,) + dom[j + 1 :]
                 stack.append(cid)
 
         unreachable = sorted(set(self.nodes) - set(self.preorder))
@@ -288,6 +287,9 @@ class ImplementationTree:
                 self.leaves_under[nid] = tuple(acc)
 
     def node(self, nid: int) -> QueryNode | LeafNode:
+        """The node with id nid; MechanismError when the tree has none."""
+        if nid not in self.nodes:
+            raise MechanismError(f"unknown node {nid}")
         return self.nodes[nid]
 
     def is_leaf(self, nid: int) -> bool:
@@ -341,25 +343,6 @@ class ImplementationTree:
             f"ImplementationTree(agents={self.agents}, "
             f"nodes={len(self.nodes)}, leaves={len(self.leaf_ids)})"
         )
-
-
-class _Domains(Mapping):
-    """`domain_at`, built from the masks when asked for unless kept: a
-    leaf's, or one below a block with a value no mask holds."""
-
-    def __init__(self, named: list, mask_at: dict, kept: dict) -> None:
-        self.named, self.masks, self.kept = named, mask_at, kept
-
-    def __getitem__(self, nid: int) -> tuple[tuple[Rat, ...], ...]:
-        if nid in self.kept:
-            return self.kept[nid]
-        return tuple(map(dict.__getitem__, self.named, self.masks[nid]))
-
-    def __iter__(self):
-        return iter(self.masks)
-
-    def __len__(self) -> int:
-        return len(self.masks)
 
 
 def _block_problems(nid: int, dom, blocks) -> list[str]:
@@ -424,7 +407,7 @@ def k_step_neighborhood(tree: ImplementationTree, node_id: int, k):
     """
     require_valid(tree)
     k = normalize_horizon(k)
-    node = tree.nodes[node_id]
+    node = tree.node(node_id)
     if not isinstance(node, QueryNode):
         raise MechanismError(f"node {node_id} is not a query node")
     i = node.agent
@@ -502,7 +485,7 @@ def equivalence_class(tree: ImplementationTree, node_id: int, profile, k):
     plan commits through (or never parts at all).  Returned sorted.
     """
     k = normalize_horizon(k)
-    node = tree.nodes[node_id]
+    node = tree.node(node_id)
     if not isinstance(node, QueryNode):
         raise MechanismError(f"node {node_id} is not a query node")
     prof = tree.as_profile(profile)

@@ -362,7 +362,7 @@ class QueryClass:
 
 def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
     require_valid(tree)
-    node = tree.nodes[node_id]
+    node = tree.node(node_id)
     if not isinstance(node, QueryNode):
         raise MechanismError(f"node {node_id} is not a query node")
     i = node.agent

@@ -174,6 +174,33 @@ class TestErrorPaths:
         code, _, _ = run(capsys)
         assert code == 2
 
+    def test_greedy_stray_flag_is_named(self, capsys):
+        # with no action given, the flag's value must not pose as one
+        code, out, err = run(capsys, "greedy", "--instance", "i.json", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --seed" in err
+
+    def test_greedy_unknown_action(self, capsys):
+        code, out, err = run(capsys, "greedy", "bogus", "--instance", "i.json")
+        assert code == 2
+        assert out == ""
+        assert "unknown greedy action 'bogus'" in err
+
+    def test_mechanism_not_an_object(self, capsys, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[]")
+        code, _, err = run(capsys, "verify", "--mechanism", str(p), "--k", "0")
+        assert code == 2
+        assert "mechanism file must hold a json object" in err
+
+    def test_instance_invalid_json_names_its_line(self, capsys, tmp_path):
+        p = tmp_path / "broken.json"
+        p.write_text('{\n  "kind": "uniform",\n  "n": 4,,\n  "domain": [1]\n}\n')
+        code, _, err = run(capsys, "approx", "--instance", str(p))
+        assert code == 2
+        assert "invalid json at line 3: " in err
+
     def test_unknown_fixture(self, capsys):
         code, _, err = run(capsys, "fixtures", "nope(1)")
         assert code == 2

@@ -258,6 +258,18 @@ class TestExtraction:
         for prof in itertools.product(*tree.domains):
             assert flat.leaf_of(prof).outcome == tree.leaf_of(prof).outcome
 
+    def test_serialize_splices_a_query_settled_on_the_path(self):
+        # peeling 1 off the root leaves {1} open at the {1, 3} query, and
+        # then {3}: both times that query keeps one branch and is spliced
+        L = lambda *o: ("leaf", o, None)
+        tree = tree_from_nested(2, [[1, 2, 3], [1, 2]], ("q", 0, [
+            ([1, 3], ("q", 0, [([1], L(1, 0)), ([3], L(0, 1))])),
+            ([2], ("q", 1, [([1], L(0, 0)), ([2], L(1, 1))]))]))
+        flat = serialize(tree)
+        assert flat.problems == ()
+        for prof in itertools.product(*tree.domains):
+            assert flat.leaf_of(prof).outcome == tree.leaf_of(prof).outcome
+
 
 class TestTwoWayShape:
     def test_auction_extractions_pass(self):

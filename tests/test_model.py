@@ -7,6 +7,7 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ospkit.greedy import english_auction_tree, is_revealable
 from ospkit.model import (
     ImplementationTree,
     LeafNode,
@@ -24,6 +25,7 @@ from ospkit.model import (
     types_of,
     validate_tree,
 )
+from ospkit.verifier import classify_query
 
 
 def F(v):
@@ -647,6 +649,50 @@ def mutate(rng, tree, kind):
     return domains, nodes
 
 
+def seeded_trees(seen):
+    """1000 seeded trees, each as (valid tree, the same with one to three
+    defects); `seen` counts the defects made and the refused node maps."""
+    for seed in range(1000):
+        rng = random.Random(seed)
+        agents = rng.randint(1, 3)
+        domains = [list(range(1, rng.randint(2, 4) + 1)) for _ in range(agents)]
+        valid = t = random_k_limited_tree(
+            rng, agents, domains, rng.choice([0, 1, 2, inf]), rng.random() < 0.5
+        )
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(MUTATIONS)
+            mutated = mutate(rng, t, kind)
+            if mutated is None:
+                continue
+            domains, nodes = mutated
+            try:
+                t = ImplementationTree(t.agents, domains, t.root, nodes)
+            except MechanismError:
+                seen["refused"] += 1
+                break
+            seen[kind] += 1
+        yield valid, t
+
+
+def oracle_domain_at(tree):
+    """domain_at read down from the root: below a query, the queried
+    agent's domain is the child's block, sorted as written."""
+    doms = {tree.root: tree.domains}
+    stack = [tree.root]
+    while stack:
+        nid = stack.pop()
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            continue
+        j = node.agent
+        for blk, cid in zip(node.blocks, node.children):
+            if cid in tree.nodes:
+                dom = doms[nid]
+                doms[cid] = dom[:j] + (tuple(sorted(blk)),) + dom[j + 1 :]
+                stack.append(cid)
+    return doms
+
+
 class TestValidityAgainstOracles:
     """The checks the constructor records against the second validation
     walk and the leaf scan, on 1000 seeded trees with one to three defects
@@ -654,25 +700,7 @@ class TestValidityAgainstOracles:
 
     def test_problems_and_messages_match(self):
         seen = Counter()
-        for seed in range(1000):
-            rng = random.Random(seed)
-            agents = rng.randint(1, 3)
-            domains = [list(range(1, rng.randint(2, 4) + 1)) for _ in range(agents)]
-            t = random_k_limited_tree(
-                rng, agents, domains, rng.choice([0, 1, 2, inf]), rng.random() < 0.5
-            )
-            for _ in range(rng.randint(1, 3)):
-                kind = rng.choice(MUTATIONS)
-                mutated = mutate(rng, t, kind)
-                if mutated is None:
-                    continue
-                domains, nodes = mutated
-                try:
-                    t = ImplementationTree(t.agents, domains, t.root, nodes)
-                except MechanismError:
-                    seen["refused"] += 1
-                    break
-                seen[kind] += 1
+        for _, t in seeded_trees(seen):
             want = oracle_validate_tree(t)
             assert validate_tree(t) == want
             assert t.problems == tuple(want)
@@ -699,3 +727,38 @@ class TestValidityAgainstOracles:
                     )
         assert all(seen[kind] for kind in MUTATIONS), seen
         assert seen["profiles refused"] and seen["profiles listed"], seen
+
+    def test_domain_at_matches_walk_from_root(self):
+        seen = Counter()
+        for pair in seeded_trees(seen):
+            for t in pair:
+                want = oracle_domain_at(t)
+                assert set(t.domain_at) == set(want)
+                for nid, doms in want.items():
+                    assert t.domain_at[nid] == doms, nid
+                # a block with a foreign or repeated value is read as written
+                named = {
+                    nid: tuple(types_of(t, i, m) for i, m in enumerate(masks))
+                    for nid, masks in t.mask_at.items()
+                }
+                seen["literal"] += named != want
+        assert seen["literal"], seen
+
+    def test_domain_at_is_a_plain_dict(self):
+        t = english_auction_tree(2, [1, 2, 3])
+        assert type(t.domain_at) is dict
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: classify_query(t, 999),
+        lambda t: k_step_neighborhood(t, 999, 1),
+        lambda t: equivalence_class(t, 999, t.box_min(t.root), 1),
+        lambda t: is_revealable(t, 999),
+    ],
+    ids=["classify_query", "k_step_neighborhood", "equivalence_class", "is_revealable"],
+)
+def test_unknown_node_id_is_refused(call):
+    with pytest.raises(MechanismError, match="^unknown node 999$"):
+        call(english_auction_tree(2, [1, 2, 3]))
