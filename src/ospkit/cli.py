@@ -184,7 +184,8 @@ def cmd_cmon(args) -> int:
             entry.update(graph_to_data(graph))
             dump.append(entry)
     if args.dump_graph:
-        write_report({"horizon": args.k, "agents": dump}, args.dump_graph)
+        horizon = "inf" if k == inf else str(k)
+        write_report({"horizon": horizon, "agents": dump}, args.dump_graph)
         _status(f"wrote class graphs to {args.dump_graph}")
     data = {"verdict": "pass" if bad == 0 else "fail", "agents": agents}
     _emit(render_report(data), args.out)

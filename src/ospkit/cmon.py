@@ -9,11 +9,16 @@ Payments exist for the tree exactly when the weighted graph over these
 classes has no negative cycle; shortest path labels from an added
 zero-source then price every leaf.
 
-The graph never pairs profiles: the edges at a query to the agent join
-the classes of the leaves under one child with those of the leaves under
-another.  Shortest paths run on the weights scaled to integers by their
-least common denominator; labels and cycle weights are mapped back to
-Fractions at the end.
+The graph never pairs profiles: at each query to the agent, every class
+of a leaf under one child gains as targets the classes of the leaves
+under the other children, and each class's target list is then made
+distinct and ascending.  An edge's weight depends only on its source and
+the target's outcome bit, so edges are read off these lists in sorted
+(source, target) order, the order in which Bellman-Ford relaxes them and
+which therefore fixes the negative-cycle witness.  Shortest paths run on
+the weights scaled to integers by their least common denominator; labels
+and cycle weights are mapped back to Fractions at the end.  Payment
+synthesis builds its integer edges straight from the same target lists.
 
 Outcomes must be binary throughout this module.
 """
@@ -199,38 +204,49 @@ def build_k_osp_graph(tree: ImplementationTree, k, agent: int) -> OspGraph:
     type of the source with the outcome difference, so a worse outcome
     prices at the largest type and a better one at the smallest.
     """
-    return _class_graph(tree, build_profile_classes(tree, k, agent))
+    part = build_profile_classes(tree, k, agent)
+    edges = tuple(_edges(tree, part, _weights(part, lambda t: t, Fraction(0))))
+    return OspGraph(agent, part.horizon, part.classes, edges)
 
 
-def _class_graph(tree: ImplementationTree, part: ClassPartition) -> OspGraph:
-    # an edge's weight depends only on its source and the target's bit:
-    # weight[source][target bit]
-    zero = Fraction(0)
-    weight = [
-        (zero, v.types[0]) if v.bit == 0 else (-v.types[-1], zero)
+def _weights(part: ClassPartition, scale, zero) -> list[tuple]:
+    """weight[source][target bit], each type mapped through `scale`: an
+    edge's weight depends only on its source and the target's bit."""
+    return [
+        (zero, scale(v.types[0])) if v.bit == 0 else (-scale(v.types[-1]), zero)
         for v in part.classes
     ]
-    exists: set[tuple[int, int]] = set()
+
+
+def _targets(tree: ImplementationTree, part: ClassPartition) -> list[list[int]]:
+    """The targets of each class's edges, ascending: at a query to the
+    agent, the classes under one child join those under every other."""
+    leaf_class = part.leaf_class.__getitem__
+    nodes, under, agent = tree.nodes, tree.leaves_under, part.agent
+    out: list[list[int]] = [[] for _ in part.classes]
     for nid in tree.internal_ids:
-        node = tree.nodes[nid]
-        if node.agent != part.agent:
+        node = nodes[nid]
+        if node.agent != agent:
             continue
-        sides = [
-            {part.leaf_class[leaf] for leaf in tree.leaves_under[cid]}
-            for cid in node.children
-        ]
+        sides = [dict.fromkeys(map(leaf_class, under[cid])) for cid in node.children]
         for pos, sa in enumerate(sides):
             for sb in sides[pos + 1 :]:
-                exists.update(itertools.product(sa, sb))
-                exists.update(itertools.product(sb, sa))
+                for a in sa:
+                    out[a].extend(sb)
+                for b in sb:
+                    out[b].extend(sa)
+    return [sorted({*targets} - {a}) for a, targets in enumerate(out)]
 
-    classes = part.classes
-    edges = tuple(
-        (ca, cb, weight[ca][classes[cb].bit])
-        for ca, cb in sorted(exists)
-        if ca != cb
-    )
-    return OspGraph(part.agent, part.horizon, classes, edges)
+
+def _edges(tree: ImplementationTree, part: ClassPartition, weight) -> list:
+    """The class graph's edges in sorted (source, target) order; an edge
+    a -> b weighs weight[a][bit of b]."""
+    bit = [v.bit for v in part.classes]
+    return [
+        (a, b, w[bit[b]])
+        for a, (w, targets) in enumerate(zip(weight, _targets(tree, part)))
+        for b in targets
+    ]
 
 
 def _bellman(graph: OspGraph):
@@ -240,9 +256,6 @@ def _bellman(graph: OspGraph):
     Relaxation runs on the weights scaled by the least common denominator,
     all integers; a positive scale changes no comparison, so the labels,
     predecessors and witness are those of the rational run."""
-    n = len(graph.vertices)
-    if n == 0:
-        return [], None
     # edges share their weight objects, one per source class and target
     # bit, so each object is scaled once; keying by identity avoids
     # hashing a Fraction per edge
@@ -252,6 +265,14 @@ def _bellman(graph: OspGraph):
         key: w.numerator * (lcd // w.denominator) for key, w in distinct.items()
     }
     edges = [(a, b, scaled[id(w)]) for a, b, w in graph.edges]
+    return _relax(graph.agent, len(graph.vertices), edges, lcd)
+
+
+def _relax(agent: int, n: int, edges, lcd: int):
+    """Bellman-Ford over n vertices on int edges in list order, the weights
+    scaled by lcd: (labels, None) or (None, witness), as `_bellman`."""
+    if n == 0:
+        return [], None
     dist = [0] * n
     pred: list[int | None] = [None] * n
     last = None
@@ -284,7 +305,7 @@ def _bellman(graph: OspGraph):
         total += weight_of[(a, cycle[(pos + 1) % len(cycle)])]
     assert total < 0, "backtracked cycle must be negative"
     return None, NegativeCycleWitness(
-        agent=graph.agent, cycle=cycle, weight=Fraction(total, lcd)
+        agent=agent, cycle=cycle, weight=Fraction(total, lcd)
     )
 
 
@@ -319,8 +340,12 @@ def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
     failures = []
     for agent in range(tree.agents):
         part = build_profile_classes(tree, k, agent)
-        graph = _class_graph(tree, part)
-        dist, witness = _bellman(graph)
+        # the class graph on ints: every type is one of the agent's, so
+        # their lcd scales each class's weights to ints, once per class
+        lcd = lcm(*(t.denominator for t in tree.domains[agent]))
+        weight = _weights(part, lambda t: t.numerator * (lcd // t.denominator), 0)
+        edges = _edges(tree, part, weight)
+        dist, witness = _relax(agent, len(part.classes), edges, lcd)
         if witness is not None:
             failures.append(witness)
             continue

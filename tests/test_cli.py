@@ -550,6 +550,16 @@ class TestCmon:
         for agent in dump["agents"]:
             assert {"vertices", "edges"} <= set(agent)
 
+    @pytest.mark.parametrize("text, horizon", [("INF", "inf"), ("oo", "inf"),
+                                               (" 2", "2")])
+    def test_graph_dump_writes_the_parsed_horizon(self, capsys, tmp_path,
+                                                  english_file, text, horizon):
+        graph_path = tmp_path / "graph.json"
+        code, _, _ = run(capsys, "cmon", "--mechanism", str(english_file),
+                         "--k", text, "--dump-graph", str(graph_path))
+        assert code == 0
+        assert json.loads(graph_path.read_text())["horizon"] == horizon
+
     def test_failure_reports_cycle(self, capsys, tmp_path):
         bad = tmp_path / "anti.json"
         bad.write_text(render_report(ANTI_MONOTONE))

@@ -177,6 +177,16 @@ def random_graph_cases(seeds):
             yield tree, k, agent
 
 
+def tail_fixture_cases():
+    """(tree, k) for three k-limited fixture trees whose class graphs hold
+    tail classes."""
+    return [
+        (english_auction_tree(3, [1, 2, 3]), 0),
+        (compress(extract_tree(PSystem.single_item(3), [1, 2, 3, 4, 5])), 1),
+        (compress(extract_tree(PSystem.uniform(4, 2), [1, 2, 3, 4])), 0),
+    ]
+
+
 def assert_bellman_matches_reference(graph):
     dist, witness = _bellman(graph)
     ref_dist, ref_witness = reference_bellman(graph)
@@ -275,13 +285,8 @@ class TestGraphOracle:
         assert 0 < cycles < graphs
 
     def test_fixture_graphs_with_tail_classes(self):
-        cases = [
-            (english_auction_tree(3, [1, 2, 3]), 0),
-            (compress(extract_tree(PSystem.single_item(3), [1, 2, 3, 4, 5])), 1),
-            (compress(extract_tree(PSystem.uniform(4, 2), [1, 2, 3, 4])), 0),
-        ]
         tails = 0
-        for t, k in cases:
+        for t, k in tail_fixture_cases():
             for agent in range(t.agents):
                 g = build_k_osp_graph(t, k, agent)
                 assert g.edges == oracle_edges(t, k, agent)
@@ -510,6 +515,36 @@ class TestSynthesis:
         assert res.tree is None
         assert len(res.failures) == 1
         assert res.failures[0].weight < 0
+
+    def test_matches_graph_labels(self):
+        """Synthesis relaxes int edges of its own; its payments are the
+        labels of the public class graph and its failures that graph's
+        witnesses, agent by agent."""
+        cases = [
+            (t, k) for t, k, agent in random_graph_cases(range(1000)) if agent == 0
+        ]
+        outcomes = []
+        fractional = False
+        for t, k in cases + tail_fixture_cases():
+            res = synthesize_payments(t, k)
+            outcomes.append(res.ok)
+            witnesses = []
+            for agent in range(t.agents):
+                part = build_profile_classes(t, k, agent)
+                dist, witness = _bellman(build_k_osp_graph(t, k, agent))
+                if witness is not None:
+                    witnesses.append(witness)
+                    fractional |= witness.weight.denominator > 1
+                    continue
+                fractional |= any(d.denominator > 1 for d in dist)
+                if res.ok:
+                    for leaf in t.leaf_ids:
+                        label = dist[part.leaf_class[leaf]]
+                        assert res.tree.nodes[leaf].payment[agent] == label
+            assert res.failures == tuple(witnesses)
+            assert res.ok == (not witnesses)
+        assert set(outcomes) == {True, False}
+        assert fractional
 
     def test_rejects_over_budget_trees(self):
         raw = extract_tree(PSystem.single_item(2), [1, 2, 3, 4])
