@@ -4,7 +4,9 @@ For one agent and a commitment horizon k, profiles group into classes:
 paths that query her at most k+1 times contribute their leaf's box as a
 single class, and paths reaching a (k+2)-th query contribute up to four,
 splitting her domain there into the effective types and the pooled rest,
-then by her binary outcome; a class is held as its leaves' boxes.
+then by her binary outcome; a class is held as its leaves' boxes.  The
+split is read from that query's class (`verifier.query_class`), and a
+tree over the agent's query budget is refused.
 Payments exist for the tree exactly when the weighted graph over these
 classes has no negative cycle; shortest path labels from an added
 zero-source then price every leaf.
@@ -35,7 +37,6 @@ from .model import (
     LeafNode,
     MechanismError,
     QueryNode,
-    bits,
     normalize_horizon,
     parting_node,
     profile_leaves,
@@ -45,7 +46,7 @@ from .model import (
     types_of,
 )
 from .rational import Rat
-from .verifier import _value_table, is_k_limited
+from .verifier import _past_budget
 
 SETTLED = "settled"
 TAIL_EFFECTIVE = "tail_effective"
@@ -94,34 +95,6 @@ class NegativeCycleWitness:
     weight: Rat
 
 
-def _tail_split(tree: ImplementationTree, u: int, rows, levels):
-    """Split the domain at a (k+2)-th query into effective and pooled
-    types, as masks: the pooled side is the largest group of types with
-    pointwise identical outcomes, ties resolved by the only-extreme form.
-    rows and levels are the first two parts of `_value_table(tree, u)`."""
-    node = tree.nodes[u]
-    agent = node.agent
-    own = tree.mask_at[u][agent]
-    sig: dict[tuple, list[int]] = {}
-    for r, row in enumerate(rows):
-        sig.setdefault(tuple([levels[n] for n in row]), []).append(r)
-    groups = sorted(sig.values(), key=lambda g: (-len(g), g[0]))
-    if len(groups) == 1:
-        return 0, own
-    current = bits(own)
-    if len(groups[0]) > len(groups[1]):
-        pooled = sum(1 << current[r] for r in groups[0])
-        return own ^ pooled, pooled
-    # a tie settles by the only-extreme form only at two types, where two
-    # groups of one make the top type only-effective; among n >= 3 types an
-    # only-effective top or bottom leaves groups of n - 1 and 1, no tie
-    if len(current) == 2:
-        return 1 << current[-1], own ^ (1 << current[-1])
-    raise MechanismError(
-        f"ambiguous effective/pooled split at node {u} for agent {agent}"
-    )
-
-
 def build_profile_classes(
     tree: ImplementationTree, k, agent: int
 ) -> ClassPartition:
@@ -130,23 +103,30 @@ def build_profile_classes(
     Every profile lands in exactly one class, the one anchored at its own
     path's endpoint: its leaf when that path queries the agent at most
     k+1 times, else the node of the (k+2)-th query.  A leaf's box lies
-    whole in one class, so one pass over the leaves builds them.
+    whole in one class, so one pass over the leaves builds them.  Refuses
+    a tree that is not k-limited for the agent.
     """
     require_valid(tree)  # else leaf boxes need not split the profiles
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
-    scale_guard(prod(map(len, tree.domains)))
+    if agent not in range(tree.agents):
+        raise MechanismError(f"unknown agent {agent}")
 
-    # every split is made before any leaf is placed, so an ambiguous split
-    # is reported ahead of a leaf across a split
-    tail_sides: dict[int, tuple[int, int]] = {}
+    # a (k+2)-th query's effective side is read from its class, where the
+    # allowed forms are stated: its only-effective top type, else its
+    # only-effective bottom one, else none
+    effective_at: dict[int, int] = {}
     anchor_of: dict[int, int] = {}  # leaf -> its (k+2)-th query, if any
-    for nid in tree.internal_ids:  # at k = inf, k + 2 is no query depth
-        if tree.nodes[nid].agent != agent or tree.query_depth[nid][agent] != k + 2:
-            continue
-        rows, levels, _ = _value_table(tree, nid)
-        tail_sides[nid] = _tail_split(tree, nid, rows, levels)
-        anchor_of.update(dict.fromkeys(tree.leaves_under[nid], nid))
+    for u, qc, bust in _past_budget(tree, k, agent):
+        if bust:
+            raise MechanismError(f"tree is not k-limited (node {u}: {bust})")
+        own, domain = tree.mask_at[u][agent], tree.domains[agent]
+        top, bottom = own.bit_length() - 1, (own & -own).bit_length() - 1
+        effective_at[u] = next(
+            (1 << p for p in (top, bottom) if domain[p] in qc.only_types), 0
+        )
+        anchor_of.update(dict.fromkeys(tree.leaves_under[u], u))
+    scale_guard(prod(map(len, tree.domains)))
 
     # (anchor, slice, bit) -> the class's leaves, in class order: an
     # anchor's leaves are consecutive, and the first one lays out its
@@ -162,17 +142,10 @@ def build_profile_classes(
         if leaf == tree.leaves_under[anchor][0]:
             for kind in (TAIL_EFFECTIVE, TAIL_NEUTRAL):
                 keyed[anchor, kind, 0], keyed[anchor, kind, 1] = [], []
-        effective, pooled = tail_sides[anchor]
         own = tree.mask_at[leaf][agent]
-        if not own & ~effective:
-            kind = TAIL_EFFECTIVE
-        elif not own & ~pooled:
-            kind = TAIL_NEUTRAL
-        else:
-            raise MechanismError(
-                f"leaf {leaf} spans both sides of the split at {anchor}; "
-                "the tree is not k-limited"
-            )
+        # an allowed form gives the effective type a block of its own, so
+        # a leaf's types lie on one side
+        kind = TAIL_EFFECTIVE if own & effective_at[anchor] else TAIL_NEUTRAL
         keyed[anchor, kind, bit].append(leaf)
         tail_masks[anchor, kind, bit] = tail_masks.get((anchor, kind, bit), 0) | own
 
@@ -331,11 +304,7 @@ def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
     returned instead of a tree."""
     k = normalize_horizon(k)
     require_valid(tree)
-    limited = is_k_limited(tree, k)
-    if not limited.ok:
-        raise MechanismError(
-            f"tree is not k-limited (node {limited.witness}: {limited.reason})"
-        )
+    # the budget is checked agent by agent in build_profile_classes
     per_agent_payment: dict[int, dict[int, Rat]] = {}
     failures = []
     for agent in range(tree.agents):
@@ -380,7 +349,8 @@ class StickyResult:
 def sticky_edges_check(tree: ImplementationTree, k) -> StickyResult:
     """On k-limited trees, any two classes joined by an edge are split in
     one piece: every member pair parts at one and the same query node.
-    Returns the first counterexample otherwise."""
+    Returns the first counterexample otherwise; a tree over budget is
+    refused."""
     k = normalize_horizon(k)
     leaf_at = profile_leaves(tree, tree.root)
     for agent in range(tree.agents):
@@ -417,7 +387,7 @@ class EquivalenceReport:
 def k_vs_infinity_equivalence(tree: ImplementationTree, k) -> EquivalenceReport:
     """Compare negative-cycle verdicts of the horizon-k class graph and
     the unbounded one, agent by agent.  On k-limited trees the verdicts
-    provably coincide; the report shows both sides either way."""
+    provably coincide; a tree over budget is refused."""
     k = normalize_horizon(k)
     details = []
     agree = True

@@ -392,6 +392,8 @@ def query_count(tree: ImplementationTree, agent: int, leaf_id: int) -> int:
     """Number of queries to agent on the path from the root to leaf_id."""
     if leaf_id not in tree.query_depth:
         raise MechanismError(f"unknown node {leaf_id}")
+    if agent not in range(tree.agents):
+        raise MechanismError(f"unknown agent {agent}")
     return tree.query_depth[leaf_id][agent]
 
 

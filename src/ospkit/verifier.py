@@ -15,8 +15,9 @@ ordering of commitment ranges across branches, the taxonomy of a single
 query, per-path query budgets, taxation patterns forced by third types,
 and the rewrite that turns the last allowed query into a revelation.
 `query_class` states the allowed forms of an extra query once, as a
-function of the query's parts; `is_k_limited` and the search in `greedy`
-both call it.
+function of the query's parts.  It is read by `is_k_limited` and `cmon`,
+both through `_past_budget`, the one walk over the queries past an
+agent's budget, and by the search in `greedy`.
 
 All of it runs on type positions and masks (`model`): commitment sets
 are masks, payments compare as ints scaled by common denominators, and
@@ -409,11 +410,12 @@ def query_class(node_id, agent, domain, own, blocks, rows, levels) -> QueryClass
 
     # the allowed forms of an extra query: a strongly ineffective
     # revelation, a strongly only-extreme revelation, or an only-extreme
-    # extremal step, on a two-type, prefix or suffix domain
+    # extremal step, on a prefix or suffix domain (the top forms also on
+    # two adjacent types)
     top, bottom = own.bit_count() - 1, 0
     sep_max = extremal_side in ("max", "both")
     sep_min = extremal_side in ("min", "both")
-    top_form = (len(rows) == 2 or is_prefix) and (
+    top_form = (own == low | low << 1 or is_prefix) and (
         (is_revelation and strongly_ineffective)
         or (is_revelation and top in strongly)
         or (sep_max and top in only)
@@ -470,6 +472,26 @@ class KLimitedResult:
         return self.ok
 
 
+def _past_budget(tree: ImplementationTree, k, agent: int | None = None):
+    """Each query past an agent's (k+1)-th on its path, in preorder (only
+    the queries to `agent` when given): yields (node, its `QueryClass`
+    when it is her (k+2)-th query else None, why it busts the budget or
+    None).  The one place the budget rule is read."""
+    for u in tree.internal_ids:
+        i = tree.nodes[u].agent
+        nth = tree.query_depth[u][i]
+        if nth <= k + 1 or agent is not None and i != agent:
+            continue
+        if nth >= k + 3:
+            yield u, None, f"query number {nth} to agent {i} on a single path"
+            continue
+        qc = classify_query(tree, u)
+        bust = None if qc.extra_allowed else (
+            f"extra query to agent {i} is not of an allowed form"
+        )
+        yield u, qc, bust
+
+
 def is_k_limited(tree: ImplementationTree, k) -> KLimitedResult:
     """Per-path query budgets: at most k+1 queries per agent, or k+2 when
     the last one has one of the allowed harmless forms
@@ -477,24 +499,9 @@ def is_k_limited(tree: ImplementationTree, k) -> KLimitedResult:
     require_valid(tree)
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
-    if k == inf:
-        return KLimitedResult(True, None, None)
-    for u in tree.internal_ids:
-        node = tree.nodes[u]
-        i = node.agent
-        nth = tree.query_depth[u][i]
-        if nth <= k + 1:
-            continue
-        if nth >= k + 3:
-            return KLimitedResult(
-                False, u, f"query number {nth} to agent {i} on a single path"
-            )
-        if not classify_query(tree, u).extra_allowed:
-            return KLimitedResult(
-                False,
-                u,
-                f"extra query to agent {i} is not of an allowed form",
-            )
+    for u, _, bust in _past_budget(tree, k):
+        if bust:
+            return KLimitedResult(False, u, bust)
     return KLimitedResult(True, None, None)
 
 

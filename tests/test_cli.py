@@ -19,6 +19,7 @@ from ospkit import (
     materialize,
 )
 from ospkit.io import render_report
+from test_verifier import random_priced_trees
 
 
 def run(capsys, *argv):
@@ -517,6 +518,24 @@ class TestPayments:
         code, _, err = run(capsys, "payments", "--mechanism", str(raw), "--k", "0")
         assert code == 2
         assert "not k-limited" in err
+
+    @pytest.mark.parametrize("case", ["english-0", "english-1", "seed-4"])
+    def test_cmon_refuses_as_payments(self, capsys, tmp_path, english_file, case):
+        # both verbs refuse a tree over budget at --k with one message
+        path, k = english_file, case[-1]
+        if case == "seed-4":
+            [(tree, _)] = random_priced_trees([4])
+            path, k = tmp_path / "seed4.json", "0"
+            path.write_text(dumps_mechanism(tree))
+        lines = []
+        for verb in ("cmon", "payments"):
+            code, out, err = run(capsys, verb, "--mechanism", str(path), "--k", k,
+                                 "--out", str(tmp_path / "out.json"))
+            assert (code, out) == (2, "")
+            lines.append([line for line in err.splitlines() if line.startswith("error:")])
+        assert lines[0] == lines[1]
+        assert len(lines[0]) == 1 and "tree is not k-limited (node" in lines[0][0]
+        assert not (tmp_path / "out.json").exists()
 
     def test_negative_cycle_writes_nothing(self, capsys, tmp_path):
         bad = tmp_path / "anti.json"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import inf
@@ -26,17 +27,20 @@ from ospkit.cmon import (
     ProfileClass,
     StickyResult,
     _bellman,
-    _tail_split,
 )
 from ospkit.model import (
     LeafNode,
+    query_count,
     random_k_limited_tree,
     tree_from_nested,
-    types_of,
 )
-from ospkit.verifier import _value_table, classify_query
+from ospkit.verifier import classify_query, is_k_limited
 from test_model import oracle_first_divergence
-from test_verifier import has_binary_outcomes, random_priced_trees
+from test_verifier import (
+    has_binary_outcomes,
+    oracle_commitment_types,
+    random_priced_trees,
+)
 
 
 def F(v):
@@ -187,6 +191,64 @@ def tail_fixture_cases():
     ]
 
 
+def random_extra_query_cases(seeds):
+    """(tree, k, agent) over seeded k-limited trees that may ask an agent
+    a (k+2)-th time on a path, the only place tail classes and the allowed
+    forms of that query matter: 2-3 agents, domains 1..2-5 on even seeds
+    and 2-4 fractional types on odd seeds, trees drawn with k+1 commitment
+    steps and kept where they are k-limited."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        agents = rng.randint(2, 3)
+        if seed % 2:
+            domains = [
+                sorted(rng.sample(FRACTION_TYPES, rng.randint(2, 4)))
+                for _ in range(agents)
+            ]
+        else:
+            domains = [
+                list(range(1, rng.randint(2, 5) + 1)) for _ in range(agents)
+            ]
+        k = rng.choice([0, 1, 2, 3])
+        tree = random_k_limited_tree(rng, agents, domains, k + 1)
+        if is_k_limited(tree, k):
+            for agent in range(agents):
+                yield tree, k, agent
+
+
+def oracle_payments_exist(tree, k, agent):
+    """Whether payments for the agent pass the k-step check: Bellman-Ford
+    over the leaves on the constraints of `oracle_check`, the edge a -> b
+    weighing the least c * (f_b - f_a) over c in a's commitment set.  A
+    leaf pair parts at one query only, so no edge repeats."""
+    f = {leaf: F(tree.nodes[leaf].outcome[agent]) for leaf in tree.leaf_ids}
+    edges = []
+    for u in tree.internal_ids:
+        node = tree.nodes[u]
+        if node.agent != agent:
+            continue
+        sides = [tree.leaves_under[cid] for cid in node.children]
+        for ia, side_a in enumerate(sides):
+            for a in side_a:
+                cset = oracle_commitment_types(tree, u, a, k)
+                for ib, side_b in enumerate(sides):
+                    if ib != ia:
+                        edges.extend(
+                            (a, b, min(c * (f[b] - f[a]) for c in cset))
+                            for b in side_b
+                        )
+    dist = dict.fromkeys(tree.leaf_ids, F(0))
+    for _ in range(len(dist)):
+        changed = False
+        for a, b, w in edges:
+            if dist[a] + w < dist[b]:
+                dist[b] = dist[a] + w
+                changed = True
+        if not changed:
+            return True
+    return False
+
+
 def assert_bellman_matches_reference(graph):
     dist, witness = _bellman(graph)
     ref_dist, ref_witness = reference_bellman(graph)
@@ -284,6 +346,24 @@ class TestGraphOracle:
         assert graphs >= 500
         assert 0 < cycles < graphs
 
+    @pytest.mark.parametrize("start", range(0, 1000, 250))
+    def test_extra_query_graphs_match_oracles(self, start):
+        """Trees that may spend the extra query: edges, labels and tail
+        classes against their oracles, and payments exist exactly when
+        the class graph has no negative cycle."""
+        seen = Counter()
+        for t, k, agent in random_extra_query_cases(range(start, start + 250)):
+            g = build_k_osp_graph(t, k, agent)
+            assert g.edges == oracle_edges(t, k, agent)
+            cycle = assert_bellman_matches_reference(g)
+            assert oracle_payments_exist(t, k, agent) == (not cycle)
+            seen["graphs"] += 1
+            seen["cycles"] += cycle
+            seen["tails"] += assert_tails_match(t, k, agent)
+        assert seen["graphs"] >= 500
+        assert 0 < seen["cycles"] < seen["graphs"]
+        assert seen["tails"] > 0
+
     def test_fixture_graphs_with_tail_classes(self):
         tails = 0
         for t, k in tail_fixture_cases():
@@ -323,7 +403,10 @@ def oracle_bit_below(tree, nid, prof, agent):
 
 
 def oracle_tail_split(tree, u, agent):
-    """_tail_split with one walk from u per profile."""
+    """The effective and pooled types at a (k+2)-th query, one walk from u
+    per profile: the pooled side is the largest group of types with
+    pointwise identical outcome bits, ties resolved by the only-extreme
+    forms."""
     own = tree.domain_at[u][agent]
     box = list(tree.domain_at[u])
     sig = {}
@@ -350,14 +433,6 @@ def oracle_tail_split(tree, u, agent):
     )
 
 
-def tail_split_types(tree, u, rows, levels):
-    """_tail_split with each mask given by its types."""
-    agent = tree.nodes[u].agent
-    return tuple(
-        types_of(tree, agent, m) for m in _tail_split(tree, u, rows, levels)
-    )
-
-
 def oracle_tail_classes(tree, u, agent):
     """(kind, bit, members, types) of the tail classes anchored at u,
     bucketing each profile by a walk from u."""
@@ -377,6 +452,34 @@ def oracle_tail_classes(tree, u, agent):
     return out
 
 
+def oracle_budget_error(tree, k, agent):
+    """The refusal of a tree over the agent's budget at horizon k: the
+    first query to her in preorder that is her (k+3)-th or later on its
+    path, or her (k+2)-th and not of an allowed form; None within
+    budget.  Counts each query's number by walking up to the root."""
+    for u in tree.internal_ids:
+        if tree.nodes[u].agent != agent:
+            continue
+        nth, nid = 0, u
+        while nid is not None:
+            nth += tree.nodes[nid].agent == agent
+            nid = tree.parent.get(nid)
+        if nth >= k + 3:
+            why = f"query number {nth} to agent {agent} on a single path"
+        elif nth == k + 2 and not classify_query(tree, u).extra_allowed:
+            why = f"extra query to agent {agent} is not of an allowed form"
+        else:
+            continue
+        return f"tree is not k-limited (node {u}: {why})"
+    return None
+
+
+def oracle_first_budget_error(tree, k):
+    """The refusal of the lowest-numbered agent over budget, or None."""
+    errors = (oracle_budget_error(tree, k, a) for a in range(tree.agents))
+    return next((e for e in errors if e is not None), None)
+
+
 def outcome_or_error(fn, *args):
     try:
         return fn(*args)
@@ -385,27 +488,21 @@ def outcome_or_error(fn, *args):
 
 
 class TestTailOracle:
-    """The tail split and tail buckets, read from the anchor's value
-    table, against one walk per profile.  Trees from `random_priced_trees`
-    have at most k+1 queries per agent and path, so horizons below k make
-    the tails; every query node also gets its split compared."""
+    """The tail split, read from the anchor's query class, and the tail
+    buckets against one walk per profile.  Trees from
+    `random_priced_trees` have at most k+1 queries per agent and path, so
+    horizons below k make the tails."""
 
     @pytest.mark.parametrize("start", range(0, 1000, 250))
     def test_tails_match_oracle(self, start):
-        seen = Counter()
+        tails = 0
         for t, k in random_priced_trees(range(start, start + 250)):
             if not has_binary_outcomes(t):
                 continue
-            for u in t.internal_ids:
-                agent = t.nodes[u].agent
-                rows, levels, _ = _value_table(t, u)
-                got = outcome_or_error(tail_split_types, t, u, rows, levels)
-                assert got == outcome_or_error(oracle_tail_split, t, u, agent)
-                seen["ambiguous"] += isinstance(got, str)
             for h in (0, 1):
                 for agent in range(t.agents):
-                    seen["tails"] += assert_tails_match(t, h, agent)
-        assert seen["tails"] > 0 and seen["ambiguous"] > 0
+                    tails += assert_tails_match(t, h, agent)
+        assert tails > 0
 
     def test_fixture_tails_match_oracle(self):
         cases = [
@@ -423,18 +520,9 @@ def assert_tails_match(tree, k, agent):
     try:
         part = build_profile_classes(tree, k, agent)
     except MechanismError as exc:
-        anchors = [
-            u for u in tree.internal_ids
-            if tree.nodes[u].agent == agent
-            and tree.query_depth[u][agent] == k + 2
-        ]
-        if "ambiguous" in str(exc):
-            errors = [
-                outcome_or_error(oracle_tail_split, tree, u, agent)
-                for u in anchors
-            ]
-            assert str(exc) in errors
+        assert str(exc) == oracle_budget_error(tree, k, agent)
         return 0
+    assert oracle_budget_error(tree, k, agent) is None
     anchors = sorted({c.anchor for c in part.classes if c.slice_kind != "settled"})
     for u in anchors:
         got = [
@@ -465,9 +553,48 @@ class TestClassPartition:
         doms = [list(range(1, rng.randint(3, 5) + 1)) for _ in range(a)]
         t = random_k_limited_tree(rng, a, doms, rng.choice([1, 2, 3]))
         assert (t.agents, len(t.nodes)) == (2, 14)
-        want = "leaf 9 spans both sides of the split at 7"
-        with pytest.raises(MechanismError, match=want):
+        want = (
+            "tree is not k-limited (node 1: extra query to agent 0 is not of "
+            "an allowed form)"
+        )
+        with pytest.raises(MechanismError, match=re.escape(want)):
             build_profile_classes(t, 0, 0)
+
+    def test_refuses_trees_over_budget(self):
+        """Every over-budget (tree, horizon, agent) is refused with the
+        message of its first busting query; payments name the
+        lowest-numbered such agent, and the tree is k-limited exactly
+        when no agent is refused."""
+        refused = 0
+        for t, _ in random_priced_trees(range(1000)):
+            if not has_binary_outcomes(t):
+                continue
+            for h in (0, 1):
+                errors = [oracle_budget_error(t, h, a) for a in range(t.agents)]
+                for agent, want in enumerate(errors):
+                    got = outcome_or_error(build_profile_classes, t, h, agent)
+                    if want is None:
+                        assert not isinstance(got, str)
+                    else:
+                        assert got == want
+                        refused += 1
+                first = oracle_first_budget_error(t, h)
+                assert is_k_limited(t, h).ok == (first is None)
+                if first is not None:
+                    assert outcome_or_error(synthesize_payments, t, h) == first
+        assert refused > 0
+
+    @pytest.mark.parametrize("agent", [-1, 3])
+    def test_refuses_unknown_agent(self, agent):
+        t = english_auction_tree(3, [1, 2, 3])
+        leaf = t.leaf_ids[0]
+        want = f"unknown agent {agent}"
+        with pytest.raises(MechanismError, match=want):
+            query_count(t, agent, leaf)
+        with pytest.raises(MechanismError, match=want):
+            build_profile_classes(t, 1, agent)
+        with pytest.raises(MechanismError, match=want):
+            build_k_osp_graph(t, 1, agent)
 
     def test_every_leaf_is_classified(self):
         t = english_auction_tree(2, [1, 2, 3])
@@ -624,16 +751,22 @@ class TestSticky:
         assert sticky_edges_check(t, 0).ok
 
     def test_matches_oracle(self):
-        # horizons below a tree's own k break stickiness now and then
+        # horizons below a tree's own k put some trees over budget, and
+        # those are refused with the budget message
         seen = Counter()
         for t, k in random_priced_trees(range(300)):
             if not has_binary_outcomes(t):
                 continue
             for h in sorted({0, k}):
                 got = outcome_or_error(sticky_edges_check, t, h)
-                assert got == outcome_or_error(oracle_sticky, t, h)
-                seen[getattr(got, "ok", "error")] += 1
-        assert seen[True] and seen[False]
+                first = oracle_first_budget_error(t, h)
+                if first is not None:
+                    assert got == first
+                    seen["refused"] += 1
+                    continue
+                assert got == oracle_sticky(t, h)
+                seen[got.ok] += 1
+        assert seen[True] and seen["refused"]
 
 
 class TestHorizonEquivalence:
@@ -648,6 +781,27 @@ class TestHorizonEquivalence:
             rep = k_vs_infinity_equivalence(t, k)
             assert rep.agree
             assert len(rep.details) == t.agents
+
+    def test_extra_query_trees_agree_or_are_refused(self):
+        # within budget the verdicts coincide; over it the tree is refused
+        seen = Counter()
+        for t, k in random_priced_trees(range(300)):
+            if not has_binary_outcomes(t):
+                continue
+            for h in (0, 1):
+                first = oracle_first_budget_error(t, h)
+                got = outcome_or_error(k_vs_infinity_equivalence, t, h)
+                if first is None:
+                    assert got.agree
+                    seen["agree"] += 1
+                else:
+                    assert got == first
+                    seen["refused"] += 1
+        for t, k, agent in random_extra_query_cases(range(300)):
+            if agent == 0:
+                assert k_vs_infinity_equivalence(t, k).agree
+                seen["extra"] += 1
+        assert seen["agree"] and seen["refused"] and seen["extra"]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))

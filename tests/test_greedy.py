@@ -562,7 +562,8 @@ def oracle_special_ok(agent, own, other_dom, nested, dom0):
             return False
         return any(table[(extreme, y)] != table[(rest[0], y)] for y in other_dom)
 
-    top = (len(own) == 2 or val_suffix) and (
+    adjacent = len(own) == 2 and dom0.index(own[1]) == dom0.index(own[0]) + 1
+    top = (adjacent or val_suffix) and (
         (revelation and strongly_ineffective)
         or (revelation and only(own[0], strong=True))
         or (sep_min and only(own[0], strong=False))

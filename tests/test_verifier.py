@@ -687,7 +687,8 @@ def oracle_query_class(node_id, agent, own, domain, blocks, table) -> QueryClass
 
     sep_max = extremal_side in ("max", "both")
     sep_min = extremal_side in ("min", "both")
-    top_form = (len(own) == 2 or is_prefix) and (
+    adjacent = len(own) == 2 and domain.index(own[1]) == domain.index(own[0]) + 1
+    top_form = (adjacent or is_prefix) and (
         (is_revelation and strongly_ineffective)
         or (is_revelation and own[-1] in strongly_only)
         or (sep_max and own[-1] in only_types)
