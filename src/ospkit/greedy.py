@@ -799,10 +799,17 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     The tree is in the cost convention; ``domain`` lists the valuations.
     Returns (ratio, worst valuation profile); the witness is the first
     worst profile in ``itertools.product`` order of the sorted domain.
-    Each leaf box of the tree is walked once.  Welfare is summed on ints,
-    the valuations scaled by the least common denominator, and ratios
-    are compared by cross-multiplication over a positive denominator.
     Needs binary outcomes.
+
+    Works in columns over the whole valuation product, each indexed in
+    that order (mixed radix, the last agent's digit fastest): every
+    maximal set's welfare column is built once and folded into the
+    optimum entry by entry, and the tree's welfare column is filled from
+    its leaf boxes, a one-type coordinate adding a scalar offset.  So
+    memory is O(d**n), a few int lists of that length.  Welfare is
+    summed on ints, the valuations scaled by their least common
+    denominator, and ratios are compared by cross-multiplication over a
+    positive denominator.
     """
     require_valid(tree)
     require_binary_outcomes(tree)
@@ -814,36 +821,49 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     for dm in tree.domains:
         if tuple(dm) != cost_dom:
             raise MechanismError("tree domain does not mirror the valuation domain")
-    scale_guard(len(dom0) ** n, "valuation profiles")
+    d = len(dom0)
+    scale_guard(d**n, "valuation profiles")
     lcd = lcm(*(v.denominator for v in dom0))
     ints = [v.numerator * (lcd // v.denominator) for v in dom0]
-    # the cost type at position p is the valuation at position last - p
-    last = len(dom0) - 1
-    maximal = ps.maximal_sets()
-    worst = None  # (numerator, positive denominator, profile positions)
+    zeros = [0] * d
+    best = None
+    for t in ps._masks():
+        col = [0]
+        for j in range(n):
+            add = ints if t >> j & 1 else zeros
+            col = [c + v for c in col for v in add]
+        # a comparison per entry: map(max, best, col) pays a call for each
+        best = col if best is None else [b if b >= c else c for b, c in zip(best, col)]
+    # the cost type at position p is the valuation at position d - 1 - p
+    place = [d ** (n - 1 - j) for j in range(n)]
+    got = [0] * d**n
     for leaf in tree.leaf_ids:
-        won = bits(tree.winners[leaf])
-        cols = [[last - p for p in bits(m)] for m in tree.mask_at[leaf]]
-        vals = [[ints[i] for i in col] for col in cols]
-        for at, prof in zip(itertools.product(*cols), itertools.product(*vals)):
-            value = prof.__getitem__
-            got = sum(map(value, won))
-            best = max([sum(map(value, t)) for t in maximal])
-            if best == 0:
-                num, den = 1, 1
-            elif best > 0:
-                num, den = got, best
-            else:
-                num, den = -got, -best
-            if worst is None:
-                worst = (num, den, at)
-                continue
-            lhs, rhs = num * worst[1], worst[0] * den
-            if lhs < rhs or (lhs == rhs and at < worst[2]):
-                worst = (num, den, at)
-    # the mirrored domains are nonempty, as is every leaf box of a valid tree
-    num, den, at = worst
-    return Fraction(num, den), tuple(dom0[i] for i in at)
+        won = tree.winners[leaf]
+        base = worth = 0
+        at, val = [0], [0]
+        for j, m in enumerate(tree.mask_at[leaf]):
+            if m & (m - 1):
+                pos = [d - 1 - p for p in bits(m)]
+                adds = [ints[p] for p in pos] if won >> j & 1 else zeros[: len(pos)]
+                at = [a + p * place[j] for a in at for p in pos]
+                val = [v + w for v in val for w in adds]
+            else:  # one type: a scalar offset
+                p = d - m.bit_length()
+                base += p * place[j]
+                worth += ints[p] if won >> j & 1 else 0
+        for a, v in zip(at, val):
+            got[base + a] = worth + v
+    # the first index of the least ratio, from 1/0 standing for +infinity
+    wnum, wden, worst = 1, 0, 0
+    for i, (g, b) in enumerate(zip(got, best)):
+        num, den = (g, b) if b > 0 else (-g, -b) if b else (1, 1)
+        if num * wden < wnum * den:
+            wnum, wden, worst = num, den, i
+    at = []
+    for _ in range(n):
+        worst, p = divmod(worst, d)
+        at.append(dom0[p])
+    return Fraction(wnum, wden), tuple(reversed(at))
 
 
 @dataclass(frozen=True)

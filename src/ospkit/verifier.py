@@ -15,9 +15,9 @@ ordering of commitment ranges across branches, the taxonomy of a single
 query, per-path query budgets, taxation patterns forced by third types,
 and the rewrite that turns the last allowed query into a revelation.
 `query_class` states the allowed forms of an extra query once, as a
-function of the query's parts.  It is read by `is_k_limited` and `cmon`,
-both through `_past_budget`, the one walk over the queries past an
-agent's budget, and by the search in `greedy`.
+function of the query's parts.  It is read by `is_k_limited`,
+`reveal_at_k2` and `cmon`, all through `_past_budget`, the one walk over
+the queries past an agent's budget, and by the search in `greedy`.
 
 All of it runs on type positions and masks (`model`): commitment sets
 are masks, payments compare as ints scaled by common denominators, and
@@ -301,14 +301,16 @@ def _value_table(tree: ImplementationTree, node_id: int):
     pairs).  Payment-free leaves pay zero.
 
     A column is a mixed-radix number: each opponent's rank among her
-    current types is one digit, the last opponent's the fastest."""
+    current types is one digit, the last opponent's the fastest.  An
+    opponent with one current type always adds digit 0, so she has no
+    place value and the leaves' expansion skips her."""
     i = tree.nodes[node_id].agent
     box = tree.mask_at[node_id]
     scale_guard(prod(m.bit_count() for m in box))
     rank = {p: r for r, p in enumerate(bits(box[i]))}
     weight, width = {}, 1  # opponent -> the place value of her digit
     for j in reversed(range(len(box))):
-        if j != i:
+        if j != i and box[j] & (box[j] - 1):
             weight[j] = width
             width *= box[j].bit_count()
     rows = [[0] * width for _ in rank]
@@ -679,63 +681,55 @@ def strong_ineffectiveness_check(
 def reveal_at_k2(tree: ImplementationTree, k) -> ImplementationTree:
     """Rewrite each path's (k+2)-th query to an agent into a revelation.
 
-    The rewritten node must already be harmless (strongly ineffective,
-    or strongly only-extreme effective); queries to the same agent
-    deeper on the path are spliced out by following the revealed type.
-    Computed outcomes and payments are unchanged on every profile.  A
-    node that is already a revelation passes through untouched.
+    The tree must be k-limited, so no path asks an agent anything past
+    her (k+2)-th query, and each rewritten node must already be harmless
+    (strongly ineffective, or strongly only-extreme effective); each
+    revealed type keeps the subtree of its old block.  Computed outcomes
+    and payments are unchanged on every profile.  A node that is already
+    a revelation passes through untouched.
     """
     require_valid(tree)
     k = normalize_horizon(k)
     if k == inf:
         return tree
+    classes = {}
+    for u, qc, bust in _past_budget(tree, k):
+        if bust:
+            raise MechanismError(f"tree is not k-limited (node {u}: {bust})")
+        classes[u] = qc
     nodes: dict[int, QueryNode | LeafNode] = {}
-    root = _reveal(tree, k, tree.root, {}, nodes, itertools.count())
+    root = _reveal(tree, classes, tree.root, nodes, itertools.count())
     return ImplementationTree(tree.agents, tree.domains, root, nodes)
 
 
-def _reveal(tree, k, nid: int, forced: dict[int, Rat], nodes: dict, counter) -> int:
-    # module-level for the reason given at model._from_nested
+def _reveal(tree, classes, nid: int, nodes: dict, counter) -> int:
+    # module-level for the reason given at model._from_nested; classes
+    # holds the QueryClass of every (k+2)-th query
     node = tree.nodes[nid]
+    fresh = next(counter)
     if isinstance(node, LeafNode):
-        fresh = next(counter)
         nodes[fresh] = LeafNode(id=fresh, outcome=node.outcome, payment=node.payment)
         return fresh
-    if node.agent in forced:
-        idx = tree.route(nid, forced[node.agent])
-        return _reveal(tree, k, node.children[idx], forced, nodes, counter)
-    nth = tree.query_depth[nid][node.agent]
-    already = all(len(b) == 1 for b in node.blocks)
-    if nth == k + 2 and not already:
-        qc = classify_query(tree, nid)
+    nodes[fresh] = None  # reserve slot, fill after children
+    blocks, children = node.blocks, node.children
+    qc = classes.get(nid)
+    if qc is not None and not all(len(b) == 1 for b in blocks):
         own = tree.domain_at[nid][node.agent]
+        # the budget allows a (k+2)-th revelation only in its strong forms
         allowed = (
             qc.strongly_ineffective
             or own[0] in qc.strongly_only_types
             or own[-1] in qc.strongly_only_types
         )
         if not allowed:
+            nth = tree.query_depth[nid][node.agent]
             raise MechanismError(
                 f"node {nid}: query {nth} to agent {node.agent} is "
                 "neither strongly ineffective nor strongly only-extreme "
                 "effective; cannot rewrite to a revelation"
             )
-        fresh = next(counter)
-        nodes[fresh] = None  # reserve slot, fill after children
-        children = tuple(
-            _reveal(
-                tree, k, node.children[tree.route(nid, t)],
-                {**forced, node.agent: t}, nodes, counter,
-            )
-            for t in own
-        )
         blocks = tuple((t,) for t in own)
-        nodes[fresh] = QueryNode(fresh, node.agent, blocks, children)
-        return fresh
-    fresh = next(counter)
-    nodes[fresh] = None
-    children = tuple(
-        _reveal(tree, k, c, forced, nodes, counter) for c in node.children
-    )
-    nodes[fresh] = QueryNode(fresh, node.agent, node.blocks, children)
+        children = tuple(children[tree.route(nid, t)] for t in own)
+    kids = tuple(_reveal(tree, classes, c, nodes, counter) for c in children)
+    nodes[fresh] = QueryNode(fresh, node.agent, blocks, kids)
     return fresh

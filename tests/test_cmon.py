@@ -19,6 +19,7 @@ from ospkit import (
     extract_tree,
     has_negative_cycle,
     k_vs_infinity_equivalence,
+    reveal_at_k2,
     sticky_edges_check,
     synthesize_payments,
 )
@@ -191,12 +192,10 @@ def tail_fixture_cases():
     ]
 
 
-def random_extra_query_cases(seeds):
-    """(tree, k, agent) over seeded k-limited trees that may ask an agent
-    a (k+2)-th time on a path, the only place tail classes and the allowed
-    forms of that query matter: 2-3 agents, domains 1..2-5 on even seeds
-    and 2-4 fractional types on odd seeds, trees drawn with k+1 commitment
-    steps and kept where they are k-limited."""
+def extra_query_draws(seeds):
+    """(tree, k) per seed, before the filter of `random_extra_query_cases`:
+    2-3 agents, domains 1..2-5 on even seeds and 2-4 fractional types on
+    odd seeds, trees drawn with k+1 commitment steps."""
     for seed in seeds:
         rng = random.Random(seed)
         agents = rng.randint(2, 3)
@@ -210,9 +209,17 @@ def random_extra_query_cases(seeds):
                 list(range(1, rng.randint(2, 5) + 1)) for _ in range(agents)
             ]
         k = rng.choice([0, 1, 2, 3])
-        tree = random_k_limited_tree(rng, agents, domains, k + 1)
+        yield random_k_limited_tree(rng, agents, domains, k + 1), k
+
+
+def random_extra_query_cases(seeds):
+    """(tree, k, agent) over seeded k-limited trees that may ask an agent
+    a (k+2)-th time on a path, the only place tail classes and the allowed
+    forms of that query matter: the draws of `extra_query_draws` that are
+    k-limited."""
+    for tree, k in extra_query_draws(seeds):
         if is_k_limited(tree, k):
-            for agent in range(agents):
+            for agent in range(tree.agents):
                 yield tree, k, agent
 
 
@@ -677,6 +684,21 @@ class TestSynthesis:
         raw = extract_tree(PSystem.single_item(2), [1, 2, 3, 4])
         with pytest.raises(MechanismError, match="not k-limited"):
             synthesize_payments(raw, 0)
+
+
+class TestRevealBudget:
+    def test_refuses_every_draw_over_budget(self):
+        """reveal_at_k2 refuses each over-budget draw of seeds 0-2999 with
+        the node and reason of is_k_limited."""
+        over = 0
+        for t, k in extra_query_draws(range(3000)):
+            verdict = is_k_limited(t, k)
+            if verdict.ok:
+                continue
+            want = f"tree is not k-limited (node {verdict.witness}: {verdict.reason})"
+            assert outcome_or_error(reveal_at_k2, t, k) == want
+            over += 1
+        assert over == 188
 
 
 def assert_classes_are_leaf_boxes(tree, k, agent):

@@ -388,6 +388,46 @@ class TestApproxRatio:
         with pytest.raises(MechanismError, match="non-binary outcome 1/2"):
             approx_ratio(ps, halved, [1, 2])
 
+    # the instances whose extracted trees the `sweep` benchmark scores
+    @pytest.mark.parametrize("name", [
+        "single_item(4,5)", "single_item(5,5)", "uniform(5,2,5)",
+        "uniform(6,3,4)", "triangle_graphic(12)",
+    ])
+    def test_sweep_instances_match_oracle(self, name, monkeypatch):
+        ps, dom = materialize(name)[1]
+        tree = extract_tree(ps, dom)
+        size = len(dom) ** ps.ground_size
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", str(size - 1))
+        with pytest.raises(MechanismError, match=f"{size} valuation profiles"):
+            approx_ratio(ps, tree, dom)
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", str(size))
+        assert approx_ratio(ps, tree, dom) == oracle_approx_ratio(ps, tree, dom)
+
+    def test_tied_worst_profiles_below_one(self):
+        # trees the free search finds for targets below 1, and an exact
+        # tree off the greedy family; the witness is the first worst profile
+        ps = PSystem.single_item(2)
+        trees = [
+            search_two_way_greedy(ps, GEOMETRIC, 0, target).tree
+            for target in ("1/8", "1/4", "1/2", "1")
+        ]
+        trees.append(tie_to_rival_tree())
+        seen = Counter()
+        for tree in trees:
+            got = approx_ratio(ps, tree, GEOMETRIC)
+            assert got == oracle_approx_ratio(ps, tree, GEOMETRIC)
+            ratios = {}
+            for prof in itertools.product(map(F, GEOMETRIC), repeat=2):
+                outcome = tree.leaf_of((-prof[0], -prof[1])).outcome
+                ratios[prof] = sum(v for v, f in zip(prof, outcome) if f) / max(prof)
+            worst = [prof for prof, ratio in ratios.items() if ratio == got[0]]
+            assert worst[0] == got[1]
+            seen["below one"] += got[0] < 1
+            seen["tied below one"] += got[0] < 1 and len(worst) > 1
+            seen["tied"] += len(worst) > 1
+        assert seen["below one"] >= 3 and seen["tied below one"]
+        assert seen["tied"] >= 3
+
 
 def test_profile_enumerations_respect_scale_guard(monkeypatch):
     ps = PSystem.single_item(2)

@@ -352,13 +352,15 @@ class TestStrongIneffectiveness:
 
 class TestReveal:
     def test_rewrites_ineffective_tail(self):
+        # the second query singles out type 2, the only one it affects;
+        # below it types 3 and 4 share one constant (f, p)
         t = tree_from_nested(1, [[1, 2, 3, 4]], (
             "q", 0, [
                 ([1], ("leaf", (1,), (F(3),))),
                 ([2, 3, 4], (
                     "q", 0, [
-                        ([2, 3], ("leaf", (0,), (F(0),))),
-                        ([4], ("leaf", (0,), (F(0),))),
+                        ([2], ("leaf", (1,), (F(1),))),
+                        ([3, 4], ("leaf", (0,), (F(0),))),
                     ],
                 )),
             ],
@@ -386,7 +388,10 @@ class TestReveal:
         ))
         assert mechanism_to_data(reveal_at_k2(t, 0)) == mechanism_to_data(t)
 
-    def test_splices_out_deeper_queries(self):
+    def test_refuses_deeper_queries(self):
+        # the later queries to agent 0 split her domain in the middle: no
+        # allowed extra query at k=0 (node 1) or k=1 (node 2); at k=2 both
+        # are within budget and nothing is rewritten
         t = tree_from_nested(1, [[1, 2, 3, 4, 5]], (
             "q", 0, [
                 ([1, 3, 5], (
@@ -403,12 +408,14 @@ class TestReveal:
                 ([2, 4], ("leaf", (1,), None)),
             ],
         ))
-        out = reveal_at_k2(t, 0)
-        for v in (1, 2, 3, 4, 5):
-            assert out.leaf_of((v,)).outcome == t.leaf_of((v,)).outcome
-        # the revelation answers the third query, which is gone
-        assert max(out.query_depth[nid][0] for nid in out.internal_ids) == 2
-        assert len(out.internal_ids) == 2
+        for k, node in ((0, 1), (1, 2)):
+            want = (
+                f"tree is not k-limited (node {node}: extra query to agent 0 "
+                "is not of an allowed form)"
+            )
+            with pytest.raises(MechanismError, match=re.escape(want)):
+                reveal_at_k2(t, k)
+        assert mechanism_to_data(reveal_at_k2(t, 2)) == mechanism_to_data(t)
 
     def test_preserves_auction_outcomes(self):
         t = compress(extract_tree(PSystem.single_item(2), [1, 2, 3, 4]))
@@ -417,6 +424,7 @@ class TestReveal:
             assert out.leaf_of(prof).outcome == t.leaf_of(prof).outcome
 
     def test_refuses_mid_domain_effects(self):
+        # a split in the middle of the domain is no allowed extra query
         t = tree_from_nested(1, [[1, 2, 3, 4, 5]], (
             "q", 0, [
                 ([1], ("leaf", (1,), (F(3),))),
@@ -428,7 +436,34 @@ class TestReveal:
                 )),
             ],
         ))
-        with pytest.raises(MechanismError, match="neither strongly"):
+        want = (
+            "tree is not k-limited (node 2: extra query to agent 0 "
+            "is not of an allowed form)"
+        )
+        with pytest.raises(MechanismError, match=re.escape(want)):
+            reveal_at_k2(t, 0)
+
+    def test_refuses_weak_only_extreme_step(self):
+        # within budget: the step singles out type 2, the only type it
+        # affects, but types 3 and 4 still face two pairs, so a revelation
+        # there would not be of an allowed form
+        t = tree_from_nested(2, [[1, 2, 3, 4], [1, 2]], (
+            "q", 0, [
+                ([1], ("leaf", (1, 0), (F(3), F(0)))),
+                ([2, 3, 4], (
+                    "q", 0, [
+                        ([2], ("leaf", (1, 0), (F(1), F(0)))),
+                        ([3, 4], ("q", 1, [
+                            ([1], ("leaf", (0, 1), (F(0), F(1)))),
+                            ([2], ("leaf", (0, 0), (F("1/2"), F(0)))),
+                        ])),
+                    ],
+                )),
+            ],
+        ))
+        assert is_k_limited(t, 0).ok
+        want = "node 2: query 2 to agent 0 is neither strongly ineffective"
+        with pytest.raises(MechanismError, match=want):
             reveal_at_k2(t, 0)
 
     def test_infinite_horizon_is_identity(self):
@@ -890,6 +925,20 @@ def random_taxed_trees(seeds):
             yield tree, h
 
 
+def opponent_shapes(tree, node_id):
+    """Which paths of _value_table the node takes: an opponent with one
+    current type (no digit of her own), and two or more opponents with
+    several (a mixed-radix column)."""
+    i = tree.nodes[node_id].agent
+    sizes = [m.bit_count() for j, m in enumerate(tree.mask_at[node_id]) if j != i]
+    shapes = []
+    if 1 in sizes:
+        shapes.append("one-type opponent")
+    if sum(size > 1 for size in sizes) >= 2:
+        shapes.append("mixed radix")
+    return shapes
+
+
 class TestAgainstOracles:
     """The envelope check, the one-pass commitment sets and the box-split
     value tables against the per-pair and per-profile definitions, on 1000
@@ -932,6 +981,7 @@ class TestAgainstOracles:
                 below = reversed(t.leaves_under[u])
                 boxes = [(leaf, t.domain_at[leaf]) for leaf in below]
                 assert boxes == list(oracle_split_box(t, u))
+                seen.update(opponent_shapes(t, u))
             classes = [classify_query(t, u) for u in t.internal_ids]
             assert classes == [oracle_classify(t, u) for u in t.internal_ids]
             pooling = strong_ineffectiveness_check(t) if binary else None
@@ -942,6 +992,7 @@ class TestAgainstOracles:
                     assert pooling == strong_ineffectiveness_check(t)
         assert seen["failing"] > 0 and seen["truncated"] > 0
         assert 0 < seen["unordered"] < seen["binary"] < 250
+        assert seen["one-type opponent"] and seen["mixed radix"]
 
 
     @pytest.mark.parametrize("start", range(0, 1000, 250))
@@ -973,6 +1024,7 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize("k", [0, 1, 2, inf])
     def test_fixture_trees_match_oracles(self, k):
+        seen = Counter()
         trees = [
             english_auction_tree(3, [1, 2, 3, 4, 5]),
             compress(extract_tree(PSystem.single_item(3), [1, 2, 3])),
@@ -993,10 +1045,12 @@ class TestAgainstOracles:
                 boxes = [(leaf, t.domain_at[leaf]) for leaf in below]
                 assert boxes == list(oracle_split_box(t, u))
                 assert classify_query(t, u) == oracle_classify(t, u)
+                seen.update(opponent_shapes(t, u))
             if has_binary_outcomes(t):
                 for cap in (1, 3, 200):
                     got = taxation_diagnostics(t, k, max_findings=cap)
                     assert got == oracle_taxation(t, k, max_findings=cap)
+        assert seen["one-type opponent"] and seen["mixed radix"]
 
 
 def oracle_commitment_sets(tree, k):
