@@ -10,7 +10,7 @@ The elimination is written once, as the copyable state ``_Elimination``
 that stops at each query.  ``run_two_way_greedy`` answers its queries
 from a truthful profile or a script; ``extract_tree`` forks it at every
 query and follows both answers, so the tree comes from one depth-first
-pass.
+pass that follows each distinct query state once.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import comb, inf, lcm
 
 from .model import (
     ImplementationTree,
     LeafNode,
     MechanismError,
     QueryNode,
+    as_integer,
     bits,
     normalize_horizon,
     require_binary_outcomes,
@@ -42,18 +43,23 @@ class PSystem:
 
     The oracle is a predicate over frozensets; it is asked about each
     subset at most once.  Inside, a subset is an int mask (bit e stands
-    for ground element e), and the maximal sets are enumerated once as
-    masks (desk scale only) and reused everywhere.
+    for ground element e), and the maximal sets are listed once as masks
+    and reused everywhere.  A uniform system (``uniform``, ``single_item``)
+    lists them in closed form, as the subsets of its rank; any other asks
+    its oracle about every subset (desk scale only).  Either way they come
+    in the order of their sorted elements.
     """
 
     def __init__(self, ground_size: int, feasible, name: str = "custom"):
-        if ground_size < 1:
+        size = as_integer(ground_size)
+        if size < 1:
             raise MechanismError("ground set must be nonempty")
-        self.ground_size = int(ground_size)
+        self.ground_size = size
         self.name = name
         self._oracle = feasible
         self._cache: dict[int, bool] = {0: True}
         self._maximal: tuple[int, ...] | None = None
+        self._rank: int | None = None  # set on uniform systems only
 
     def feasible(self, subset) -> bool:
         s = frozenset(subset)
@@ -72,9 +78,17 @@ class PSystem:
     def _masks(self) -> tuple[int, ...]:
         if self._maximal is None:
             n = self.ground_size
-            scale_guard(2**n, "feasibility enumeration")
-            tops = _maximal_within(self, (1 << n) - 1)
-            self._maximal = tuple(sorted(tops, key=bits))
+            if self._rank is not None:
+                # combinations come in lexicographic order: sorted already
+                r = min(self._rank, n)
+                scale_guard(comb(n, r), "maximal sets")
+                self._maximal = tuple(
+                    _mask(c) for c in itertools.combinations(range(n), r)
+                )
+            else:
+                scale_guard(2**n, "subsets")
+                tops = _maximal_within(self, (1 << n) - 1)
+                self._maximal = tuple(sorted(tops, key=bits))
         return self._maximal
 
     def maximal_sets(self) -> tuple[frozenset, ...]:
@@ -84,7 +98,7 @@ class PSystem:
     def validate(self) -> None:
         """Full downward-closure check (exponential; desk scale)."""
         n = self.ground_size
-        scale_guard(2**n, "closure check")
+        scale_guard(2**n, "subsets")
         # the cache holds the empty set as feasible: ask the oracle itself
         if not self._oracle(frozenset()):
             raise MechanismError("the empty set must be feasible")
@@ -100,18 +114,22 @@ class PSystem:
 
     @classmethod
     def single_item(cls, n: int) -> "PSystem":
-        return cls(n, lambda s: len(s) <= 1, name="single_item")
+        ps = cls(n, lambda s: len(s) <= 1, name="single_item")
+        ps._rank = 1
+        return ps
 
     @classmethod
     def uniform(cls, n: int, rank: int) -> "PSystem":
-        r = int(rank)
+        r = as_integer(rank)
         if r < 0:
             raise MechanismError("rank must be nonnegative")
-        return cls(n, lambda s: len(s) <= r, name=f"uniform_{r}")
+        ps = cls(n, lambda s: len(s) <= r, name=f"uniform_{r}")
+        ps._rank = r
+        return ps
 
     @classmethod
     def graphic(cls, edges) -> "PSystem":
-        edge_list = [(int(u), int(v)) for u, v in edges]
+        edge_list = [(as_integer(u), as_integer(v)) for u, v in edges]
         if not edge_list:
             raise MechanismError("graphic system needs at least one edge")
 
@@ -138,7 +156,7 @@ class PSystem:
 
     @classmethod
     def explicit(cls, n: int, maximal_sets) -> "PSystem":
-        tops = [frozenset(int(e) for e in s) for s in maximal_sets]
+        tops = [frozenset(as_integer(e) for e in s) for s in maximal_sets]
         for t in tops:
             if not all(0 <= e < n for e in t):
                 raise MechanismError(f"element outside ground set in {sorted(t)}")
@@ -154,7 +172,7 @@ def rank_quotient(ps: PSystem) -> Fraction:
     it equals 1 exactly on matroids.
     """
     n = ps.ground_size
-    scale_guard(3**n, "rank enumeration")
+    scale_guard(3**n, "subset-submask pairs")
     best: Fraction | None = None
     for sub in range(1, 2**n):
         sizes = [t.bit_count() for t in _maximal_within(ps, sub)]
@@ -289,11 +307,15 @@ class _Elimination:
 
     The state is the per-agent domains, the chosen, excluded and pending
     (deferred) agents as int masks ``ch``, ``ex`` and ``pending``, and a
-    cursor ``at`` naming where the rounds stand.
-    ``query`` is the pending (agent, direction, value, domain), or None
+    cursor ``at`` naming where the rounds stand.  A domain is a tuple of
+    positions into the sorted valuations: it starts as all of them, and a
+    yes leaves one while a no drops one end, so it is always a run of
+    consecutive positions and answers are compared as ints.
+    ``query`` is the pending (agent, direction, position, domain), or None
     once every membership is resolved.  ``step`` applies an answer and
     runs to the next query or to the end; ``copy`` forks the run, so a
-    tree is extracted by following both answers from every query.
+    tree is extracted by following both answers from every query, and
+    ``key`` names what the rest of the run depends on.
 
     The rounds: the first alive agent is asked for her minimum until she
     denies it (``climb``); she leads the pairing.  Each pairing round
@@ -311,7 +333,7 @@ class _Elimination:
     def __init__(self, ps: PSystem, dom0: tuple[Rat, ...]) -> None:
         self.ps = ps
         self.b = 1 - len(dom0) % 2
-        self.doms = [dom0] * ps.ground_size
+        self.doms = [tuple(range(len(dom0)))] * ps.ground_size
         self.full = (1 << ps.ground_size) - 1
         self.ch, self.ex = _forced(ps, 0, 0)
         self.pending = 0
@@ -340,12 +362,29 @@ class _Elimination:
     def excluded(self) -> frozenset:
         return frozenset(bits(self.ex))
 
+    def key(self) -> tuple:
+        """What the run reads from here on, at a pending query.
+
+        Two states with one key ask the same questions and settle alike.
+        ``answer`` is overwritten by ``step`` before it is read, and the
+        domains of agents that are not alive are never read again: a
+        chosen, excluded or deferred agent never turns alive.
+        """
+        agent, direction, _, _ = self.query
+        doms = self.doms
+        return (
+            self.at, self.then, self.lead, self.order, self.idx, self.defer,
+            agent, direction, self.ch, self.ex, self.pending,
+            self.asked == self.spins,
+            tuple(doms[j] for j in bits(self._alive())),
+        )
+
     def step(self, answer: bool) -> None:
-        agent, direction, value, _ = self.query
+        agent, direction, pos, _ = self.query
         self.asked += 1
         self.answer = answer
         if answer:
-            self.doms[agent] = (value,)
+            self.doms[agent] = (pos,)
             if self.defer:
                 self.pending |= 1 << agent
             elif direction == "bottom":
@@ -387,8 +426,8 @@ class _Elimination:
         self, agent: int, direction: str, resume: str, defer: bool = False
     ) -> None:
         snap = self.doms[agent]
-        value = snap[0] if direction == "bottom" else snap[-1]
-        self.query = (agent, direction, value, snap)
+        pos = snap[0] if direction == "bottom" else snap[-1]
+        self.query = (agent, direction, pos, snap)
         self.defer = defer
         self.at = resume
 
@@ -502,21 +541,27 @@ def run_two_way_greedy(ps: PSystem, domain, truth=None, answers=None) -> GreedyR
         truth = tuple(parse_rational(v) for v in truth)
         if len(truth) != n:
             raise MechanismError("one valuation per agent is required")
-        for v in truth:
-            if v not in dom0:
-                raise MechanismError(f"valuation {v} outside the domain")
+        # each valuation as its position in the domain
+        at = {v: p for p, v in enumerate(dom0)}
+        pos = tuple(at.get(v) for v in truth)
+        if None in pos:
+            raise MechanismError(
+                f"valuation {truth[pos.index(None)]} outside the domain"
+            )
+        truth = pos
     script = list(answers) if answers is not None else None
     state = _Elimination(ps, dom0)
     trace: list[QueryRecord] = []
     while state.query is not None:
-        agent, direction, value, snap = state.query
+        agent, direction, pos, snap = state.query
+        value, values = dom0[pos], dom0[snap[0] : snap[-1] + 1]
         if script is None:
-            answer = truth[agent] == value
+            answer = truth[agent] == pos
         elif len(trace) < len(script):
             answer = bool(script[len(trace)])
         else:
-            raise NeedAnswer(agent, direction, value, snap)
-        trace.append(QueryRecord(agent, direction, value, snap, answer))
+            raise NeedAnswer(agent, direction, value, values)
+        trace.append(QueryRecord(agent, direction, value, values, answer))
         state.step(answer)
     return GreedyResult(state.chosen, state.excluded, tuple(trace))
 
@@ -553,33 +598,60 @@ def extract_tree(ps: PSystem, domain) -> ImplementationTree:
     from the copy, and nodes are numbered in that preorder.  Each query
     is emitted with negated blocks, the yes block first, so the tree is
     built once, as ``as_cost_tree`` would mirror the valuation tree.
+
+    The run reaches many query states more than once, by answers given in
+    another order.  Such a state's subtree is built once, under its first
+    occurrence, which takes a range of consecutive preorder ids; each
+    later occurrence is a copy of that range with shifted ids, sharing
+    its blocks and outcomes.
     """
     dom0 = _valuation_domain(domain)
     n = ps.ground_size
     scale_guard(len(dom0) ** n, "strategy profiles")
+    # the sorted cost domain: valuation position p is cost position d - 1 - p
+    cost = tuple(-v for v in reversed(dom0))
     nodes: dict[int, QueryNode | LeafNode] = {}
-    root = _grow(_Elimination(ps, dom0), nodes, itertools.count())
-    return ImplementationTree(n, [[-v for v in dom0]] * n, root, nodes)
+    _grow(_Elimination(ps, dom0), 0, nodes, {}, cost)
+    return ImplementationTree(n, [cost] * n, 0, nodes)
 
 
-def _grow(state: _Elimination, nodes: dict, counter) -> int:
-    # module-level for the reason given at model._from_nested
-    nid = next(counter)
+def _grow(state: _Elimination, nid: int, nodes: dict, seen: dict, cost) -> int:
+    # module-level for the reason given at model._from_nested; numbers the
+    # subtree of `state` from nid on and returns one past its last id.
+    # `seen` maps a query state's key to the id range of its first subtree
     if state.query is None:
         outcome = tuple(state.ch >> j & 1 for j in range(state.ps.ground_size))
         nodes[nid] = LeafNode(nid, outcome, None)
-        return nid
-    agent, direction, value, snap = state.query
+        return nid + 1
+    key = state.key()
+    first = seen.get(key)
+    if first is not None:
+        start, end = first
+        shift = nid - start
+        for old in range(start, end):
+            node = nodes[old]
+            if node.kind == "leaf":
+                nodes[old + shift] = LeafNode(old + shift, node.outcome, None)
+            else:
+                yes, no = node.children
+                nodes[old + shift] = QueryNode(
+                    old + shift, node.agent, node.blocks, (yes + shift, no + shift)
+                )
+        return nid + end - start
+    agent, direction, pos, snap = state.query
     no = state.copy()
     state.step(True)
-    yes_id = _grow(state, nodes, counter)
+    no_id = _grow(state, nid + 1, nodes, seen, cost)
     no.step(False)
-    no_id = _grow(no, nodes, counter)
-    # the asked value is an end of the sorted snapshot
-    rest = snap[1:] if direction == "bottom" else snap[:-1]
-    blocks = ((-value,), tuple(-x for x in reversed(rest)))
-    nodes[nid] = QueryNode(nid, agent, blocks, (yes_id, no_id))
-    return nid
+    end = _grow(no, no_id, nodes, seen, cost)
+    # the asked position is an end of the snapshot, a run of consecutive
+    # positions, so the rest of it is a run too
+    d = len(cost)
+    lo, hi = (snap[1], snap[-1]) if direction == "bottom" else (snap[0], snap[-2])
+    blocks = (cost[d - 1 - pos : d - pos], cost[d - 1 - hi : d - lo])
+    nodes[nid] = QueryNode(nid, agent, blocks, (nid + 1, no_id))
+    seen[key] = (nid, end)
+    return end
 
 
 def is_revealable(tree: ImplementationTree, node_id: int) -> bool:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf, prod
 
-from .model import ImplementationTree, LeafNode, QueryNode
+from .model import ImplementationTree, LeafNode, QueryNode, as_integer
 from .rational import format_rational, parse_rational
 
 
@@ -70,18 +70,6 @@ def _line_of_node(text: str, ordinal: int) -> int:
     return text.count("\n", 0, where) + 1
 
 
-def _integer(value) -> int:
-    """An integer field: an int, an integral float or integer text.
-
-    A bool or a float with a fractional part raises ValueError; int()
-    would read True as 1 and truncate 2.9 to 2."""
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
 def parse_horizon(text: str) -> int | float:
     s = str(text).strip().lower()
     if s in ("inf", "infinity", "oo"):
@@ -124,9 +112,9 @@ def loads_mechanism(text: str) -> ImplementationTree:
         return seen[v]
 
     try:
-        agents = _integer(data["agents"])
+        agents = as_integer(data["agents"])
         domains = [[rational(v) for v in dom] for dom in data["domains"]]
-        root = _integer(data["root"])
+        root = as_integer(data["root"])
     except (TypeError, ValueError) as exc:
         raise MechanismFormatError(f"bad header: {exc}") from exc
 
@@ -137,7 +125,7 @@ def loads_mechanism(text: str) -> ImplementationTree:
         if not isinstance(entry, dict):
             raise MechanismFormatError(f"nodes[{ordinal}] must be a node object")
         try:
-            nid = _integer(entry["id"])
+            nid = as_integer(entry["id"])
             if nid in nodes:
                 raise MechanismFormatError("duplicate node id")
             kind = entry["kind"]
@@ -155,10 +143,10 @@ def loads_mechanism(text: str) -> ImplementationTree:
                     tuple(sorted(rational(v) for v in blk))
                     for blk in entry["blocks"]
                 )
-                children = tuple(_integer(c) for c in entry["children"])
+                children = tuple(as_integer(c) for c in entry["children"])
                 nodes[nid] = QueryNode(
                     id=nid,
-                    agent=_integer(entry["agent"]),
+                    agent=as_integer(entry["agent"]),
                     blocks=blocks,
                     children=children,
                 )
@@ -238,23 +226,21 @@ def loads_instance(text: str):
     kind = data["kind"]
     params = data.get("params", {}) or {}
     try:
-        n = _integer(data["n"])
+        n = as_integer(data["n"])
         domain = tuple(sorted(parse_rational(v) for v in data["domain"]))
         if kind == "single_item":
             ps = PSystem.single_item(n)
         elif kind == "uniform":
-            ps = PSystem.uniform(n, _integer(params["rank"]))
+            ps = PSystem.uniform(n, params["rank"])
         elif kind == "graphic":
-            edges = [tuple(map(_integer, e)) for e in params["edges"]]
+            edges = [tuple(map(as_integer, e)) for e in params["edges"]]
             if len(edges) != n:
                 raise MechanismFormatError(
                     f"{len(edges)} edges for {n} elements"
                 )
             ps = PSystem.graphic(edges)
         elif kind == "explicit":
-            ps = PSystem.explicit(
-                n, [frozenset(map(_integer, s)) for s in params["maximal_sets"]]
-            )
+            ps = PSystem.explicit(n, params["maximal_sets"])
         else:
             raise MechanismFormatError(f"unknown instance kind {kind!r}")
     except MechanismFormatError:
@@ -362,12 +348,18 @@ def _canonical(o, indent: str) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        items = [_canonical(v, inner) for v in o]
+        # a str, the most common item, is quoted here and not in a call
+        items = [_quote(v) if type(v) is str else _canonical(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = [_key(k) + ": " + _canonical(v, inner) for k, v in sorted(o.items())]
+        items = [
+            (_quote(k) if type(k) is str else _key(k))
+            + ": "
+            + (_quote(v) if type(v) is str else _canonical(v, inner))
+            for k, v in sorted(o.items())
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 

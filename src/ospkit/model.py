@@ -74,6 +74,20 @@ def scale_guard(count: int, what: str = "profiles") -> None:
         )
 
 
+def as_integer(value) -> int:
+    """An integer field or size: an int, an integral float or integer text.
+
+    A bool, or a float or Fraction with a fractional part, raises
+    MechanismError; int() would read True as 1 and truncate 2.9 to 2."""
+    # isinstance against Fraction would run the abc machinery in Python
+    fractional = (isinstance(value, float) and not value.is_integer()) or (
+        type(value) is Fraction and value.denominator != 1
+    )
+    if isinstance(value, bool) or fractional:
+        raise MechanismError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def normalize_horizon(k) -> int | float:
     """Validate a commitment horizon: a non-negative int or math.inf."""
     if k == inf:

@@ -605,6 +605,19 @@ class TestGreedyVerb:
         assert len(report["trace"]) == 3
         assert report["queries_per_agent"] == [1, 2]
 
+    def test_truth_run_on_twenty_agents(self, capsys, tmp_path):
+        # a uniform system lists its 190 maximal sets in closed form, so
+        # the 2**20 subsets of the ground set never meet the scale guard
+        inst = tmp_path / "uniform20.json"
+        values = [str(v) for v in range(1, 21)]
+        inst.write_text(json.dumps({
+            "kind": "uniform", "n": 20, "domain": values, "params": {"rank": 2},
+        }))
+        code, out, _ = run(capsys, "greedy", "--instance", str(inst),
+                           "--truth", ",".join(values))
+        assert code == 0
+        assert json.loads(out)["chosen"] == [18, 19]
+
     def test_extract_sizes(self, capsys, tmp_path, si24_file):
         rounds = tmp_path / "rounds.json"
         raw = tmp_path / "raw.json"

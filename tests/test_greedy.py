@@ -100,6 +100,41 @@ class TestPSystem:
         with pytest.raises(MechanismError):
             PSystem.graphic([])
 
+    def test_sizes_follow_the_integer_rule(self):
+        # int() used to truncate these: uniform(4, 1.5) had rank 1
+        for make in (
+            lambda: PSystem.uniform(4, 1.5),
+            lambda: PSystem.uniform(4, True),
+            lambda: PSystem(2.7, lambda s: True),
+            lambda: PSystem(True, lambda s: True),
+            lambda: PSystem.single_item(Fraction(5, 2)),
+            lambda: PSystem.graphic([(0, 1.5)]),
+            lambda: PSystem.explicit(3, [{0.5}]),
+        ):
+            with pytest.raises(MechanismError, match="not an integer"):
+                make()
+        ps = PSystem.uniform(4.0, "2")
+        assert (ps.ground_size, ps.name) == (4, "uniform_2")
+
+    def test_guards_name_what_they_count(self, monkeypatch):
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "100")
+        ps = PSystem.explicit(7, [{0, 1}])
+        with pytest.raises(
+            MechanismError,
+            match=r"^enumeration of 128 subsets exceeds scale guard 100; ",
+        ):
+            ps.maximal_sets()
+        with pytest.raises(MechanismError, match="of 128 subsets exceeds"):
+            ps.validate()
+        with pytest.raises(
+            MechanismError, match="of 2187 subset-submask pairs exceeds"
+        ):
+            rank_quotient(ps)
+        with pytest.raises(MechanismError, match="of 120 maximal sets exceeds"):
+            PSystem.uniform(10, 3).maximal_sets()
+        # listed in closed form, past the 1024 subsets of the ground set
+        assert len(PSystem.uniform(10, 2).maximal_sets()) == 45
+
     def test_validate_catches_closure_breaks(self):
         bad = PSystem(2, lambda s: s == frozenset({0, 1}) or not s)
         with pytest.raises(MechanismError, match="downward closed"):
@@ -1158,6 +1193,32 @@ class TestMasksAgainstOracles:
             for rng in [random.Random(-seed)]
         ]
         assert 0 < sum(raised) < 8 * len(raised)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_maximal_sets_match_oracle(n):
+    # uniform systems list their maximal sets without asking the oracle
+    for ps in [PSystem.single_item(n)] + [
+        PSystem.uniform(n, r) for r in range(n + 2)
+    ]:
+        assert ps.maximal_sets() == oracle_maximal_sets(PSystem(n, ps._oracle))
+
+
+def test_extraction_steps_each_query_state_once(monkeypatch):
+    # the raw tree of single_item(5,5) reaches 605 query states in 2100
+    # query nodes; stepping both answers at every node took 4200 steps
+    answers = []
+    step = greedy._Elimination.step
+
+    def counted(self, answer):
+        answers.append(answer)
+        step(self, answer)
+
+    monkeypatch.setattr(greedy._Elimination, "step", counted)
+    ps, domain = materialize("single_item(5,5)")[1]
+    tree = extract_tree(ps, domain)
+    assert len(tree.internal_ids) == 2100
+    assert len(answers) < len(tree.internal_ids)
 
 
 # -- tree builders leave no reference cycles ---------------------------------
