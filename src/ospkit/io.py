@@ -327,31 +327,40 @@ def render_report(data: dict) -> str:
 
 def _canonical(o, indent: str) -> str:
     # indent is the newline and the indent of the line o starts on; the
-    # checks run in the order `json.encoder` makes them
-    if isinstance(o, str):
+    # exact types come first, and any other value, a subclass included,
+    # takes the checks in the order `json.encoder` makes them
+    kind = type(o)
+    if kind is str:
         return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
+    if kind is int:
         return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o in (inf, -inf):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
+    if kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(o, str):
+            return _quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if o != o:
+                return "NaN"
+            if o in (inf, -inf):
+                return "Infinity" if o > 0 else "-Infinity"
+            return float.__repr__(o)
+        if isinstance(o, (list, tuple)):
+            kind = list
+        elif isinstance(o, dict):
+            kind = dict
+        else:
+            raise TypeError(
+                f"Object of type {o.__class__.__name__} is not JSON serializable"
+            )
     inner = indent + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        # a str, the most common item, is quoted here and not in a call
-        items = [_quote(v) if type(v) is str else _canonical(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(o, dict):
+    if kind is dict:
         if not o:
             return "{}"
         items = [
@@ -361,7 +370,11 @@ def _canonical(o, indent: str) -> str:
             for k, v in sorted(o.items())
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if not o:
+        return "[]"
+    # a str, the most common item, is quoted here and not in a call
+    items = [_quote(v) if type(v) is str else _canonical(v, inner) for v in o]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def _key(key) -> str:

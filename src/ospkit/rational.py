@@ -14,7 +14,9 @@ Rat = Fraction
 
 def parse_rational(text: str | int | float | Fraction) -> Rat:
     """Parse a rational from its text form (or pass through a number)."""
-    if isinstance(text, Fraction):
+    # isinstance against Fraction would run the abc machinery in Python;
+    # a subclass parses through its text below
+    if type(text) is Fraction:
         return text
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")

@@ -33,6 +33,16 @@ only when the table can matter: two types with equal outcome rows win
 on as many opponent profiles, so it first adds up each type's wins over
 the leaf boxes and compares rows only for types in different blocks
 whose counts tie.
+
+A result costs what it reports.  `check_k_step_osp` builds each field
+of a violation once per call: a leaf's corner the first time a
+violation names the leaf, lhs once per scaled payment gap, rhs once per
+(type, scaled outcome gap).  `taxation_diagnostics` fills one
+profile -> leaf map per call, a leaf's box the first time a node above
+it is visited, and at each node expands only the leaves whose
+commitment set holds two types above one of the leaf's own types; it
+sorts the node's findings by (profile, c, d), the order of a walk over
+the node's whole box, so a cap cuts at the same finding.
 """
 
 from __future__ import annotations
@@ -134,6 +144,12 @@ class CheckResult:
         return self.ok
 
 
+def _require_cap(value, name: str) -> None:
+    """Refuse a cap on a result list that is not a positive int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise MechanismError(f"{name} must be a positive int, not {value!r}")
+
+
 def _would_gain(dp, df, cmin, cmax) -> bool:
     """Whether some type c in [cmin, cmax] has dp > c * df: the payment
     change dp outweighs the cost change c * df of the outcome change df."""
@@ -157,12 +173,14 @@ def check_k_step_osp(
     """
     require_valid(tree)
     k = normalize_horizon(k)
+    _require_cap(max_violations, "max_violations")
     missing = [nid for nid in tree.leaf_ids if tree.nodes[nid].payment is None]
     if missing:
         raise MechanismError(f"payments missing at leaves {missing[:5]}")
 
     sets = _commitment_sets(tree, k)
     scaled: dict[int, tuple] = {}
+    corner: dict[int, tuple[Rat, ...]] = {}  # leaf -> its box_min
     violations: list[Constraint] = []
     checked = 0
     for u in tree.internal_ids:
@@ -175,8 +193,11 @@ def check_k_step_osp(
             ps, lp = _scaled([tree.nodes[x].payment[i] for x in tree.leaf_ids])
             cs, lc = _scaled(tree.domains[i])
             ps = [p * lc * lf for p in ps]
-            scaled[i] = [c * lp for c in cs], dict(zip(tree.leaf_ids, zip(fs, ps)))
-        types, value = scaled[i]
+            value = dict(zip(tree.leaf_ids, zip(fs, ps)))
+            # a violation's lhs by its dp, its rhs by (type position, df)
+            scaled[i] = [c * lp for c in cs], value, lp * lc * lf, lf, {}, {}
+        types, value, lpay, lf, lhs, rhs = scaled[i]
+        dom = tree.domains[i]
         csets = sets[u]
         rows = [
             [(leaf, *value[leaf]) for leaf in tree.leaves_under[cid]]
@@ -211,17 +232,19 @@ def check_k_step_osp(
                         dp = pb - pa
                         if not _would_gain(dp, df, cmin, cmax):
                             continue
-                        a = tree.box_min(la)
-                        b = tree.box_min(lb)
-                        na, nb = tree.nodes[la], tree.nodes[lb]
-                        lhs = nb.payment[i] - na.payment[i]
-                        change = nb.outcome[i] - na.outcome[i]
+                        for leaf in (la, lb):
+                            if leaf not in corner:
+                                corner[leaf] = tree.box_min(leaf)
+                        if dp not in lhs:
+                            lhs[dp] = Fraction(dp, lpay)
                         for pos in bits(cset):
                             if dp > types[pos] * df:
-                                c = tree.domains[i][pos]
-                                violations.append(
-                                    Constraint(i, u, a, b, c, lhs, c * change)
-                                )
+                                if (pos, df) not in rhs:
+                                    rhs[pos, df] = dom[pos] * Fraction(df, lf)
+                                violations.append(Constraint(
+                                    i, u, corner[la], corner[lb], dom[pos],
+                                    lhs[dp], rhs[pos, df],
+                                ))
                                 if len(violations) >= max_violations:
                                     return CheckResult(
                                         False, tuple(violations), True, checked
@@ -534,38 +557,51 @@ def taxation_diagnostics(
     require_valid(tree)
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
+    _require_cap(max_findings, "max_findings")
     sets = _commitment_sets(tree, k)
     findings: list[TaxationFinding] = []
-    numbered: dict[int, dict[int, int]] = {}  # agent -> leaf -> her (f, p)
+    leaf_at: dict[tuple[int, ...], int] = {}  # profile -> the leaf it reaches
+    mapped: set[int] = set()  # the leaves whose boxes leaf_at holds
     for u in tree.internal_ids:
+        csets = sets[u]
         # a triple a < c < d needs a commitment set of three types
-        if all(cset.bit_count() < 3 for cset in sets[u].values()):
+        if all(cset.bit_count() < 3 for cset in csets.values()):
             continue
         i = tree.nodes[u].agent
-        if i not in numbered:
-            seen, numbered[i] = {}, {}  # pairs keyed by integer ratios
-            for leaf in tree.leaf_ids:
-                key = tuple(v.as_integer_ratio() for v in _pair(tree, leaf, i))
-                numbered[i][leaf] = seen.setdefault(key, len(seen))
         scale_guard(prod(m.bit_count() for m in tree.mask_at[u]))
-        leaf_at = {
-            prof: leaf
-            for leaf in tree.leaves_under[u]
-            for prof in itertools.product(*map(bits, tree.mask_at[leaf]))
-        }
-        for a in itertools.product(*map(bits, tree.mask_at[u])):
-            larger = (sets[u][leaf_at[a]] >> (a[i] + 1)) << (a[i] + 1)
-            for ci, di in itertools.combinations(bits(larger), 2):
-                found = _taxation_case(tree, u, i, a, ci, di, leaf_at, numbered[i])
-                if found is not None:
-                    findings.append(found)
-                    if len(findings) >= max_findings:
-                        return findings
+        for leaf in tree.leaves_under[u]:
+            if leaf not in mapped:
+                mapped.add(leaf)
+                for prof in itertools.product(*map(bits, tree.mask_at[leaf])):
+                    leaf_at[prof] = leaf
+        found = []
+        for leaf in tree.leaves_under[u]:
+            box, cset = tree.mask_at[leaf], csets[leaf]
+            # her own types at the leaf with two commitment types above:
+            # none when her lowest one has fewer
+            if (cset >> (box[i] & -box[i]).bit_length()).bit_count() < 2:
+                continue
+            own = [q for q in bits(box[i]) if (cset >> (q + 1)).bit_count() > 1]
+            boxes = [*map(bits, box[:i]), own, *map(bits, box[i + 1 :])]
+            for a in itertools.product(*boxes):
+                larger = (cset >> (a[i] + 1)) << (a[i] + 1)
+                for ci, di in itertools.combinations(bits(larger), 2):
+                    case = _taxation_case(tree, u, i, a, ci, di, leaf_at)
+                    if case is not None:
+                        found.append(((a, ci, di), case))
+        # profile order, as a walk over the node's whole box would meet them
+        found.sort(key=lambda item: item[0])
+        findings += [case for _, case in found[: max_findings - len(findings)]]
+        if len(findings) >= max_findings:
+            return findings
     return findings
 
 
-def _taxation_case(tree, u, i, a, ci, di, leaf_at, numbered):
-    # a profile of positions, ci < di positions of agent i's types
+def _taxation_case(tree, u, i, a, ci, di, leaf_at):
+    """The finding of the triple a[i] < ci < di at query node u for agent
+    i, or None: `a` is a profile of positions in u's box, ci and di are
+    positions of her types and `leaf_at` maps each profile in u's box to
+    its leaf."""
     trips = (a[i], ci, di)
     la, lc, ld = (leaf_at[a[:i] + (v,) + a[i + 1 :]] for v in trips)
     cuts = [
@@ -592,7 +628,7 @@ def _taxation_case(tree, u, i, a, ci, di, leaf_at, numbered):
     bottom = outside & ((1 << a[i]) - 1) != 0
     inner = outside & ((1 << di) - (2 << a[i])) != 0
 
-    va, vc, vd = (numbered[leaf] for leaf in (la, lc, ld))
+    va, vc, vd = (_pair(tree, leaf, i) for leaf in (la, lc, ld))
     case = None
     if inner or (top and bottom):
         case = None if va == vc == vd else "all_equal"
@@ -602,7 +638,6 @@ def _taxation_case(tree, u, i, a, ci, di, leaf_at, numbered):
         case = None if vc == vd else "upper_pair"
     if case is None:
         return None
-    va, vc, vd = (_pair(tree, leaf, i) for leaf in (la, lc, ld))
     detail = {
         "all_equal": f"outcomes {va}, {vc}, {vd} must coincide",
         "lower_pair": f"outcomes {va} and {vc} must coincide",
@@ -632,6 +667,7 @@ def strong_ineffectiveness_check(
     obvious strategyproofness at any horizon."""
     require_valid(tree)
     require_binary_outcomes(tree)
+    _require_cap(max_findings, "max_findings")
     findings: list[PoolingFinding] = []
     for u in tree.internal_ids:
         i = tree.nodes[u].agent

@@ -1,6 +1,8 @@
 import json
+from enum import IntEnum
 from fractions import Fraction
 from math import inf, prod
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,14 @@ class TestRationals:
         assert parse_rational("7/2") == Fraction(7, 2)
         assert parse_rational("0.25") == Fraction(1, 4)
         assert parse_rational(Fraction(5, 3)) == Fraction(5, 3)
+
+    def test_fraction_subclass_parses_to_a_fraction(self):
+        class Half(Fraction):
+            pass
+
+        value = parse_rational(Half(7, 2))
+        assert value == Fraction(7, 2)
+        assert type(value) is Fraction
 
     def test_parse_errors(self):
         for bad in ("", "x", "1/0", True):
@@ -396,6 +406,32 @@ def _json_values(children):
 JSON_VALUES = st.recursive(_SCALARS, _json_values, max_leaves=20)
 
 
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Text(str):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Pair(NamedTuple):
+    first: int
+    second: str
+
+
 class TestCanonicalWriter:
     """render_report against `json.dumps(sort_keys=True, indent=2)`."""
 
@@ -427,6 +463,27 @@ class TestCanonicalWriter:
         with pytest.raises(TypeError) as got:
             render_report(value)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"level": Level.HIGH, "levels": [Level.LOW, Level.HIGH]},
+            {Level.LOW: "int enum key", 3: "int key"},
+            Level.HIGH,
+            Text("quoted \"text\""),
+            {Text("key"): Text("value"), "plain": [Text("item")]},
+            Table(b=1, a=[2, 3]),
+            Items([1, "two", Items()]),
+            {"empty": Table(), "none": Items()},
+            {"ok": True, "truncated": False, "missing": None},
+            {True: 1, False: 0},
+            Pair(1, "x"),
+            [Ratio(0.5), {"x": Ratio(-2.0)}],
+        ],
+    )
+    def test_subclasses_write_as_json_dumps(self, value):
+        want = json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert render_report(value) == want
 
 
 def test_render_csv_header_always():

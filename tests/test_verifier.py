@@ -111,6 +111,23 @@ class TestCheck:
         with pytest.raises(MechanismError, match="payments missing"):
             check_k_step_osp(t, 0)
 
+    @pytest.mark.parametrize("cap", [0, -3, True, False, 2.0, "5", None])
+    def test_caps_must_be_positive_ints(self, cap):
+        # each cap is tested after an append: below 1 it would still list one
+        t = english_auction_tree(3, [1, 2, 3, 4, 5])
+        with pytest.raises(MechanismError, match="max_violations must be"):
+            check_k_step_osp(t, 1, max_violations=cap)
+        with pytest.raises(MechanismError, match="max_findings must be"):
+            taxation_diagnostics(t, 1, max_findings=cap)
+        pooled = tree_from_nested(1, [[1, 2]], (
+            "q", 0, [
+                ([1], ("leaf", (0,), (F(0),))),
+                ([2], ("leaf", (0,), (F(1),))),
+            ],
+        ))
+        with pytest.raises(MechanismError, match="max_findings must be"):
+            strong_ineffectiveness_check(pooled, max_findings=cap)
+
 
 def commitment_types(tree, k):
     """_commitment_sets with each mask given by its types."""
@@ -863,6 +880,17 @@ def oracle_taxation_case(tree, u, i, a, ci, di):
     return None
 
 
+def reordered_nodes(tree, findings):
+    """How many nodes have findings whose leaves, taken in profile order,
+    are not in the order of `leaves_under`."""
+    count = 0
+    for u, group in itertools.groupby(findings, key=lambda f: f.node):
+        rank = {leaf: r for r, leaf in enumerate(tree.leaves_under[u])}
+        order = [rank[tree.leaf_of(f.a).id] for f in group]
+        count += order != sorted(order)
+    return count
+
+
 def has_binary_outcomes(tree):
     return all(
         v in (0, 1) for nid in tree.leaf_ids for v in tree.nodes[nid].outcome
@@ -1018,9 +1046,14 @@ class TestAgainstOracles:
                     assert g == w
                 total = len(got) if total is None else total
                 seen[cap] += len(got)
-                seen.update(f.case for f in got if cap == 200)
+                if cap == 200:
+                    seen.update(f.case for f in got)
+                    seen["reordered"] += reordered_nodes(t, got)
         assert seen[1] and seen[3] and seen[200]
         assert seen["all_equal"] and seen["lower_pair"] and seen["upper_pair"]
+        # nodes where the sort by profile, not the walk over the leaves,
+        # gives the oracle's order
+        assert seen["reordered"] > 0
 
     @pytest.mark.parametrize("k", [0, 1, 2, inf])
     def test_fixture_trees_match_oracles(self, k):
