@@ -22,34 +22,10 @@ import sys
 import time
 from math import inf
 
-from . import cmon as cmon_mod
-from . import fixtures as fixtures_mod
-from . import verifier
-from .greedy import (
-    approx_ratio,
-    compress,
-    extract_tree,
-    run_two_way_greedy,
-    search_two_way_greedy,
-)
-from .io import (
-    MechanismFormatError,
-    dump_mechanism,
-    graph_to_data,
-    instance_data_for,
-    load_instance,
-    load_mechanism,
-    parse_horizon,
-    render_csv,
-    render_report,
-    write_report,
-)
-from .model import (
-    MechanismError,
-    require_binary_outcomes,
-    require_valid,
-)
-from .rational import format_rational, parse_rational
+# only what building the parser and main's error handling need: each
+# verb imports the modules it calls, so a run loads no others
+from .io import MechanismFormatError, parse_horizon
+from .model import MechanismError
 
 EXPERIMENT_COLUMNS = [
     "instance",
@@ -73,6 +49,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _rational(text: str, flag: str):
+    from .rational import parse_rational
+
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -84,6 +62,11 @@ def _max_queries(tree) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verifier
+    from .io import load_mechanism, render_report
+    from .model import require_binary_outcomes, require_valid
+    from .rational import format_rational
+
     tree = load_mechanism(args.mechanism)
     require_valid(tree)
     k = parse_horizon(args.k)
@@ -132,9 +115,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_payments(args) -> int:
+    from .cmon import synthesize_payments
+    from .io import dump_mechanism, load_mechanism, render_report
+    from .rational import format_rational
+
     tree = load_mechanism(args.mechanism)
     k = parse_horizon(args.k)
-    result = cmon_mod.synthesize_payments(tree, k)
+    result = synthesize_payments(tree, k)
     if not result.ok:
         data = {
             "verdict": "fail",
@@ -158,14 +145,18 @@ def cmd_payments(args) -> int:
 
 
 def cmd_cmon(args) -> int:
+    from .cmon import build_k_osp_graph, has_negative_cycle
+    from .io import graph_to_data, load_mechanism, render_report, write_report
+    from .rational import format_rational
+
     tree = load_mechanism(args.mechanism)
     k = parse_horizon(args.k)
     agents = []
     dump = []
     bad = 0
     for agent in range(tree.agents):
-        graph = cmon_mod.build_k_osp_graph(tree, k, agent)
-        witness = cmon_mod.has_negative_cycle(graph)
+        graph = build_k_osp_graph(tree, k, agent)
+        witness = has_negative_cycle(graph)
         agents.append(
             {
                 "agent": agent,
@@ -193,6 +184,10 @@ def cmd_cmon(args) -> int:
 
 
 def cmd_greedy(args) -> int:
+    from .greedy import compress, extract_tree, run_two_way_greedy
+    from .io import dump_mechanism, load_instance, render_report
+    from .rational import format_rational
+
     if args.action not in (None, "extract-tree"):
         raise MechanismError(f"unknown greedy action {args.action!r}")
     ps, domain = load_instance(args.instance)
@@ -235,6 +230,10 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from .greedy import approx_ratio, compress, extract_tree
+    from .io import load_instance, render_report
+    from .rational import format_rational
+
     ps, domain = load_instance(args.instance)
     tree = extract_tree(ps, domain)
     ratio, witness = approx_ratio(ps, tree, domain)
@@ -249,6 +248,10 @@ def cmd_approx(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .greedy import search_two_way_greedy
+    from .io import dump_mechanism, load_instance, render_report
+    from .rational import format_rational
+
     ps, domain = load_instance(args.instance)
     k = parse_horizon(args.k)
     target = _rational(args.ratio, "--ratio")
@@ -269,10 +272,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from .fixtures import fixture_names, materialize
+    from .io import dump_mechanism, instance_data_for, write_report
+
     if not args.name:
-        sys.stdout.write("\n".join(fixtures_mod.fixture_names()) + "\n")
+        sys.stdout.write("\n".join(fixture_names()) + "\n")
         return 0
-    kind, built = fixtures_mod.materialize(args.name)
+    kind, built = materialize(args.name)
     out = args.out
     if not out:
         out = re.sub(r"[(),\s]+", "_", args.name).strip("_") + ".json"
@@ -286,11 +292,17 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .fixtures import materialize
+    from .greedy import approx_ratio, compress, extract_tree
+    from .io import render_csv, render_report
+    from .rational import format_rational
+    from .verifier import is_k_limited
+
     names = args.instance or []
     ks = [parse_horizon(part) for part in args.ks.split(",")] if args.ks else [0]
     cells = []
     for name in names:
-        kind, built = fixtures_mod.materialize(name)
+        kind, built = materialize(name)
         if kind != "instance":
             raise MechanismError(
                 f"experiment needs instance fixtures, {name!r} is a {kind}"
@@ -301,7 +313,7 @@ def cmd_experiment(args) -> int:
         rounds = compress(tree)
         queries_max = _max_queries(rounds)
         for k in ks:
-            verdict = verifier.is_k_limited(rounds, k)
+            verdict = is_k_limited(rounds, k)
             cells.append(
                 (name, len(domain), k, verdict.ok, ratio, queries_max)
             )

@@ -40,6 +40,7 @@ from .model import (
     normalize_horizon,
     parting_node,
     profile_leaves,
+    require_agent,
     require_binary_outcomes,
     require_valid,
     scale_guard,
@@ -109,8 +110,7 @@ def build_profile_classes(
     require_valid(tree)  # else leaf boxes need not split the profiles
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
-    if agent not in range(tree.agents):
-        raise MechanismError(f"unknown agent {agent}")
+    require_agent(tree, agent)
 
     # a (k+2)-th query's effective side is read from its class, where the
     # allowed forms are stated: its only-effective top type, else its

@@ -402,13 +402,21 @@ def require_binary_outcomes(tree: ImplementationTree) -> None:
         )
 
 
+def require_agent(tree: ImplementationTree, agent) -> None:
+    """Raise MechanismError unless agent is an int naming one of the
+    tree's agents.  A bool or a float names none: indexing would read
+    True as agent 1 and fail on 1.0."""
+    if type(agent) is not int or not 0 <= agent < tree.agents:
+        raise MechanismError(f"unknown agent {agent}")
+
+
 def query_count(tree: ImplementationTree, agent: int, leaf_id: int) -> int:
     """Number of queries to agent on the path from the root to leaf_id."""
-    if leaf_id not in tree.query_depth:
+    depth = tree.query_depth.get(leaf_id)
+    if depth is None:
         raise MechanismError(f"unknown node {leaf_id}")
-    if agent not in range(tree.agents):
-        raise MechanismError(f"unknown agent {agent}")
-    return tree.query_depth[leaf_id][agent]
+    require_agent(tree, agent)
+    return depth[agent]
 
 
 def k_step_neighborhood(tree: ImplementationTree, node_id: int, k):

@@ -629,20 +629,20 @@ def _taxation_case(tree, u, i, a, ci, di, leaf_at):
     inner = outside & ((1 << di) - (2 << a[i])) != 0
 
     va, vc, vd = (_pair(tree, leaf, i) for leaf in (la, lc, ld))
-    case = None
     if inner or (top and bottom):
-        case = None if va == vc == vd else "all_equal"
+        if va == vc == vd:
+            return None
+        case, detail = "all_equal", f"outcomes {va}, {vc}, {vd} must coincide"
     elif top:
-        case = None if va == vc else "lower_pair"
+        if va == vc:
+            return None
+        case, detail = "lower_pair", f"outcomes {va} and {vc} must coincide"
     elif bottom:
-        case = None if vc == vd else "upper_pair"
-    if case is None:
+        if vc == vd:
+            return None
+        case, detail = "upper_pair", f"outcomes {vc} and {vd} must coincide"
+    else:
         return None
-    detail = {
-        "all_equal": f"outcomes {va}, {vc}, {vd} must coincide",
-        "lower_pair": f"outcomes {va} and {vc} must coincide",
-        "upper_pair": f"outcomes {vc} and {vd} must coincide",
-    }[case]
     prof = tuple(tree.domains[j][p] for j, p in enumerate(a))
     return TaxationFinding(
         u, i, prof, tree.domains[i][ci], tree.domains[i][di], case, detail

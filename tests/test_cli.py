@@ -389,7 +389,8 @@ class TestErrorPaths:
         def crash(*args):
             raise RuntimeError("lost\nsecond line")
 
-        monkeypatch.setattr(cli, "extract_tree", crash)
+        # each verb imports what it calls when it runs, so patch the source
+        monkeypatch.setattr("ospkit.greedy.extract_tree", crash)
         code, out, err = run(capsys, "approx", "--instance", str(si24_file))
         assert code == 3
         assert out == ""

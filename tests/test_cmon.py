@@ -591,7 +591,7 @@ class TestClassPartition:
                     assert outcome_or_error(synthesize_payments, t, h) == first
         assert refused > 0
 
-    @pytest.mark.parametrize("agent", [-1, 3])
+    @pytest.mark.parametrize("agent", [-1, 3, 1.0, True])
     def test_refuses_unknown_agent(self, agent):
         t = english_auction_tree(3, [1, 2, 3])
         leaf = t.leaf_ids[0]
