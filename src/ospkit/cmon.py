@@ -28,7 +28,7 @@ Outcomes must be binary throughout this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import inf, lcm, prod
 
@@ -37,6 +37,7 @@ from .model import (
     LeafNode,
     MechanismError,
     QueryNode,
+    Record,
     normalize_horizon,
     parting_node,
     profile_leaves,
@@ -54,18 +55,17 @@ TAIL_EFFECTIVE = "tail_effective"
 TAIL_NEUTRAL = "tail_neutral"
 
 
-@dataclass(frozen=True)
-class ProfileClass:
+class ProfileClass(
+    Record,
+    namedtuple("ProfileClass", "agent anchor slice_kind bit boxes types"),
+):
     """A class of the agent's profiles: the union of `boxes`, the
     disjoint `domain_at` boxes of its leaves in leaf preorder.  `types`
-    are the agent's types some member holds, ascending."""
+    are the agent's types some member holds, ascending.  `agent`,
+    `anchor` (a node id) and `bit` (the agent's outcome bit) are ints and
+    `slice_kind` a str."""
 
-    agent: int
-    anchor: int
-    slice_kind: str
-    bit: int
-    boxes: tuple[tuple[tuple[Rat, ...], ...], ...]
-    types: tuple[Rat, ...]
+    __slots__ = ()
 
     @property
     def members(self) -> tuple[tuple[Rat, ...], ...]:
@@ -73,27 +73,29 @@ class ProfileClass:
         return tuple(sorted(p for box in self.boxes for p in itertools.product(*box)))
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    agent: int
-    horizon: object
-    classes: tuple[ProfileClass, ...]
-    leaf_class: dict
+class ClassPartition(
+    Record, namedtuple("ClassPartition", "agent horizon classes leaf_class")
+):
+    """The agent's `classes` (a tuple of `ProfileClass`) at `horizon`, and
+    `leaf_class`, a dict from leaf id to the position of its class."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OspGraph:
-    agent: int
-    horizon: object
-    vertices: tuple[ProfileClass, ...]
-    edges: tuple[tuple[int, int, Rat], ...]
+class OspGraph(Record, namedtuple("OspGraph", "agent horizon vertices edges")):
+    """The agent's class graph at `horizon`: `vertices` (a tuple of
+    `ProfileClass`) and `edges` as (source, target, weight) triples."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NegativeCycleWitness:
-    agent: int
-    cycle: tuple[int, ...]
-    weight: Rat
+class NegativeCycleWitness(
+    Record, namedtuple("NegativeCycleWitness", "agent cycle weight")
+):
+    """A negative `cycle` (a tuple of vertex positions) in the agent's
+    class graph and its total `weight` (a Rat)."""
+
+    __slots__ = ()
 
 
 def build_profile_classes(
@@ -287,11 +289,11 @@ def has_negative_cycle(graph: OspGraph) -> NegativeCycleWitness | None:
     return witness
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
-    ok: bool
-    tree: ImplementationTree | None
-    failures: tuple[NegativeCycleWitness, ...]
+class SynthesisResult(Record, namedtuple("SynthesisResult", "ok tree failures")):
+    """The priced `tree` when payments exist, else None and the
+    `failures` (a tuple of `NegativeCycleWitness`)."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -330,17 +332,18 @@ def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
             payment = tuple(
                 per_agent_payment[i][nid] for i in range(tree.agents)
             )
-            nodes[nid] = LeafNode(id=nid, outcome=node.outcome, payment=payment)
+            nodes[nid] = LeafNode(nid, node.outcome, payment)
         else:
             nodes[nid] = node
     priced = ImplementationTree(tree.agents, tree.domains, tree.root, nodes)
     return SynthesisResult(True, priced, ())
 
 
-@dataclass(frozen=True)
-class StickyResult:
-    ok: bool
-    witness: tuple | None  # (agent, class_a, class_b, x, y, expected, got)
+class StickyResult(Record, namedtuple("StickyResult", "ok witness")):
+    """Verdict of `sticky_edges_check`; `witness` is (agent, class_a,
+    class_b, x, y, expected, got) or None."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -378,10 +381,11 @@ def sticky_edges_check(tree: ImplementationTree, k) -> StickyResult:
     return StickyResult(True, None)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    agree: bool
-    details: tuple[tuple[int, bool, bool], ...]  # (agent, cycle_at_k, cycle_at_inf)
+class EquivalenceReport(Record, namedtuple("EquivalenceReport", "agree details")):
+    """Whether the verdicts `agree`; `details` holds (agent, cycle_at_k,
+    cycle_at_inf) per agent."""
+
+    __slots__ = ()
 
 
 def k_vs_infinity_equivalence(tree: ImplementationTree, k) -> EquivalenceReport:

@@ -16,7 +16,7 @@ pass that follows each distinct query state once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, inf, lcm
 
@@ -25,6 +25,7 @@ from .model import (
     LeafNode,
     MechanismError,
     QueryNode,
+    Record,
     as_integer,
     bits,
     normalize_horizon,
@@ -275,20 +276,21 @@ def reverse_greedy_solution(ps: PSystem, weights) -> frozenset:
     return frozenset(bits(keep[0]))
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    agent: int
-    direction: str
-    value: Rat
-    domain: tuple[Rat, ...]
-    answer: bool
+class QueryRecord(
+    Record, namedtuple("QueryRecord", "agent direction value domain answer")
+):
+    """One query of a run: the `direction` (a str) it asks `agent` in,
+    the threshold `value` (a Rat), her current `domain` (a tuple of Rat)
+    and the bool `answer`."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GreedyResult:
-    chosen: frozenset
-    excluded: frozenset
-    trace: tuple[QueryRecord, ...]
+class GreedyResult(Record, namedtuple("GreedyResult", "chosen excluded trace")):
+    """The `chosen` and `excluded` elements (frozensets) of a run and
+    its `trace`, a tuple of `QueryRecord`."""
+
+    __slots__ = ()
 
 
 class NeedAnswer(Exception):
@@ -679,11 +681,11 @@ def is_revealable(tree: ImplementationTree, node_id: int) -> bool:
     return low_won or high_lost
 
 
-@dataclass(frozen=True)
-class TwoWayReport:
-    ok: bool
-    node: int | None
-    reason: str | None
+class TwoWayReport(Record, namedtuple("TwoWayReport", "ok node reason")):
+    """Verdict of `is_two_way_greedy`: the first failing query node and
+    why, or None twice."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -938,12 +940,13 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     return Fraction(wnum, wden), tuple(reversed(at))
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    found: bool
-    tree: ImplementationTree | None
-    ratio: Fraction | None
-    explored: int
+class SearchResult(
+    Record, namedtuple("SearchResult", "found tree ratio explored")
+):
+    """The `tree` found and its worst `ratio` (a Fraction), or None
+    twice, and how many states the search `explored`."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.found

@@ -13,8 +13,6 @@ can be located in the source text.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 import re
 from fractions import Fraction
@@ -137,7 +135,7 @@ def loads_mechanism(text: str) -> ImplementationTree:
                     if payment is None
                     else tuple(rational(v) for v in payment)
                 )
-                nodes[nid] = LeafNode(id=nid, outcome=outcome, payment=pay)
+                nodes[nid] = LeafNode(nid, outcome, pay)
             elif kind == "query":
                 blocks = tuple(
                     tuple(sorted(rational(v) for v in blk))
@@ -145,10 +143,7 @@ def loads_mechanism(text: str) -> ImplementationTree:
                 )
                 children = tuple(as_integer(c) for c in entry["children"])
                 nodes[nid] = QueryNode(
-                    id=nid,
-                    agent=as_integer(entry["agent"]),
-                    blocks=blocks,
-                    children=children,
+                    nid, as_integer(entry["agent"]), blocks, children
                 )
             else:
                 raise MechanismFormatError(f"unknown kind {kind!r}")
@@ -397,6 +392,10 @@ def write_report(data: dict, path: str | None) -> str:
 
 
 def render_csv(rows: list[dict], columns: list[str]) -> str:
+    # only the experiment verb writes CSV: no other verb loads csv
+    import csv
+    import io as _io
+
     buf = _io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()

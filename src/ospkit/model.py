@@ -33,6 +33,10 @@ profiles that reach it, so every analysis and rewrite calls
 `parting_node` finds where the walks to two leaves part: at their
 lowest common ancestor.
 `ImplementationTree.path_of` and `leaf_of` remain the single-profile walk.
+
+Nodes are records: read-only named tuples sharing the equality of
+`Record`, the base of every value record in the package.  A node id
+handed in must be an int naming a node of the tree (`require_node`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import inf, log10, prod
 
@@ -101,23 +105,50 @@ def normalize_horizon(k) -> int | float:
     raise MechanismError(f"bad horizon {k!r}: need a non-negative integer or inf")
 
 
-@dataclass(frozen=True)
-class QueryNode:
-    id: int
-    agent: int
-    blocks: tuple[tuple[Rat, ...], ...]
-    children: tuple[int, ...]
+class Record:
+    """The shared behaviour of the package's value records.
+
+    Every record type (tree nodes, violated constraints, class-graph
+    vertices, findings, results) subclasses `Record` and a
+    `collections.namedtuple`, with ``__slots__ = ()``: an instance is one
+    tuple, carries no ``__dict__`` and refuses assignment to any field.
+    Field order, defaults, keyword construction and the repr text are
+    the named tuple's.  A record equals only a record of its own class
+    with equal fields, never a plain tuple or a record of another class,
+    and hashes as the tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        # a tuple would compare its items with ours: refuse it here
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+
+class QueryNode(Record, namedtuple("QueryNode", "id agent blocks children")):
+    """Query to `agent` (int): `blocks` (tuples of Rat) partition her
+    current domain, one child id in `children` per block."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
         return "query"
 
 
-@dataclass(frozen=True)
-class LeafNode:
-    id: int
-    outcome: tuple[Rat, ...]
-    payment: tuple[Rat, ...] | None = None
+class LeafNode(Record, namedtuple("LeafNode", "id outcome payment", defaults=(None,))):
+    """Leaf with an `outcome` vector and an optional `payment` vector
+    (tuples of Rat, one entry per agent)."""
+
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -302,8 +333,7 @@ class ImplementationTree:
 
     def node(self, nid: int) -> QueryNode | LeafNode:
         """The node with id nid; MechanismError when the tree has none."""
-        if nid not in self.nodes:
-            raise MechanismError(f"unknown node {nid}")
+        require_node(self, nid)
         return self.nodes[nid]
 
     def is_leaf(self, nid: int) -> bool:
@@ -410,11 +440,20 @@ def require_agent(tree: ImplementationTree, agent) -> None:
         raise MechanismError(f"unknown agent {agent}")
 
 
+def require_node(tree: ImplementationTree, nid) -> None:
+    """Raise MechanismError unless nid is an int naming one of the
+    tree's nodes.  A bool or a float names none: a dict lookup would
+    read True and 1.0 as node 1."""
+    if type(nid) is not int or nid not in tree.nodes:
+        raise MechanismError(f"unknown node {nid}")
+
+
 def query_count(tree: ImplementationTree, agent: int, leaf_id: int) -> int:
     """Number of queries to agent on the path from the root to leaf_id."""
+    require_node(tree, leaf_id)
     depth = tree.query_depth.get(leaf_id)
     if depth is None:
-        raise MechanismError(f"unknown node {leaf_id}")
+        raise MechanismError(f"node {leaf_id} unreachable from root")
     require_agent(tree, agent)
     return depth[agent]
 
@@ -477,6 +516,7 @@ def profile_leaves(tree: ImplementationTree, node_id: int) -> dict[tuple, int]:
     """The leaf each profile available at node_id reaches, from the boxes
     of the leaves below it."""
     require_valid(tree)
+    require_node(tree, node_id)
     scale_guard(prod(m.bit_count() for m in tree.mask_at[node_id]))
     return {
         prof: leaf
@@ -550,11 +590,7 @@ def _from_nested(spec, nodes: dict, counter) -> int:
         pay = None
         if payment is not None:
             pay = tuple(parse_rational(v) for v in payment)
-        nodes[nid] = LeafNode(
-            id=nid,
-            outcome=tuple(parse_rational(v) for v in outcome),
-            payment=pay,
-        )
+        nodes[nid] = LeafNode(nid, tuple(parse_rational(v) for v in outcome), pay)
         return nid
     if tag != "q":
         raise MechanismError(f"bad nested tag {tag!r}")
@@ -564,9 +600,7 @@ def _from_nested(spec, nodes: dict, counter) -> int:
     for values, sub in branches:
         blocks.append(tuple(sorted(parse_rational(v) for v in values)))
         children.append(_from_nested(sub, nodes, counter))
-    nodes[nid] = QueryNode(
-        id=nid, agent=agent, blocks=tuple(blocks), children=tuple(children)
-    )
+    nodes[nid] = QueryNode(nid, agent, tuple(blocks), tuple(children))
     return nid
 
 

@@ -35,6 +35,11 @@ def parse_rational(text: str | int | float | Fraction) -> Rat:
 
 
 def format_rational(value: Rat) -> str:
-    """Canonical text form: integer part only when the denominator is 1."""
-    # str of a Fraction already is that form; other numbers go through one
-    return str(value if type(value) in (Fraction, int) else Fraction(value))
+    """Canonical text form: integer part only when the denominator is 1.
+
+    Any value other than a Fraction or an int is read as `parse_rational`
+    reads it, so a float gives its decimal text's value and a bool raises."""
+    # str of a Fraction already is that form
+    if type(value) is Fraction or type(value) is int:
+        return str(value)
+    return str(parse_rational(value))

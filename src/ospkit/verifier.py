@@ -48,7 +48,7 @@ the node's whole box, so a cap cuts at the same finding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import inf, lcm, prod
 
@@ -57,6 +57,7 @@ from .model import (
     LeafNode,
     MechanismError,
     QueryNode,
+    Record,
     bits,
     normalize_horizon,
     parting_node,
@@ -119,26 +120,23 @@ def _pair(tree: ImplementationTree, leaf: int, agent: int) -> tuple[Rat, Rat]:
     return node.outcome[agent], _ZERO if node.payment is None else node.payment[agent]
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record, namedtuple("Constraint", "agent node a b c lhs rhs")):
     """One violated inequality: type c at the divergence node would gain
-    lhs - rhs > 0 by steering toward profile b's branch instead of a's."""
+    lhs - rhs > 0 by steering toward profile b's branch instead of a's.
+    `agent` and `node` are ints, the profiles `a` and `b` tuples of Rat,
+    and `c`, `lhs` and `rhs` Rats."""
 
-    agent: int
-    node: int
-    a: tuple[Rat, ...]
-    b: tuple[Rat, ...]
-    c: Rat
-    lhs: Rat
-    rhs: Rat
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    violations: tuple[Constraint, ...]
-    truncated: bool
-    checked: int
+class CheckResult(
+    Record, namedtuple("CheckResult", "ok violations truncated checked")
+):
+    """Verdict of `check_k_step_osp`: `violations` (a tuple of
+    `Constraint`), whether the cap `truncated` them, and how many
+    inequalities were `checked`."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -252,10 +250,13 @@ def check_k_step_osp(
     return CheckResult(not violations, tuple(violations), False, checked)
 
 
-@dataclass(frozen=True)
-class AlmostOrderedResult:
-    ok: bool
-    witness: tuple | None  # (node, a, b, c, d)
+class AlmostOrderedResult(
+    Record, namedtuple("AlmostOrderedResult", "ok witness")
+):
+    """Verdict of `is_almost_ordered`; `witness` is (node, a, b, c, d)
+    or None."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -361,8 +362,15 @@ def _value_table(tree: ImplementationTree, node_id: int):
     return rows, levels, pairs
 
 
-@dataclass(frozen=True)
-class QueryClass:
+class QueryClass(
+    Record,
+    namedtuple(
+        "QueryClass",
+        "node agent is_revelation extremal_side is_prefix is_suffix "
+        "ineffective strongly_ineffective only_types strongly_only_types "
+        "kind extra_allowed",
+    ),
+):
     """Shape and effect of one query.
 
     Shape: revelation (all blocks singleton), extremal side when binary
@@ -370,20 +378,12 @@ class QueryClass:
     domain within the full one.  Effect: whether answers can still move
     the agent's own outcome or payment, and for which single types.
     `extra_allowed` tells whether the query has one of the harmless forms
-    a (k+2)-th query to the agent on a path may take."""
+    a (k+2)-th query to the agent on a path may take.  `node` and
+    `agent` are ints, `extremal_side` a str or None, `kind` a str,
+    `only_types` and `strongly_only_types` tuples of Rat, and the other
+    fields bools."""
 
-    node: int
-    agent: int
-    is_revelation: bool
-    extremal_side: str | None
-    is_prefix: bool
-    is_suffix: bool
-    ineffective: bool
-    strongly_ineffective: bool
-    only_types: tuple[Rat, ...]
-    strongly_only_types: tuple[Rat, ...]
-    kind: str
-    extra_allowed: bool
+    __slots__ = ()
 
 
 def classify_query(tree: ImplementationTree, node_id: int) -> QueryClass:
@@ -487,11 +487,11 @@ def query_class(node_id, agent, domain, own, blocks, rows, levels) -> QueryClass
     )
 
 
-@dataclass(frozen=True)
-class KLimitedResult:
-    ok: bool
-    witness: int | None
-    reason: str | None
+class KLimitedResult(Record, namedtuple("KLimitedResult", "ok witness reason")):
+    """Verdict of `is_k_limited`: the first node over budget and why, or
+    None twice."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -530,15 +530,13 @@ def is_k_limited(tree: ImplementationTree, k) -> KLimitedResult:
     return KLimitedResult(True, None, None)
 
 
-@dataclass(frozen=True)
-class TaxationFinding:
-    node: int
-    agent: int
-    a: tuple[Rat, ...]
-    c: Rat
-    d: Rat
-    case: str
-    detail: str
+class TaxationFinding(
+    Record, namedtuple("TaxationFinding", "node agent a c d case detail")
+):
+    """A forced equality at query `node` to `agent`: profile `a` (a tuple
+    of Rat) and her types c < d (Rats); `case` and `detail` are str."""
+
+    __slots__ = ()
 
 
 def taxation_diagnostics(
@@ -649,13 +647,13 @@ def _taxation_case(tree, u, i, a, ci, di, leaf_at):
     )
 
 
-@dataclass(frozen=True)
-class PoolingFinding:
-    node: int
-    agent: int
-    t1: Rat
-    t2: Rat
-    detail: str
+class PoolingFinding(
+    Record, namedtuple("PoolingFinding", "node agent t1 t2 detail")
+):
+    """Types `t1` and `t2` (Rats) of `agent`, separated at query `node`,
+    that pool pointwise but not jointly; `detail` is a str."""
+
+    __slots__ = ()
 
 
 def strong_ineffectiveness_check(
@@ -744,7 +742,7 @@ def _reveal(tree, classes, nid: int, nodes: dict, counter) -> int:
     node = tree.nodes[nid]
     fresh = next(counter)
     if isinstance(node, LeafNode):
-        nodes[fresh] = LeafNode(id=fresh, outcome=node.outcome, payment=node.payment)
+        nodes[fresh] = LeafNode(fresh, node.outcome, node.payment)
         return fresh
     nodes[fresh] = None  # reserve slot, fill after children
     blocks, children = node.blocks, node.children

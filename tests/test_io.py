@@ -17,6 +17,7 @@ from ospkit import (
     format_rational,
     graph_to_data,
     instance_data_for,
+    instance_to_data,
     loads_instance,
     loads_mechanism,
     mechanism_to_data,
@@ -55,10 +56,22 @@ class TestRationals:
         assert format_rational(Fraction(-7, 2)) == "-7/2"
         assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
         assert format_rational(-3) == "-3"
-        assert format_rational(True) == "1"
-        assert format_rational(False) == "0"
         assert format_rational(0.25) == "1/4"
         assert format_rational(-2.0) == "-2"
+        # a float reads as its decimal text, as parse_rational reads it
+        assert format_rational(0.1) == "1/10"
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_format_refuses_a_bool(self, flag):
+        # parse_rational refuses a bool, so its text form does too
+        with pytest.raises(ValueError, match="not a rational"):
+            format_rational(flag)
+
+    def test_float_domain_round_trips_through_an_instance_file(self):
+        data = instance_to_data("single_item", 2, [0.1, 0.25])
+        assert data["domain"] == ["1/10", "1/4"]
+        _, domain = loads_instance(render_report(data))
+        assert domain == (Fraction(1, 10), Fraction(1, 4))
 
 
 class TestHorizon:

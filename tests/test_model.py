@@ -762,3 +762,42 @@ class TestValidityAgainstOracles:
 def test_unknown_node_id_is_refused(call):
     with pytest.raises(MechanismError, match="^unknown node 999$"):
         call(english_auction_tree(2, [1, 2, 3]))
+
+
+@pytest.mark.parametrize("nid", [True, 1.0, 999], ids=["bool", "float", "absent"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, nid: t.node(nid),
+        lambda t, nid: query_count(t, 0, nid),
+        lambda t, nid: profile_leaves(t, nid),
+        lambda t, nid: classify_query(t, nid),
+        lambda t, nid: k_step_neighborhood(t, nid, 1),
+        lambda t, nid: is_revealable(t, nid),
+    ],
+    ids=[
+        "node", "query_count", "profile_leaves", "classify_query",
+        "k_step_neighborhood", "is_revealable",
+    ],
+)
+def test_node_id_must_be_an_int_naming_a_node(call, nid):
+    # True and 1.0 hash as 1, a node of this tree: a lookup alone reads them
+    tree = english_auction_tree(2, [1, 2, 3])
+    assert 1 in tree.nodes
+    with pytest.raises(MechanismError, match=f"^unknown node {nid}$"):
+        call(tree, nid)
+
+
+def test_query_count_refuses_an_unreachable_node():
+    t = ImplementationTree(
+        1, [[1, 2]], 0,
+        {
+            0: QueryNode(0, 0, ((F(1),), (F(2),)), (1, 2)),
+            1: LeafNode(1, (F(0),)),
+            2: LeafNode(2, (F(1),)),
+            3: LeafNode(3, (F(1),)),
+        },
+    )
+    assert query_count(t, 0, 2) == 1
+    with pytest.raises(MechanismError, match="^node 3 unreachable from root$"):
+        query_count(t, 0, 3)

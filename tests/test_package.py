@@ -71,23 +71,30 @@ class TestLazyApi:
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ospkit.__file__)))
 
 
-def ospkit_imports(cwd, *args) -> set[str]:
-    """The ospkit modules a fresh `python -X importtime ARGS` imports, read
-    from its import-time log.  `python -m ospkit` runs the package's
-    __main__ as the script, so the log leaves that one out."""
+def imports(cwd, *args) -> set[str]:
+    """The modules a fresh `python -X importtime ARGS` imports, read from
+    its import-time log.  `python -m ospkit` runs the package's __main__
+    as the script, so the log leaves that one out."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
         cwd=cwd, env=env, capture_output=True, text=True, check=False,
     )
     assert proc.returncode in (0, 1), proc.stderr
-    names = set()
-    for line in proc.stderr.splitlines():
-        if line.startswith("import time:"):
-            name = line.rsplit("|", 1)[1].strip()
-            if name == "ospkit" or name.startswith("ospkit."):
-                names.add(name)
-    return names
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def ospkit_imports(cwd, *args) -> set[str]:
+    """The ospkit modules among `imports(cwd, *args)`."""
+    return {
+        name
+        for name in imports(cwd, *args)
+        if name == "ospkit" or name.startswith("ospkit.")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +132,23 @@ class TestImportFootprint:
         )
         assert "ospkit.cmon" in got
         assert not got & {"ospkit.greedy", "ospkit.fixtures"}
+
+    def test_verify_loads_no_dataclasses_inspect_or_csv(self, files):
+        got = imports(
+            files, "-m", "ospkit", "verify", "--mechanism", "english.json",
+            "--k", "2",
+        )
+        assert "ospkit.verifier" in got
+        assert not got & {"dataclasses", "inspect", "csv"}
+
+    def test_no_module_loads_dataclasses(self, files):
+        # the records are named tuples: no module needs dataclasses
+        got = imports(
+            files, "-c", "import ospkit.cli, ospkit.cmon, ospkit.fixtures, "
+            "ospkit.greedy, ospkit.io, ospkit.model, ospkit.verifier",
+        )
+        assert "ospkit.greedy" in got
+        assert not got & {"dataclasses", "inspect"}
 
     def test_greedy_skips_cmon(self, files):
         got = ospkit_imports(
