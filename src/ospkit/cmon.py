@@ -38,6 +38,7 @@ from .model import (
     MechanismError,
     QueryNode,
     Record,
+    Verdict,
     normalize_horizon,
     parting_node,
     profile_leaves,
@@ -250,6 +251,7 @@ def _relax(agent: int, n: int, edges, lcd: int):
         return [], None
     dist = [0] * n
     pred: list[int | None] = [None] * n
+    via = [0] * n  # the weight of the edge pred[b] -> b that lowered b
     last = None
     for _ in range(n):
         changed = False
@@ -258,6 +260,7 @@ def _relax(agent: int, n: int, edges, lcd: int):
             if cand < dist[b]:
                 dist[b] = cand
                 pred[b] = a
+                via[b] = w
                 changed = True
                 last = b
         if not changed:
@@ -274,10 +277,7 @@ def _relax(agent: int, n: int, edges, lcd: int):
         order.append(x)
         x = pred[x]
     cycle = tuple(reversed(order[seen[x] :]))
-    weight_of = {(a, b): w for a, b, w in edges}
-    total = 0
-    for pos, a in enumerate(cycle):
-        total += weight_of[(a, cycle[(pos + 1) % len(cycle)])]
+    total = sum(via[b] for b in cycle)
     assert total < 0, "backtracked cycle must be negative"
     return None, NegativeCycleWitness(
         agent=agent, cycle=cycle, weight=Fraction(total, lcd)
@@ -289,14 +289,11 @@ def has_negative_cycle(graph: OspGraph) -> NegativeCycleWitness | None:
     return witness
 
 
-class SynthesisResult(Record, namedtuple("SynthesisResult", "ok tree failures")):
+class SynthesisResult(Verdict, namedtuple("SynthesisResult", "ok tree failures")):
     """The priced `tree` when payments exist, else None and the
     `failures` (a tuple of `NegativeCycleWitness`)."""
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
@@ -339,14 +336,11 @@ def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
     return SynthesisResult(True, priced, ())
 
 
-class StickyResult(Record, namedtuple("StickyResult", "ok witness")):
+class StickyResult(Verdict, namedtuple("StickyResult", "ok witness")):
     """Verdict of `sticky_edges_check`; `witness` is (agent, class_a,
     class_b, x, y, expected, got) or None."""
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def sticky_edges_check(tree: ImplementationTree, k) -> StickyResult:

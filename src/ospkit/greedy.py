@@ -2,9 +2,10 @@
 
 Ground sets are {0..n-1} and weights are valuations (larger is better).
 Trees handed to the verifier follow the cost convention instead:
-``extract_tree`` and ``english_auction_tree`` emit negated domains,
-blocks and payments as they build, and ``as_cost_tree`` mirrors any
-other tree across that sign boundary (it is an involution).
+``extract_tree``, ``english_auction_tree`` and ``search_two_way_greedy``
+emit negated domains, blocks and payments as they build, so each tree is
+built once; ``as_cost_tree`` mirrors trees built elsewhere across that
+sign boundary (it is an involution).
 
 The elimination is written once, as the copyable state ``_Elimination``
 that stops at each query.  ``run_two_way_greedy`` answers its queries
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, inf, lcm
+from math import comb, lcm
 
 from .model import (
     ImplementationTree,
@@ -26,6 +27,7 @@ from .model import (
     MechanismError,
     QueryNode,
     Record,
+    Verdict,
     as_integer,
     bits,
     normalize_horizon,
@@ -64,7 +66,7 @@ class PSystem:
 
     def feasible(self, subset) -> bool:
         s = frozenset(subset)
-        if not all(isinstance(e, int) for e in s):
+        if not all(type(e) is int for e in s):
             raise MechanismError("ground elements must be ints")
         if not all(0 <= e < self.ground_size for e in s):
             raise MechanismError(f"element outside ground set in {sorted(s)}")
@@ -681,14 +683,11 @@ def is_revealable(tree: ImplementationTree, node_id: int) -> bool:
     return low_won or high_lost
 
 
-class TwoWayReport(Record, namedtuple("TwoWayReport", "ok node reason")):
+class TwoWayReport(Verdict, namedtuple("TwoWayReport", "ok node reason")):
     """Verdict of `is_two_way_greedy`: the first failing query node and
     why, or None twice."""
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_two_way_greedy(tree: ImplementationTree) -> TwoWayReport:
@@ -828,6 +827,7 @@ def english_auction_tree(n: int, domain) -> ImplementationTree:
     round) wins and pays the last clock price she answered, or the
     domain minimum if she never moved.
     """
+    n = as_integer(n)
     if n < 1:
         raise MechanismError("at least one agent is required")
     # cost[i] is the cost type of the i-th smallest valuation
@@ -940,16 +940,11 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     return Fraction(wnum, wden), tuple(reversed(at))
 
 
-class SearchResult(
-    Record, namedtuple("SearchResult", "found tree ratio explored")
-):
+class SearchResult(Verdict, namedtuple("SearchResult", "found tree ratio explored")):
     """The `tree` found and its worst `ratio` (a Fraction), or None
     twice, and how many states the search `explored`."""
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.found
 
 
 def search_two_way_greedy(
@@ -968,10 +963,12 @@ def search_two_way_greedy(
     which is the family the inapproximability demonstration quantifies
     over.  Found results are certified against the real checks before
     being returned; Exhausted means the whole family was searched.
+
+    The states hold valuations; the nodes are emitted in the cost
+    convention, with negated blocks, so the tree is built once.
     """
-    n = ps.ground_size
     dom0 = _valuation_domain(domain)
-    if n != 2 or len(dom0) > 4:
+    if ps.ground_size != 2 or len(dom0) > 4:
         raise MechanismError("search is limited to two agents and four types")
     kk = normalize_horizon(k)
     target = parse_rational(target_ratio)
@@ -981,12 +978,10 @@ def search_two_way_greedy(
     nested = _search(space, root)
     if nested is None:
         return SearchResult(False, None, None, space.explored)
-    cost = as_cost_tree(tree_from_nested(2, [dom0, dom0], nested))
-    shape = is_two_way_greedy(cost)
-    budget = is_k_limitable(cost, kk)
-    ratio, _ = approx_ratio(ps, cost, dom0)
-    assert shape.ok and budget.ok and ratio >= target
-    return SearchResult(True, cost, ratio, space.explored)
+    tree = tree_from_nested(2, [space.cost_dom] * 2, nested)
+    ratio, _ = approx_ratio(ps, tree, dom0)
+    assert is_two_way_greedy(tree) and is_k_limitable(tree, kk) and ratio >= target
+    return SearchResult(True, tree, ratio, space.explored)
 
 
 class _Space:
@@ -1002,16 +997,29 @@ class _Space:
 
     def opt(self, prof) -> Fraction:
         if prof not in self.best:
-            sums = (
-                sum((prof[e] for e in bits(t)), Fraction(0)) for t in self.maximal
-            )
-            self.best[prof] = max(sums)
+            self.best[prof] = max(_welfare(prof, t) for t in self.maximal)
         return self.best[prof]
 
     def greedy_out(self, prof) -> int:
         if prof not in self.greedy:
             self.greedy[prof] = _mask(forward_greedy_solution(self.ps, prof))
         return self.greedy[prof]
+
+    def meets(self, t: int, prof) -> bool:
+        """Whether allocating maximal set t at valuation profile prof
+        meets the target (and is the greedy outcome, when asked)."""
+        if self.greedy_outcome and t != self.greedy_out(prof):
+            return False
+        best = self.opt(prof)
+        return (Fraction(1) if best == 0 else _welfare(prof, t) / best) >= self.target
+
+
+def _welfare(prof, t: int) -> Fraction:
+    return sum((prof[e] for e in bits(t)), Fraction(0))
+
+
+def _put(seq: tuple, i: int, value) -> tuple:
+    return seq[:i] + (value,) + seq[i + 1 :]
 
 
 def _leaf_values(nested, agent: int) -> set[int]:
@@ -1022,13 +1030,13 @@ def _leaf_values(nested, agent: int) -> set[int]:
 
 
 def _extra_allowed(space: _Space, agent: int, doms, node) -> bool:
-    # the budget check's forms, asked of the candidate mirrored into the
-    # cost convention, with her types placed in the full cost domain
-    cand = as_cost_tree(tree_from_nested(2, doms, node))
+    # the budget check's forms, asked of the candidate (cost domains
+    # `doms`, cost node `node`) with her types placed in the full cost domain
+    cand = tree_from_nested(2, doms, node)
     rows, levels, _ = _value_table(cand, cand.root)
 
     def mask(values) -> int:
-        return sum(1 << space.cost_at[(-v).as_integer_ratio()] for v in values)
+        return sum(1 << space.cost_at[v.as_integer_ratio()] for v in values)
 
     blocks = tuple(mask(values) for values, _ in node[2])
     qc = query_class(
@@ -1042,96 +1050,72 @@ def _search(space: _Space, state):
     if state in space.memo:
         return space.memo[state]
     space.explored += 1
-    doms, dirs, runs, last, ch, ex = state
-    result = None
-    for t in space.maximal:
-        if t & ch != ch or t & ex:
-            continue
-        good = True
-        for prof in itertools.product(*doms):
-            if space.greedy_outcome and t != space.greedy_out(prof):
-                good = False
-                break
-            got = sum((prof[e] for e in bits(t)), Fraction(0))
-            best = space.opt(prof)
-            ratio = Fraction(1) if best == 0 else got / best
-            if ratio < space.target:
-                good = False
-                break
-        if good:
-            out = tuple(t >> j & 1 for j in range(2))
-            result = ("leaf", out, None)
-            break
+    result = _leaf(space, state)
     if result is None:
-        for agent in (0, 1):
-            own = doms[agent]
-            if len(own) < 2 or (ch | ex) >> agent & 1:
-                continue
-            nruns = runs[agent] + (0 if last == agent else 1)
-            if space.kk is not inf and nruns > space.kk + 2:
-                continue
-            special = space.kk is not inf and nruns == space.kk + 2
-            other = 1 - agent
-            runs2 = (nruns, runs[other]) if agent == 0 else (runs[other], nruns)
-            if len(own) == 2:
-                moves = [("split2", None)]
-            else:
-                moves = [
-                    ("peel", f)
-                    for f in ("greedy", "reverse")
-                    if dirs[agent] in (None, f)
-                ]
-            for kind, fashion in moves:
-                if kind == "peel":
-                    head = own[-1] if fashion == "greedy" else own[0]
-                    rest = own[:-1] if fashion == "greedy" else own[1:]
-                    try:
-                        if fashion == "greedy":
-                            ch2 = ch | 1 << agent
-                            ex2 = ex | _forced(space.ps, ch2, ex)[1]
-                        else:
-                            ex2 = ex | 1 << agent
-                            ch2 = ch | _forced(space.ps, ch, ex2)[0]
-                    except MechanismError:
-                        continue
-                    dirs2 = list(dirs)
-                    dirs2[agent] = fashion
-                    dirs2 = tuple(dirs2)
-                    yes_doms = list(doms)
-                    yes_doms[agent] = (head,)
-                    yes = _search(
-                        space, (tuple(yes_doms), dirs2, runs2, agent, ch2, ex2)
-                    )
-                    if yes is None:
-                        continue
-                    no_doms = list(doms)
-                    no_doms[agent] = rest
-                    no = _search(
-                        space, (tuple(no_doms), dirs2, runs2, agent, ch, ex)
-                    )
-                    if no is None:
-                        continue
-                    node = ("q", agent, [((head,), yes), (rest, no)])
-                else:
-                    lo, hi = own
-                    subs = []
-                    for v in (lo, hi):
-                        v_doms = list(doms)
-                        v_doms[agent] = (v,)
-                        v_state = (tuple(v_doms), dirs, runs2, agent, ch, ex)
-                        subs.append(_search(space, v_state))
-                    if subs[0] is None or subs[1] is None:
-                        continue
-                    hi_won = _leaf_values(subs[1], agent) == {1}
-                    lo_lost = _leaf_values(subs[0], agent) == {0}
-                    if not (hi_won or lo_lost):
-                        continue
-                    node = ("q", agent, [((lo,), subs[0]), ((hi,), subs[1])])
-                if special and not _extra_allowed(space, agent, doms, node):
-                    continue
-                result = node
-                break
-            if result is not None:
-                break
+        result = next(_queries(space, state), None)
     space.memo[state] = result
     return result
+
+
+def _leaf(space: _Space, state):
+    # the first surviving maximal set that meets the target on the box
+    doms, _, _, _, ch, ex = state
+    for t in space.maximal:
+        box = itertools.product(*doms)
+        if t & ch == ch and not t & ex and all(space.meets(t, p) for p in box):
+            return ("leaf", tuple(t >> j & 1 for j in range(2)), None)
+    return None
+
+
+def _queries(space: _Space, state):
+    # the queries whose subtrees meet the target, agent 0 first; a query
+    # that makes her run count k + 2 must take an allowed extra form
+    doms, _, runs, last, ch, ex = state
+    cost_doms = tuple(tuple(-v for v in d) for d in doms)
+    for agent in (0, 1):
+        nruns = runs[agent] + (0 if last == agent else 1)
+        if len(doms[agent]) < 2 or (ch | ex) >> agent & 1 or nruns > space.kk + 2:
+            continue
+        moves = _peels if len(doms[agent]) > 2 else _reveals
+        for node in moves(space, state, agent, _put(runs, agent, nruns)):
+            if nruns < space.kk + 2 or _extra_allowed(space, agent, cost_doms, node):
+                yield node
+
+
+def _peels(space: _Space, state, agent: int, runs):
+    # single out her highest valuation (greedy: a yes chooses her) or her
+    # lowest (reverse: a yes excludes her), in her fixed fashion, if any
+    doms, dirs, _, _, ch, ex = state
+    own = doms[agent]
+    for fashion in ("greedy", "reverse"):
+        if dirs[agent] not in (None, fashion):
+            continue
+        if fashion == "greedy":
+            head, rest = own[-1], own[:-1]
+            ch2 = ch | 1 << agent
+            ex2 = ex | _forced(space.ps, ch2, ex)[1]
+        else:
+            head, rest = own[0], own[1:]
+            ex2 = ex | 1 << agent
+            ch2 = ch | _forced(space.ps, ch, ex2)[0]
+        dirs2 = _put(dirs, agent, fashion)
+        yes_doms, no_doms = _put(doms, agent, (head,)), _put(doms, agent, rest)
+        yes = _search(space, (yes_doms, dirs2, runs, agent, ch2, ex2))
+        if yes is None:
+            continue
+        no = _search(space, (no_doms, dirs2, runs, agent, ch, ex))
+        if no is not None:
+            yield ("q", agent, [((-head,), yes), (tuple(-v for v in rest), no)])
+
+
+def _reveals(space: _Space, state, agent: int, runs):
+    # ask which of her two values she holds: a two-way split when her
+    # higher value always wins or her lower one always loses
+    doms, dirs, _, _, ch, ex = state
+    lo, hi = doms[agent]
+    low = _search(space, (_put(doms, agent, (lo,)), dirs, runs, agent, ch, ex))
+    high = _search(space, (_put(doms, agent, (hi,)), dirs, runs, agent, ch, ex))
+    if low is None or high is None:
+        return
+    if _leaf_values(high, agent) == {1} or _leaf_values(low, agent) == {0}:
+        yield ("q", agent, [((-lo,), low), ((-hi,), high)])

@@ -133,6 +133,17 @@ class Record:
     __hash__ = tuple.__hash__
 
 
+class Verdict(Record):
+    """A pass/fail record: its first field (a bool) is its truth value,
+    so a verdict reads true exactly when the check passed or the search
+    found something."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return self[0]
+
+
 class QueryNode(Record, namedtuple("QueryNode", "id agent blocks children")):
     """Query to `agent` (int): `blocks` (tuples of Rat) partition her
     current domain, one child id in `children` per block."""
@@ -188,7 +199,7 @@ class ImplementationTree:
     """
 
     def __init__(self, agents: int, domains, root: int, nodes) -> None:
-        self.agents = int(agents)
+        self.agents = as_integer(agents)
         if self.agents < 1:
             raise MechanismError("need at least one agent")
         self.domains = tuple(
@@ -203,7 +214,7 @@ class ImplementationTree:
             if nid != node.id:
                 raise MechanismError(f"node keyed {nid} carries id {node.id}")
             self.nodes[int(nid)] = node
-        self.root = int(root)
+        self.root = as_integer(root)
         if self.root not in self.nodes:
             raise MechanismError(f"root {root} not among nodes")
 

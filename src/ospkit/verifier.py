@@ -58,6 +58,7 @@ from .model import (
     MechanismError,
     QueryNode,
     Record,
+    Verdict,
     bits,
     normalize_horizon,
     parting_node,
@@ -130,16 +131,13 @@ class Constraint(Record, namedtuple("Constraint", "agent node a b c lhs rhs")):
 
 
 class CheckResult(
-    Record, namedtuple("CheckResult", "ok violations truncated checked")
+    Verdict, namedtuple("CheckResult", "ok violations truncated checked")
 ):
     """Verdict of `check_k_step_osp`: `violations` (a tuple of
     `Constraint`), whether the cap `truncated` them, and how many
     inequalities were `checked`."""
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _require_cap(value, name: str) -> None:
@@ -250,16 +248,11 @@ def check_k_step_osp(
     return CheckResult(not violations, tuple(violations), False, checked)
 
 
-class AlmostOrderedResult(
-    Record, namedtuple("AlmostOrderedResult", "ok witness")
-):
+class AlmostOrderedResult(Verdict, namedtuple("AlmostOrderedResult", "ok witness")):
     """Verdict of `is_almost_ordered`; `witness` is (node, a, b, c, d)
     or None."""
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
@@ -487,14 +480,11 @@ def query_class(node_id, agent, domain, own, blocks, rows, levels) -> QueryClass
     )
 
 
-class KLimitedResult(Record, namedtuple("KLimitedResult", "ok witness reason")):
+class KLimitedResult(Verdict, namedtuple("KLimitedResult", "ok witness reason")):
     """Verdict of `is_k_limited`: the first node over budget and why, or
     None twice."""
 
     __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _past_budget(tree: ImplementationTree, k, agent: int | None = None):

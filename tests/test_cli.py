@@ -224,6 +224,27 @@ class TestErrorPaths:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("root", 99, "root 99 not among nodes"),
+            ("agent", 7, "node 0 queries unknown agent 7"),
+        ],
+        ids=["root", "agent"],
+    )
+    def test_untraversable_tree_exits_2(self, capsys, tmp_path, field, value, message):
+        data = json.loads(json.dumps(ANTI_MONOTONE))
+        if field == "root":
+            data["root"] = value
+        else:
+            data["nodes"][0]["agent"] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--mechanism", str(p), "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
     def test_duplicate_node_id_exits_2(self, capsys, tmp_path):
         # a second "id": 1 used to replace the first leaf silently, and
         # the verdict came from the second one

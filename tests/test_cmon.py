@@ -304,6 +304,13 @@ class TestBellmanFord:
         g = dummy_graph([(0, 1, 1), (1, 2, -1), (2, 0, 0)])
         assert has_negative_cycle(g) is None
 
+    def test_parallel_edges_sum_the_relaxed_ones(self):
+        # the dear edge 0 -> 1 is listed last, but the cheap one lowered 1:
+        # the cycle weighs what was relaxed along it, -5 + 1
+        g = dummy_graph([(0, 1, -5), (1, 0, 1), (0, 1, 10)])
+        w = has_negative_cycle(g)
+        assert w.cycle == (1, 0) and w.weight == -4
+
     def test_self_loop(self):
         g = dummy_graph([(0, 0, -1)])
         w = has_negative_cycle(g)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -92,7 +93,8 @@ class TestPSystem:
         ps = PSystem.single_item(2)
         with pytest.raises(MechanismError):
             ps.feasible({5})
-        for junk in ({"0"}, {0.5}, {None}):
+        # True hashes and compares as 1: it used to be read as element 1
+        for junk in ({"0"}, {0.5}, {None}, {True}, {False}):
             with pytest.raises(MechanismError, match="must be ints"):
                 ps.feasible(junk)
         with pytest.raises(MechanismError):
@@ -180,6 +182,14 @@ class TestClassicGreedy:
         u32 = PSystem.uniform(3, 2)
         assert reverse_greedy_solution(u32, (3, 2, 1)) == {0, 1}
         assert reverse_greedy_solution(PSystem.single_item(2), (1, 1)) == {1}
+
+    @pytest.mark.parametrize(
+        "solve", [forward_greedy_solution, reverse_greedy_solution]
+    )
+    @pytest.mark.parametrize("weights", [(1, 2), (1, 2, 3, 4), ()])
+    def test_one_weight_per_element(self, solve, weights):
+        with pytest.raises(MechanismError, match="one weight per ground element"):
+            solve(PSystem.uniform(3, 2), weights)
 
 
 class TestRun:
@@ -315,6 +325,15 @@ class TestTwoWayShape:
     def test_clock_trees_pass(self):
         assert is_two_way_greedy(english_auction_tree(2, [1, 2, 3])).ok
         assert is_two_way_greedy(english_auction_tree(3, [1, 2, 3, 4, 5])).ok
+
+    def test_clock_agents_follow_the_integer_rule(self):
+        # True used to build a one-agent tree, and 2.0 ended in a TypeError
+        for n in (True, 2.5, Fraction(3, 2)):
+            with pytest.raises(MechanismError, match="not an integer"):
+                english_auction_tree(n, [1, 2, 3])
+        want = dumps_mechanism(english_auction_tree(2, [1, 2, 3]))
+        assert dumps_mechanism(english_auction_tree(2.0, [1, 2, 3])) == want
+        assert dumps_mechanism(english_auction_tree("2", [1, 2, 3])) == want
 
     def test_middle_split_fails(self):
         t = tree_from_nested(2, [[-3, -2, -1], [-1]], (
@@ -480,6 +499,33 @@ GEOMETRIC = [1, 2, 4, 8]
 
 
 class TestSearch:
+    def test_grid_bytes(self):
+        # every two-element system (the five antichains over {0, 1}), eight
+        # domains, four horizons, four targets and both families: found,
+        # explored, ratio and the found tree's file bytes, pinned by digest
+        systems = [
+            PSystem.single_item(2), PSystem.uniform(2, 2), PSystem.uniform(2, 0),
+            PSystem.explicit(2, [[0]]), PSystem.explicit(2, [[1]]),
+        ]
+        domains = [
+            [1, 2, 4, 8], [1, 2, 3, 4], [1, 2, 3], [1, 2], [1],
+            [F(1) / 2, 1, 3], [-1, 0, 2, 5], [0, 1, 2, 3],
+        ]
+        digest = hashlib.sha256()
+        exhausted = 0
+        for ps, dom, k, target, family in itertools.product(
+            systems, domains, (0, 1, 2, inf), (0, F(1) / 2, F(2) / 3, 1),
+            (False, True),
+        ):
+            res = search_two_way_greedy(ps, dom, k, target, greedy_outcome=family)
+            exhausted += not res.found
+            text = dumps_mechanism(res.tree) if res.found else None
+            digest.update(repr((res.found, res.explored, res.ratio, text)).encode())
+        assert exhausted == 16
+        assert digest.hexdigest() == (
+            "91d6eb6d16ec7967670c4564a2c8f0abea3768ad3e5a12a922ee36a314ea710a"
+        )
+
     def test_free_search_finds_exact_tree(self):
         res = search_two_way_greedy(PSystem.single_item(2), GEOMETRIC, 0, 1)
         assert res.found
@@ -743,12 +789,13 @@ class TestAgainstOracles:
                     val.domains[agent],
                 )
                 assert got == want
-                # the search asks the same of the valuation-side candidate
+                # the search asks the same of its candidate, which it
+                # builds in the cost convention from the valuation domain
                 space = greedy._Space(
                     PSystem.single_item(2), val.domains[agent], 0, 1, False
                 )
                 assert greedy._extra_allowed(
-                    space, agent, val.domain_at[u], as_nested(val, u)
+                    space, agent, cost.domain_at[u], as_nested(cost, u)
                 ) == want
                 verdicts[got] += 1
         assert verdicts[True] and verdicts[False]

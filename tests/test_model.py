@@ -15,6 +15,7 @@ from ospkit.model import (
     QueryNode,
     equivalence_class,
     k_step_neighborhood,
+    normalize_horizon,
     parting_node,
     profile_leaves,
     query_count,
@@ -801,3 +802,69 @@ def test_query_count_refuses_an_unreachable_node():
     assert query_count(t, 0, 2) == 1
     with pytest.raises(MechanismError, match="^node 3 unreachable from root$"):
         query_count(t, 0, 3)
+
+
+def one_query_nodes(agent=0):
+    return {
+        0: QueryNode(0, agent, ((F(1),), (F(2),)), (1, 2)),
+        1: LeafNode(1, (F(0),)),
+        2: LeafNode(2, (F(1),)),
+    }
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: ImplementationTree(0, [], 0, one_query_nodes()),
+         "^need at least one agent$"),
+        (lambda: ImplementationTree(
+            1, [[1, 2]], 0, {**one_query_nodes(), 5: LeafNode(4, (F(0),))}
+        ), "^node keyed 5 carries id 4$"),
+        (lambda: ImplementationTree(1, [[1, 2]], 7, one_query_nodes()),
+         "^root 7 not among nodes$"),
+        (lambda: ImplementationTree(1, [[1, 2]], 0, one_query_nodes(agent=3)),
+         "^node 0 queries unknown agent 3$"),
+        # int() used to read 2.9 agents as 2, and a root of 0.5 or True
+        # as node 0 or node 1
+        (lambda: ImplementationTree(
+            2.9, [[1], [1]], 0, {0: LeafNode(0, (F(0), F(0)))}
+        ), "^not an integer: 2.9$"),
+        (lambda: ImplementationTree(1, [[1, 2]], 0.5, one_query_nodes()),
+         "^not an integer: 0.5$"),
+        (lambda: ImplementationTree(1, [[1, 2]], True, one_query_nodes()),
+         "^not an integer: True$"),
+    ],
+    ids=["no_agents", "miskeyed", "unknown_root", "unknown_agent",
+         "fractional_agents", "fractional_root", "bool_root"],
+)
+def test_untraversable_shapes_are_refused(build, message):
+    with pytest.raises(MechanismError, match=message):
+        build()
+
+
+def test_integral_header_fields_are_read_as_ints():
+    t = ImplementationTree(1.0, [[1, 2]], 0.0, one_query_nodes())
+    assert (t.agents, t.root) == (1, 0)
+    assert type(t.agents) is int and type(t.root) is int
+
+
+@pytest.mark.parametrize("k", [True, -1, 2.5, "x", float("-inf")])
+def test_bad_horizons_are_refused(k):
+    with pytest.raises(MechanismError, match="^bad horizon"):
+        normalize_horizon(k)
+
+
+def test_horizons_are_ints_or_inf():
+    assert normalize_horizon(1.0) == 1 and type(normalize_horizon(1.0)) is int
+    assert normalize_horizon(3) == 3 and normalize_horizon(inf) == inf
+
+
+def test_tree_from_nested_refuses_a_bad_tag():
+    with pytest.raises(MechanismError, match="^bad nested tag 'query'$"):
+        tree_from_nested(1, [[1, 2]], ("query", 0, []))
+
+
+def test_equivalence_class_refuses_a_leaf():
+    t = two_agent_tree()
+    with pytest.raises(MechanismError, match="^node 2 is not a query node$"):
+        equivalence_class(t, 2, t.box_min(2), 1)
