@@ -90,17 +90,34 @@ def cmd_verify(args) -> int:
         )
         structural["taxation"] = len(verifier.taxation_diagnostics(tree, k))
 
+    # the violations share their corner tuples and their lhs and rhs
+    # objects: each distinct object is formatted once, keyed by identity
+    # (every key stays alive in `result`)
+    text: dict[int, object] = {}
+
+    def fmt(x) -> str:
+        got = text.get(id(x))
+        if got is None:
+            got = text[id(x)] = format_rational(x)
+        return got
+
+    def corner(xs) -> list[str]:
+        got = text.get(id(xs))
+        if got is None:
+            got = text[id(xs)] = [fmt(x) for x in xs]
+        return got
+
     data = {
         "verdict": "pass" if result.ok else "fail",
         "violations": [
             {
                 "agent": v.agent,
                 "node": v.node,
-                "a": [format_rational(x) for x in v.a],
-                "b": [format_rational(x) for x in v.b],
-                "c": format_rational(v.c),
-                "lhs": format_rational(v.lhs),
-                "rhs": format_rational(v.rhs),
+                "a": corner(v.a),
+                "b": corner(v.b),
+                "c": fmt(v.c),
+                "lhs": fmt(v.lhs),
+                "rhs": fmt(v.rhs),
             }
             for v in result.violations
         ],

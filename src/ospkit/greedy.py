@@ -28,6 +28,7 @@ from .model import (
     QueryNode,
     Record,
     Verdict,
+    _normal_domain,
     as_integer,
     bits,
     normalize_horizon,
@@ -515,7 +516,7 @@ class _Elimination:
 
 
 def _valuation_domain(domain) -> tuple[Rat, ...]:
-    dom0 = tuple(sorted({parse_rational(v) for v in domain}))
+    dom0 = _normal_domain(domain)[0]
     if not dom0:
         raise MechanismError("the domain must be nonempty")
     return dom0
@@ -615,16 +616,24 @@ def extract_tree(ps: PSystem, domain) -> ImplementationTree:
     # the sorted cost domain: valuation position p is cost position d - 1 - p
     cost = tuple(-v for v in reversed(dom0))
     nodes: dict[int, QueryNode | LeafNode] = {}
-    _grow(_Elimination(ps, dom0), 0, nodes, {}, cost)
+    _grow(_Elimination(ps, dom0), 0, nodes, {}, {}, cost)
     return ImplementationTree(n, [cost] * n, 0, nodes)
 
 
-def _grow(state: _Elimination, nid: int, nodes: dict, seen: dict, cost) -> int:
+def _grow(
+    state: _Elimination, nid: int, nodes: dict, seen: dict, made: dict, cost
+) -> int:
     # module-level for the reason given at model._from_nested; numbers the
     # subtree of `state` from nid on and returns one past its last id.
-    # `seen` maps a query state's key to the id range of its first subtree
+    # `seen` maps a query state's key to the id range of its first subtree;
+    # `made` holds one blocks tuple per asked position and ends of the
+    # rest, keyed (pos, lo, hi), and one outcome per chosen set, keyed by
+    # its mask
     if state.query is None:
-        outcome = tuple(state.ch >> j & 1 for j in range(state.ps.ground_size))
+        outcome = made.get(state.ch)
+        if outcome is None:
+            n = state.ps.ground_size
+            outcome = made[state.ch] = tuple(state.ch >> j & 1 for j in range(n))
         nodes[nid] = LeafNode(nid, outcome, None)
         return nid + 1
     key = state.key()
@@ -645,14 +654,17 @@ def _grow(state: _Elimination, nid: int, nodes: dict, seen: dict, cost) -> int:
     agent, direction, pos, snap = state.query
     no = state.copy()
     state.step(True)
-    no_id = _grow(state, nid + 1, nodes, seen, cost)
+    no_id = _grow(state, nid + 1, nodes, seen, made, cost)
     no.step(False)
-    end = _grow(no, no_id, nodes, seen, cost)
+    end = _grow(no, no_id, nodes, seen, made, cost)
     # the asked position is an end of the snapshot, a run of consecutive
     # positions, so the rest of it is a run too
-    d = len(cost)
     lo, hi = (snap[1], snap[-1]) if direction == "bottom" else (snap[0], snap[-2])
-    blocks = (cost[d - 1 - pos : d - pos], cost[d - 1 - hi : d - lo])
+    blocks = made.get((pos, lo, hi))
+    if blocks is None:
+        d = len(cost)
+        blocks = (cost[d - 1 - pos : d - pos], cost[d - 1 - hi : d - lo])
+        made[pos, lo, hi] = blocks
     nodes[nid] = QueryNode(nid, agent, blocks, (nid + 1, no_id))
     seen[key] = (nid, end)
     return end
@@ -753,20 +765,20 @@ def _compressed(tree: ImplementationTree, nid: int, nodes: dict, counter) -> int
     if node.kind == "leaf":
         nodes[fresh] = LeafNode(fresh, node.outcome, node.payment)
         return fresh
-    blocks = list(node.blocks)
-    kids = list(node.children)
-    merged = True
-    while merged:
-        merged = False
-        for idx, cid in enumerate(kids):
-            sub = tree.nodes[cid]
-            if sub.kind == "query" and sub.agent == node.agent:
-                blocks[idx : idx + 1] = list(sub.blocks)
-                kids[idx : idx + 1] = list(sub.children)
-                merged = True
-                break
+    # splice each same-agent child query in at its place, left to right;
+    # a query that merges nothing keeps its blocks tuple, shared with the
+    # other nodes that hold it
+    blocks, kids = tuple(node.blocks), tuple(node.children)
+    idx = 0
+    while idx < len(kids):
+        sub = tree.nodes[kids[idx]]
+        if sub.kind == "query" and sub.agent == node.agent:
+            blocks = blocks[:idx] + tuple(sub.blocks) + blocks[idx + 1 :]
+            kids = kids[:idx] + tuple(sub.children) + kids[idx + 1 :]
+        else:
+            idx += 1
     children = tuple(_compressed(tree, cid, nodes, counter) for cid in kids)
-    nodes[fresh] = QueryNode(fresh, node.agent, tuple(blocks), children)
+    nodes[fresh] = QueryNode(fresh, node.agent, blocks, children)
     return fresh
 
 

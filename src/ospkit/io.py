@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import inf, prod
 
@@ -28,6 +29,7 @@ class MechanismFormatError(ValueError):
 
 
 _SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace json allows
+_TEXT, _LIST = {str}, {list}  # the item types of a vector and a blocks list
 _DECODER = json.JSONDecoder()
 
 
@@ -101,6 +103,11 @@ def loads_mechanism(text: str) -> ImplementationTree:
     data = _json_object(text, "mechanism", ("agents", "domains", "nodes", "root"))
     # each distinct text is parsed once; other values keep their errors
     seen: dict[str, Fraction] = {}
+    # one tuple per distinct vector and per distinct blocks list written
+    # all in text, shared by every node that writes it (the tree's walk
+    # then reads each once); 1, 1.0 and true hash alike, so a vector with
+    # any other value is neither shared nor looked up
+    shared: dict[tuple, tuple] = {}
 
     def rational(v) -> Fraction:
         if type(v) is not str:
@@ -108,6 +115,30 @@ def loads_mechanism(text: str) -> ImplementationTree:
         if v not in seen:
             seen[v] = parse_rational(v)
         return seen[v]
+
+    def vector(raw) -> tuple:
+        if type(raw) is not list or {*map(type, raw)} != _TEXT:
+            return tuple(rational(v) for v in raw)
+        key = tuple(raw)
+        got = shared.get(key)
+        if got is None:
+            got = shared[key] = tuple(map(rational, key))
+        return got
+
+    def partition(raw) -> tuple:
+        if (
+            type(raw) is not list
+            or {*map(type, raw)} != _LIST
+            or {*map(type, chain.from_iterable(raw))} != _TEXT
+        ):
+            return tuple(tuple(sorted(rational(v) for v in blk)) for blk in raw)
+        key = tuple(map(tuple, raw))
+        got = shared.get(key)
+        if got is None:
+            got = shared[key] = tuple(
+                tuple(sorted(map(rational, blk))) for blk in key
+            )
+        return got
 
     try:
         agents = as_integer(data["agents"])
@@ -128,20 +159,13 @@ def loads_mechanism(text: str) -> ImplementationTree:
                 raise MechanismFormatError("duplicate node id")
             kind = entry["kind"]
             if kind == "leaf":
-                outcome = tuple(rational(v) for v in entry["outcome"])
+                outcome = vector(entry["outcome"])
                 payment = entry.get("payment")
-                pay = (
-                    None
-                    if payment is None
-                    else tuple(rational(v) for v in payment)
-                )
+                pay = None if payment is None else vector(payment)
                 nodes[nid] = LeafNode(nid, outcome, pay)
             elif kind == "query":
-                blocks = tuple(
-                    tuple(sorted(rational(v) for v in blk))
-                    for blk in entry["blocks"]
-                )
-                children = tuple(as_integer(c) for c in entry["children"])
+                blocks = partition(entry["blocks"])
+                children = tuple(map(as_integer, entry["children"]))
                 nodes[nid] = QueryNode(
                     nid, as_integer(entry["agent"]), blocks, children
                 )

@@ -16,12 +16,22 @@ A tree checks itself once, when it is built: the constructor's one walk
 records every defect in `ImplementationTree.problems` and the first
 non-binary outcome in `ImplementationTree.nonbinary`.  `validate_tree`,
 `require_valid` and `require_binary_outcomes` read those facts, so each
-costs O(1) however often a caller asks.
+costs O(1) however often a caller asks.  The walk does only what
+validation needs; the tables that no check reads (`depth`, `domain_at`,
+`query_depth`, `leaves_under`) are built on first read, and many trees,
+such as the rounds of an extraction, never read some of them.
 
 Every domain is totally ordered, so a type's position in its agent's
-sorted domain keeps its order; the same walk records every block and
-every current domain as an int mask over those positions (`block_masks`,
-`mask_at`) and every current domain as a tuple of types (`domain_at`).
+sorted domain keeps its order; the walk records every block and every
+current domain as an int mask over those positions (`block_masks`,
+`mask_at`), and `domain_at` holds every current domain as a tuple of
+types.  The tree builders and the loader hand many nodes one blocks
+tuple or one outcome vector, so the walk computes the masks and the
+partition verdict once per distinct blocks object (and agent, own mask
+and literal flag), and the winners once per distinct outcome object.
+It keys them by `id`, which is safe because every keyed object stays
+alive in the tree's own node map for the whole walk, so no id is
+reused for another object meanwhile.
 On a valid tree the blocks partition every current domain, so the
 profiles available at a node that reach a leaf below it are exactly the
 leaf's own box, `mask_at[leaf]` (as types, `domain_at[leaf]`): every table
@@ -46,7 +56,8 @@ import os
 import random
 from collections import namedtuple
 from fractions import Fraction
-from math import inf, log10, prod
+from functools import cached_property
+from math import inf, lcm, log10, prod
 
 from .rational import Rat, parse_rational
 
@@ -83,6 +94,8 @@ def as_integer(value) -> int:
 
     A bool, or a float or Fraction with a fractional part, raises
     MechanismError; int() would read True as 1 and truncate 2.9 to 2."""
+    if type(value) is int:  # the common case: a json int
+        return value
     # isinstance against Fraction would run the abc machinery in Python
     fractional = (isinstance(value, float) and not value.is_integer()) or (
         type(value) is Fraction and value.denominator != 1
@@ -93,14 +106,20 @@ def as_integer(value) -> int:
 
 
 def normalize_horizon(k) -> int | float:
-    """Validate a commitment horizon: a non-negative int or math.inf."""
+    """Validate a commitment horizon: a non-negative int or math.inf.
+
+    An integral float or Fraction is read as its int, as `as_integer`
+    reads it."""
     if k == inf:
         return inf
     if isinstance(k, bool):
         raise MechanismError(f"bad horizon {k!r}")
     if isinstance(k, int) and k >= 0:
         return k
-    if isinstance(k, float) and k.is_integer() and k >= 0:
+    integral = (isinstance(k, float) and k.is_integer()) or (
+        type(k) is Fraction and k.denominator == 1
+    )
+    if integral and k >= 0:
         return int(k)
     raise MechanismError(f"bad horizon {k!r}: need a non-negative integer or inf")
 
@@ -167,23 +186,21 @@ class LeafNode(Record, namedtuple("LeafNode", "id outcome payment", defaults=(No
 
 
 class ImplementationTree:
-    """Rooted query tree with precomputed per-node maps.
+    """Rooted query tree with per-node maps.
 
     Construction is tolerant: semantic defects (blocks that do not
     partition the current domain, wrong vector lengths, unreachable
     nodes) are recorded in `problems`.  Only shapes that cannot be
-    traversed at all raise here: an unknown root, a child id reached
-    twice, a node keyed under a different id, an unknown agent.
+    traversed at all raise here: a node key, id or child that is not an
+    int (a bool included), an unknown root, a child id reached twice, a
+    node keyed under a different id, an unknown agent.
 
-    Precomputed, read-only after construction:
-      parent, depth          per reachable node id
+    Built by the constructor's one walk, read-only afterwards:
+      parent                 per reachable node id
       positions[i]           integer ratio -> position in agent i's domain
       mask_at[nid]           per-agent current domains as masks over those
-      domain_at[nid]         the same as tuples of types
       block_masks[nid]       the blocks of query nid as masks
-      query_depth[nid]       per-agent query counts on the root..nid path,
-                             counting nid itself when it is a query
-      preorder, leaf_ids, internal_ids, leaves_under
+      preorder, leaf_ids, internal_ids
       problems               every defect, empty when the tree is a valid
                              mechanism: the structural ones (block and
                              child counts, unknown children, unreachable
@@ -194,153 +211,224 @@ class ImplementationTree:
       winners[leaf]          int mask over agents: bit j set when agent j's
                              outcome at the leaf is 1
 
+    Built by one walk over `preorder` on first read and then kept on the
+    instance as a plain dict (many trees are never asked for them):
+      depth[nid]             edges from the root
+      domain_at[nid]         the current domains as tuples of types
+      query_depth[nid]       per-agent query counts on the root..nid path,
+                             counting nid itself when it is a query
+      leaves_under[nid]      the leaves below nid in preorder
+
     `commitments` starts empty: the verifier keeps its commitment sets
     there, one entry per horizon it tells apart.
     """
 
     def __init__(self, agents: int, domains, root: int, nodes) -> None:
-        self.agents = as_integer(agents)
-        if self.agents < 1:
+        self.agents = agents = as_integer(agents)
+        if agents < 1:
             raise MechanismError("need at least one agent")
-        self.domains = tuple(
-            tuple(sorted({parse_rational(v) for v in dom})) for dom in domains
-        )
-        if len(self.domains) != self.agents:
-            raise MechanismError(
-                f"{len(self.domains)} domains for {self.agents} agents"
-            )
-        self.nodes: dict[int, QueryNode | LeafNode] = {}
-        for nid, node in dict(nodes).items():
-            if nid != node.id:
+        # one normal form per distinct domain object (the builders hand
+        # every agent the same one); the list keeps each object alive, so
+        # no id is reused meanwhile
+        domains, normal = list(domains), {}
+        for dom in domains:
+            if id(dom) not in normal:
+                normal[id(dom)] = _normal_domain(dom)
+        self.domains = tuple(normal[id(dom)][0] for dom in domains)
+        # keyed by integer ratio: a Fraction hashes in Python code
+        self.positions = tuple(normal[id(dom)][1] for dom in domains)
+        if len(self.domains) != agents:
+            raise MechanismError(f"{len(self.domains)} domains for {agents} agents")
+        self.nodes: dict[int, QueryNode | LeafNode] = dict(nodes)
+        nodes = self.nodes
+        # a key, id or child must be an int: True and 1.0 hash as 1, so a
+        # lookup would read them as node 1 (children are checked as the
+        # walk reaches them, the rest only in a tree with defects)
+        for nid, node in nodes.items():
+            if type(nid) is not int:
+                raise MechanismError(f"node key {nid!r} is not an int")
+            if node.id != nid:
                 raise MechanismError(f"node keyed {nid} carries id {node.id}")
-            self.nodes[int(nid)] = node
+            if type(node.id) is not int:
+                raise MechanismError(f"node {nid} carries id {node.id!r}, not an int")
         self.root = as_integer(root)
-        if self.root not in self.nodes:
+        if self.root not in nodes:
             raise MechanismError(f"root {root} not among nodes")
 
         structural: list[str] = []
-        checks: list[str] = []
+        # problem texts, and the ids of queries whose blocks are checked
+        # against their written current domain once the walk is done
+        checks: list[str | int] = []
         self.nonbinary: tuple[int, Rat] | None = None
-        self.winners: dict[int, int] = {}
         self.commitments: dict[int | float, dict[int, dict[int, int]]] = {}
         self.parent: dict[int, int | None] = {self.root: None}
-        self.depth: dict[int, int] = {self.root: 0}
-        # keyed by integer ratio: a Fraction hashes in Python code
-        self.positions = tuple(
-            dict(zip(map(Fraction.as_integer_ratio, d), range(len(d))))
-            for d in self.domains
-        )
         self.mask_at = {self.root: tuple((1 << len(d)) - 1 for d in self.domains)}
         self.block_masks: dict[int, tuple[int, ...]] = {}
-        # each agent's current domains by mask: a tree has few distinct ones
-        named = [{(1 << len(d)) - 1: d} for d in self.domains]
-        self.domain_at = {self.root: self.domains}
-        # nodes below a block with a foreign or repeated value, where a
-        # domain is the written block, not the types its mask names
-        literal: set[int] = set()
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.query_depth: dict[int, tuple[int, ...]] = {}
+        self.winners: dict[int, int] = {}
         self.preorder: list[int] = []
         self.leaf_ids: list[int] = []
         self.internal_ids: list[int] = []
+        parent, mask_at, block_masks = self.parent, self.mask_at, self.block_masks
+        preorder, leaf_ids = self.preorder, self.leaf_ids
+        internal_ids, winners = self.internal_ids, self.winners
+        # nodes below a block with a foreign or repeated value, where a
+        # domain is the written block, not the types its mask names
+        literal: set[int] = set()
+        # the facts of each distinct blocks tuple (per agent, own mask and
+        # literal flag) and of each distinct outcome vector, keyed by
+        # identity: every keyed object stays alive in `nodes` meanwhile
+        splits: dict[tuple, tuple] = {}
+        outcomes: dict[int, tuple[int, Rat | None]] = {}
 
         stack = [self.root]
         while stack:
             nid = stack.pop()
-            node = self.nodes[nid]
-            self.preorder.append(nid)
-            pid = self.parent[nid]
-            base = self.query_depth[pid] if pid is not None else (0,) * self.agents
+            node = nodes[nid]
+            preorder.append(nid)
             if isinstance(node, LeafNode):
-                self.query_depth[nid] = base
-                self.leaf_ids.append(nid)
-                if len(node.outcome) != self.agents:
-                    checks.append(f"leaf {nid}: outcome length {len(node.outcome)}")
-                if node.payment is not None and len(node.payment) != self.agents:
+                leaf_ids.append(nid)
+                out = node.outcome
+                if len(out) != agents:
+                    checks.append(f"leaf {nid}: outcome length {len(out)}")
+                if node.payment is not None and len(node.payment) != agents:
                     checks.append(f"leaf {nid}: payment length {len(node.payment)}")
-                won = 0
-                for j, v in enumerate(node.outcome):
-                    ratio = v.as_integer_ratio()
-                    if ratio == _ONE:
-                        won |= 1 << j
-                    elif ratio != _ZERO and self.nonbinary is None:
-                        self.nonbinary = (nid, v)
-                self.winners[nid] = won
+                facts = outcomes.get(id(out))
+                if facts is None:
+                    facts = outcomes[id(out)] = _outcome_facts(out)
+                winners[nid] = facts[0]
+                if facts[1] is not None and self.nonbinary is None:
+                    self.nonbinary = (nid, facts[1])
                 continue
-            if not 0 <= node.agent < self.agents:
-                raise MechanismError(f"node {nid} queries unknown agent {node.agent}")
             j = node.agent
-            qd = base[:j] + (base[j] + 1,) + base[j + 1 :]
-            self.query_depth[nid] = shared.setdefault(qd, qd)  # few distinct
-            self.internal_ids.append(nid)
-            masks, dom = self.mask_at[nid], self.domain_at[nid]
-            at = self.positions[j]
-            bms = []
-            for blk in node.blocks:
-                m = 0
-                for v in blk:
-                    p = at.get(v.as_integer_ratio())  # None: foreign
-                    if p is not None:
-                        m |= 1 << p
-                bms.append(m)
-            bms = tuple(bms)  # a tree has few distinct ones: share them
-            bms = self.block_masks[nid] = shared.setdefault(bms, bms)
-            # nonempty blocks whose masks add up to the domain's, holding
-            # as many values: a partition (a shared, repeated or foreign
-            # value loses a bit); a domain differs from its mask only below
-            # a block with a foreign or repeated value, all in `literal`
-            if (
-                nid in literal
-                or len(bms) < 2
-                or not all(node.blocks)
-                or sum(map(len, node.blocks)) != masks[j].bit_count()
-                or sum(bms) != masks[j]
-            ):
-                checks.extend(_block_problems(nid, dom[j], node.blocks))
-            if len(node.children) != len(node.blocks):
+            if not 0 <= j < agents:
+                raise MechanismError(f"node {nid} queries unknown agent {node.agent}")
+            internal_ids.append(nid)
+            masks, blocks = mask_at[nid], node.blocks
+            own, lit = masks[j], nid in literal
+            key = (j, id(blocks), own, lit)
+            facts = splits.get(key)
+            if facts is None:
+                facts = splits[key] = _split(self.positions[j], own, lit, blocks)
+            bms, whole, lits = facts
+            block_masks[nid] = bms
+            if not whole:
+                checks.append(nid)
+            if len(node.children) != len(blocks):
                 structural.append(
-                    f"node {nid}: {len(node.blocks)} blocks, "
+                    f"node {nid}: {len(blocks)} blocks, "
                     f"{len(node.children)} children"
                 )
-            for blk, m, cid in reversed(list(zip(node.blocks, bms, node.children))):
-                if cid not in self.nodes:
+            head, tail = masks[:j], masks[j + 1 :]
+            for m, lit, cid in reversed(list(zip(bms, lits, node.children))):
+                if type(cid) is not int:
+                    raise MechanismError(f"node {nid}: child {cid!r} is not an int")
+                if cid not in nodes:
                     structural.append(f"node {nid}: unknown child {cid}")
                     continue
-                if cid in self.parent:
+                if cid in parent:
                     raise MechanismError(f"node {cid} is reached twice")
-                self.parent[cid] = nid
-                self.depth[cid] = self.depth[nid] + 1
-                self.mask_at[cid] = masks[:j] + (m,) + masks[j + 1 :]
-                if nid in literal or len(blk) != m.bit_count():
+                parent[cid] = nid
+                mask_at[cid] = head + (m,) + tail
+                if lit:
                     literal.add(cid)
-                    mine = tuple(sorted(blk))
-                else:  # the types m names: share one tuple per mask
-                    mine = named[j].get(m)
-                    if mine is None:
-                        mine = named[j][m] = tuple(sorted(blk))
-                self.domain_at[cid] = dom[:j] + (mine,) + dom[j + 1 :]
                 stack.append(cid)
 
-        unreachable = sorted(set(self.nodes) - set(self.preorder))
-        for nid in unreachable:
-            structural.append(f"node {nid} unreachable from root")
+        if len(preorder) < len(nodes):
+            for nid in sorted(set(nodes) - set(preorder)):
+                structural.append(f"node {nid} unreachable from root")
+        if structural:  # children the walk did not reach
+            for nid, node in nodes.items():
+                if not isinstance(node, LeafNode):
+                    for cid in node.children:
+                        if type(cid) is not int:
+                            raise MechanismError(
+                                f"node {nid}: child {cid!r} is not an int"
+                            )
         empty = [
             f"agent {i} has an empty domain"
             for i, dom in enumerate(self.domains)
             if not dom
         ]
+        if any(type(c) is int for c in checks):
+            checks = [
+                problem
+                for c in checks
+                for problem in (
+                    [c]
+                    if type(c) is str
+                    else _block_problems(
+                        c, self.domain_at[c][nodes[c].agent], nodes[c].blocks
+                    )
+                )
+            ]
         self.problems: tuple[str, ...] = tuple(structural + empty + checks)
 
-        self.leaves_under: dict[int, tuple[int, ...]] = {}
-        for nid in reversed(self.preorder):
-            node = self.nodes[nid]
+    @cached_property
+    def depth(self) -> dict[int, int]:
+        depth: dict[int, int] = {}
+        for nid, pid in self.parent.items():  # a parent before its children
+            depth[nid] = 0 if pid is None else depth[pid] + 1
+        return depth
+
+    @cached_property
+    def domain_at(self) -> dict[int, tuple[tuple[Rat, ...], ...]]:
+        # below a query the queried agent's domain is the child's block,
+        # sorted: one tuple per mask, except below a block with a foreign
+        # or repeated value (`literal`), where it is the block as written
+        nodes = self.nodes
+        domain_at = {self.root: self.domains}
+        named = [{(1 << len(d)) - 1: d} for d in self.domains]
+        literal: set[int] = set()
+        for nid in self.internal_ids:
+            node = nodes[nid]
+            j, dom = node.agent, domain_at[nid]
+            head, tail = dom[:j], dom[j + 1 :]
+            bms = self.block_masks[nid]
+            for blk, m, cid in reversed(list(zip(node.blocks, bms, node.children))):
+                if cid not in nodes:
+                    continue
+                if nid in literal or len(blk) != m.bit_count():
+                    literal.add(cid)
+                    mine = tuple(sorted(blk))
+                else:
+                    mine = named[j].get(m)
+                    if mine is None:
+                        mine = named[j][m] = tuple(sorted(blk))
+                domain_at[cid] = head + (mine,) + tail
+        return domain_at
+
+    @cached_property
+    def query_depth(self) -> dict[int, tuple[int, ...]]:
+        nodes, parent = self.nodes, self.parent
+        query_depth: dict[int, tuple[int, ...]] = {}
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # few distinct
+        zero = (0,) * self.agents
+        for nid in self.preorder:
+            pid = parent[nid]
+            base = zero if pid is None else query_depth[pid]
+            node = nodes[nid]
             if isinstance(node, LeafNode):
-                self.leaves_under[nid] = (nid,)
+                query_depth[nid] = base
+            else:
+                j = node.agent
+                qd = base[:j] + (base[j] + 1,) + base[j + 1 :]
+                query_depth[nid] = shared.setdefault(qd, qd)
+        return query_depth
+
+    @cached_property
+    def leaves_under(self) -> dict[int, tuple[int, ...]]:
+        nodes = self.nodes
+        leaves_under: dict[int, tuple[int, ...]] = {}
+        for nid in reversed(self.preorder):
+            node = nodes[nid]
+            if isinstance(node, LeafNode):
+                leaves_under[nid] = (nid,)
             else:
                 acc: list[int] = []
                 for cid in node.children:
-                    acc.extend(self.leaves_under.get(cid, ()))
-                self.leaves_under[nid] = tuple(acc)
+                    acc.extend(leaves_under.get(cid, ()))
+                leaves_under[nid] = tuple(acc)
+        return leaves_under
 
     def node(self, nid: int) -> QueryNode | LeafNode:
         """The node with id nid; MechanismError when the tree has none."""
@@ -398,6 +486,61 @@ class ImplementationTree:
             f"ImplementationTree(agents={self.agents}, "
             f"nodes={len(self.nodes)}, leaves={len(self.leaf_ids)})"
         )
+
+
+def _normal_domain(values) -> tuple[tuple[Rat, ...], dict]:
+    """The distinct values as rationals in ascending order, and each
+    one's position keyed by its integer ratio.  A Fraction hashes and
+    compares in Python code, so values are told apart by integer ratio
+    and ordered as ints over their common denominator; of equal values
+    the first is kept."""
+    first: dict[tuple[int, int], Rat] = {}
+    for v in map(parse_rational, values):
+        first.setdefault(v.as_integer_ratio(), v)
+    lcd = lcm(*(d for _, d in first))
+    ratios = sorted(first, key=lambda r: r[0] * (lcd // r[1]))
+    return tuple(map(first.__getitem__, ratios)), dict(zip(ratios, range(len(ratios))))
+
+
+def _outcome_facts(outcome) -> tuple[int, Rat | None]:
+    """The winners mask of an outcome vector and its first value other
+    than 0 or 1 (None when it has none)."""
+    won, other = 0, None
+    for j, v in enumerate(outcome):
+        ratio = v.as_integer_ratio()
+        if ratio == _ONE:
+            won |= 1 << j
+        elif ratio != _ZERO and other is None:
+            other = v
+    return won, other
+
+
+def _split(at: dict, own: int, literal: bool, blocks):
+    """The masks of `blocks` over one agent's positions `at`, whether they
+    surely partition her current domain `own`, and for each block whether
+    the domain below it is the written block (`literal`)."""
+    bms = []
+    lits = []
+    for blk in blocks:
+        m = 0
+        for v in blk:
+            p = at.get(v.as_integer_ratio())  # None: foreign
+            if p is not None:
+                m |= 1 << p
+        bms.append(m)
+        # a foreign or repeated value loses a bit
+        lits.append(literal or len(blk) != m.bit_count())
+    # nonempty blocks whose masks add up to the domain's, holding as many
+    # values: a partition; a domain differs from its mask only below a
+    # literal block, where the written domain decides
+    whole = (
+        not literal
+        and len(bms) >= 2
+        and all(blocks)
+        and sum(map(len, blocks)) == own.bit_count()
+        and sum(bms) == own
+    )
+    return tuple(bms), whole, tuple(lits)
 
 
 def _block_problems(nid: int, dom, blocks) -> list[str]:

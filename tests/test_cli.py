@@ -19,6 +19,7 @@ from ospkit import (
     materialize,
 )
 from ospkit.io import render_report
+from ospkit.rational import format_rational
 from test_verifier import random_priced_trees
 
 
@@ -104,6 +105,35 @@ class TestVerify:
         assert structural["k_limited"] is True
         assert structural["strong_ineffectiveness"] == 0
         assert structural["taxation"] == 0
+
+    def test_violations_are_written_value_by_value(
+        self, capsys, english_file, tmp_path
+    ):
+        # the verb formats each shared object once: the report must read as
+        # if every value had been formatted on its own
+        cases = [(english_file, 1)]
+        for n, (tree, k) in enumerate(random_priced_trees(range(40))):
+            path = tmp_path / f"tree{n}.json"
+            path.write_text(dumps_mechanism(tree), encoding="utf-8")
+            cases.append((path, k))
+        failing = 0
+        for path, k in cases:
+            _, out, _ = run(capsys, "verify", "--mechanism", str(path), "--k", str(k))
+            result = check_k_step_osp(load_mechanism(str(path)), k)
+            assert json.loads(out)["violations"] == [
+                {
+                    "agent": v.agent,
+                    "node": v.node,
+                    "a": [format_rational(x) for x in v.a],
+                    "b": [format_rational(x) for x in v.b],
+                    "c": format_rational(v.c),
+                    "lhs": format_rational(v.lhs),
+                    "rhs": format_rational(v.rhs),
+                }
+                for v in result.violations
+            ]
+            failing += bool(result.violations)
+        assert failing > 1
 
     def test_byte_identical_reports(self, capsys, english_file, tmp_path):
         # --out writes the printed bytes, the same on every run

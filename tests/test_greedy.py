@@ -54,6 +54,37 @@ def F(v):
     return Fraction(v)
 
 
+def oracle_compress(tree):
+    """compress as a loop that splices the first same-agent child query
+    into its parent's blocks and children, until none is left."""
+    nodes = {}
+    counter = itertools.count()
+
+    def build(nid):
+        fresh = next(counter)
+        node = tree.nodes[nid]
+        if node.kind == "leaf":
+            nodes[fresh] = LeafNode(fresh, node.outcome, node.payment)
+            return fresh
+        blocks, kids = list(node.blocks), list(node.children)
+        merged = True
+        while merged:
+            merged = False
+            for idx, cid in enumerate(kids):
+                sub = tree.nodes[cid]
+                if sub.kind == "query" and sub.agent == node.agent:
+                    blocks[idx : idx + 1] = list(sub.blocks)
+                    kids[idx : idx + 1] = list(sub.children)
+                    merged = True
+                    break
+        children = tuple(build(cid) for cid in kids)
+        nodes[fresh] = QueryNode(fresh, node.agent, tuple(blocks), children)
+        return fresh
+
+    root = build(tree.root)
+    return ImplementationTree(tree.agents, tree.domains, root, nodes)
+
+
 def triangle():
     return PSystem.graphic([(0, 1), (1, 2), (0, 2)])
 
@@ -294,6 +325,27 @@ class TestExtraction:
             packed = compress(tree)
             for prof in itertools.product(*tree.domains):
                 assert packed.leaf_of(prof).outcome == tree.leaf_of(prof).outcome
+
+    def test_compress_matches_the_splicing_loop(self):
+        # random trees ask one agent twice in a row behind any block, not
+        # only behind the last one as an extraction does
+        trees = [extract_tree(*materialize(f)[1]) for f in ORACLE_FIXTURES[:6]]
+        trees += [tree for tree, _ in random_priced_trees(range(300))]
+        for seed in range(100):
+            # runs of three and more queries to one agent
+            rng = random.Random(seed)
+            doms = [range(1, rng.randint(4, 6) + 1) for _ in range(rng.randint(1, 2))]
+            trees.append(random_k_limited_tree(rng, len(doms), doms, inf))
+        inner = 0
+        for tree in trees:
+            packed = compress(tree)
+            assert dumps_mechanism(packed) == dumps_mechanism(oracle_compress(tree))
+            inner += any(
+                tree.nodes[c].kind == "query" and tree.nodes[c].agent == node.agent
+                for node in tree.nodes.values() if node.kind == "query"
+                for c in node.children[:-1]
+            )
+        assert inner > 20
 
     def test_serialize_yields_binary_splits(self):
         tree = compress(extract_tree(PSystem.single_item(2), [1, 2, 3, 4]))

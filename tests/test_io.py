@@ -242,6 +242,49 @@ class TestMechanismFiles:
         ):
             loads_mechanism(text)
 
+    def test_text_vectors_and_blocks_are_shared(self):
+        # the loader hands every node that writes a vector or a blocks
+        # list all in text one tuple; a vector with a number is its own
+        text = json.dumps({
+            "agents": 2, "domains": [["1", "2"], ["1", "2"]], "root": 0,
+            "nodes": [
+                {"id": 0, "kind": "query", "agent": 0,
+                 "blocks": [["2"], ["1"]], "children": [1, 2]},
+                {"id": 1, "kind": "query", "agent": 1,
+                 "blocks": [["2"], ["1"]], "children": [3, 4]},
+                {"id": 2, "kind": "leaf", "outcome": ["1", "0"], "payment": ["1", "0"]},
+                {"id": 3, "kind": "leaf", "outcome": ["1", "0"], "payment": [1, 0]},
+                {"id": 4, "kind": "leaf", "outcome": [1, 0], "payment": [1.0, 0]},
+            ],
+        })
+        t = loads_mechanism(text)
+        n = t.nodes
+        one, zero = Fraction(1), Fraction(0)
+        assert n[0].blocks is n[1].blocks == ((Fraction(2),), (one,))
+        assert n[2].outcome is n[3].outcome is n[2].payment == (one, zero)
+        assert n[3].payment == n[4].outcome == n[4].payment == (one, zero)
+        assert n[3].payment is not n[2].outcome
+        assert not t.problems
+
+    def test_a_text_vector_never_stands_in_for_a_bool(self):
+        # 1, 1.0 and true hash alike: a leaf writing [1, 0] before one
+        # writing [true, 0] leaves the second refused, at its own line
+        text = json.dumps({
+            "agents": 2, "domains": [["1", "2"], ["1"]], "root": 0,
+            "nodes": [
+                {"id": 0, "kind": "query", "agent": 0,
+                 "blocks": [["1"], ["2"]], "children": [1, 2]},
+                {"id": 1, "kind": "leaf", "outcome": [1, 0], "payment": None},
+                {"id": 2, "kind": "leaf", "outcome": [True, 0], "payment": None},
+            ],
+        }, indent=1)
+        want = text.splitlines().index('   "id": 2,') + 1
+        with pytest.raises(
+            MechanismFormatError,
+            match=rf"^node 2 \(line {want}\): not a rational: True$",
+        ):
+            loads_mechanism(text)
+
     def test_duplicate_id_names_its_second_line(self):
         text = json.dumps(
             {

@@ -7,12 +7,23 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ospkit.greedy import english_auction_tree, is_revealable
+from ospkit.cmon import synthesize_payments
+from ospkit.fixtures import materialize
+from ospkit.greedy import (
+    approx_ratio,
+    compress,
+    english_auction_tree,
+    extract_tree,
+    is_revealable,
+    serialize,
+)
+from ospkit.io import dumps_mechanism, loads_mechanism
 from ospkit.model import (
     ImplementationTree,
     LeafNode,
     MechanismError,
     QueryNode,
+    _block_problems,
     equivalence_class,
     k_step_neighborhood,
     normalize_horizon,
@@ -26,7 +37,8 @@ from ospkit.model import (
     types_of,
     validate_tree,
 )
-from ospkit.verifier import classify_query
+from ospkit.rational import parse_rational
+from ospkit.verifier import classify_query, reveal_at_k2
 
 
 def F(v):
@@ -750,6 +762,265 @@ class TestValidityAgainstOracles:
         assert type(t.domain_at) is dict
 
 
+def oracle_tables(tree):
+    """Every table of the tree, built in one eager walk from its domains,
+    root and nodes, as the constructor once built them all; by name, with
+    `problems`, `nonbinary` and the id lists."""
+    agents, domains, root, nodes = tree.agents, tree.domains, tree.root, tree.nodes
+    structural, checks = [], []
+    nonbinary = None
+    winners, parent, depth = {}, {root: None}, {root: 0}
+    positions = tuple(
+        dict(zip(map(Fraction.as_integer_ratio, d), range(len(d)))) for d in domains
+    )
+    mask_at = {root: tuple((1 << len(d)) - 1 for d in domains)}
+    block_masks, domain_at, query_depth = {}, {root: domains}, {}
+    literal = set()
+    preorder, leaf_ids, internal_ids = [], [], []
+    stack = [root]
+    while stack:
+        nid = stack.pop()
+        node = nodes[nid]
+        preorder.append(nid)
+        pid = parent[nid]
+        base = query_depth[pid] if pid is not None else (0,) * agents
+        if isinstance(node, LeafNode):
+            query_depth[nid] = base
+            leaf_ids.append(nid)
+            if len(node.outcome) != agents:
+                checks.append(f"leaf {nid}: outcome length {len(node.outcome)}")
+            if node.payment is not None and len(node.payment) != agents:
+                checks.append(f"leaf {nid}: payment length {len(node.payment)}")
+            won = 0
+            for j, v in enumerate(node.outcome):
+                if v == 1:
+                    won |= 1 << j
+                elif v != 0 and nonbinary is None:
+                    nonbinary = (nid, v)
+            winners[nid] = won
+            continue
+        j = node.agent
+        query_depth[nid] = base[:j] + (base[j] + 1,) + base[j + 1 :]
+        internal_ids.append(nid)
+        masks, dom = mask_at[nid], domain_at[nid]
+        bms = []
+        for blk in node.blocks:
+            m = 0
+            for v in blk:
+                p = positions[j].get(v.as_integer_ratio())
+                if p is not None:
+                    m |= 1 << p
+            bms.append(m)
+        block_masks[nid] = tuple(bms)
+        if (
+            nid in literal
+            or len(bms) < 2
+            or not all(node.blocks)
+            or sum(map(len, node.blocks)) != masks[j].bit_count()
+            or sum(bms) != masks[j]
+        ):
+            checks.extend(_block_problems(nid, dom[j], node.blocks))
+        if len(node.children) != len(node.blocks):
+            structural.append(
+                f"node {nid}: {len(node.blocks)} blocks, "
+                f"{len(node.children)} children"
+            )
+        for blk, m, cid in reversed(list(zip(node.blocks, bms, node.children))):
+            if cid not in nodes:
+                structural.append(f"node {nid}: unknown child {cid}")
+                continue
+            parent[cid] = nid
+            depth[cid] = depth[nid] + 1
+            mask_at[cid] = masks[:j] + (m,) + masks[j + 1 :]
+            if nid in literal or len(blk) != m.bit_count():
+                literal.add(cid)
+            domain_at[cid] = dom[:j] + (tuple(sorted(blk)),) + dom[j + 1 :]
+            stack.append(cid)
+    for nid in sorted(set(nodes) - set(preorder)):
+        structural.append(f"node {nid} unreachable from root")
+    empty = [f"agent {i} has an empty domain" for i, d in enumerate(domains) if not d]
+    leaves_under = {}
+    for nid in reversed(preorder):
+        node = nodes[nid]
+        if isinstance(node, LeafNode):
+            leaves_under[nid] = (nid,)
+        else:
+            leaves_under[nid] = tuple(
+                leaf for cid in node.children for leaf in leaves_under.get(cid, ())
+            )
+    return {
+        "parent": parent,
+        "depth": depth,
+        "positions": positions,
+        "mask_at": mask_at,
+        "domain_at": domain_at,
+        "block_masks": block_masks,
+        "query_depth": query_depth,
+        "leaves_under": leaves_under,
+        "winners": winners,
+        "preorder": preorder,
+        "leaf_ids": leaf_ids,
+        "internal_ids": internal_ids,
+        "nonbinary": nonbinary,
+        "problems": tuple(structural + empty + checks),
+    }
+
+
+def assert_tables_match_oracle(tree):
+    """Each table equals the eager walk's: keys, values and key order."""
+    for name, want in oracle_tables(tree).items():
+        got = getattr(tree, name)
+        assert type(got) is type(want), name
+        if type(want) is dict:
+            assert list(got.items()) == list(want.items()), name
+        else:
+            assert got == want, name
+
+
+def built_trees():
+    """(name, tree) for the output of every tree builder of the package."""
+    for fixture in ("single_item(2,4)", "single_item(3,6)", "uniform(4,2,4)",
+                    "triangle_graphic(5)", "uniform(5,2,5)"):
+        ps, domain = materialize(fixture)[1]
+        raw = extract_tree(ps, domain)
+        rounds = compress(raw)
+        yield f"extract {fixture}", raw
+        yield f"compress {fixture}", rounds
+        yield f"serialize {fixture}", serialize(rounds)
+        if len(rounds.nodes) > 200:
+            continue  # payments on the larger trees take seconds
+        for k in (0, 1, 2):
+            try:
+                yield f"reveal_at_k2 {fixture} k={k}", reveal_at_k2(rounds, k)
+            except MechanismError:
+                pass
+            try:
+                priced = synthesize_payments(rounds, k)
+            except MechanismError:  # not k-limited
+                continue
+            if priced.ok:
+                yield f"synthesize_payments {fixture} k={k}", priced.tree
+                text = dumps_mechanism(priced.tree)
+                yield f"loads_mechanism {fixture} k={k}", loads_mechanism(text)
+    for n, d in ((2, 3), (3, 5), (4, 5)):
+        tree = english_auction_tree(n, range(1, d + 1))
+        yield f"english_auction_tree {n},{d}", tree
+        yield f"loads_mechanism english {n},{d}", loads_mechanism(
+            dumps_mechanism(tree)
+        )
+    for seed in range(40):
+        rng = random.Random(seed)
+        agents = rng.randint(1, 3)
+        domains = [list(range(1, rng.randint(2, 4) + 1)) for _ in range(agents)]
+        tree = random_k_limited_tree(rng, agents, domains, 1, rng.random() < 0.5)
+        yield f"loads_mechanism seed {seed}", loads_mechanism(dumps_mechanism(tree))
+        try:
+            yield f"reveal_at_k2 seed {seed}", reveal_at_k2(tree, 0)
+        except MechanismError:
+            pass
+
+
+SHARED = ((F(2),), (F(3),))
+
+
+class TestTablesAgainstOracle:
+    """The walk's tables and the tables built on first read against one
+    eager walk over the same nodes."""
+
+    def test_seeded_trees(self):
+        seen = Counter()
+        for pair in seeded_trees(seen):
+            for t in pair:
+                assert_tables_match_oracle(t)
+                seen["problems"] += bool(t.problems)
+                # the walk keys its work by the identity of blocks and
+                # outcomes: hand every node with equal ones the same object
+                same = {}
+                nodes = {
+                    nid: node._replace(
+                        **{f: same.setdefault((f, getattr(node, f)), getattr(node, f))
+                           for f in ("blocks", "outcome") if f in node._fields}
+                    )
+                    for nid, node in t.nodes.items()
+                }
+                shared = ImplementationTree(t.agents, t.domains, t.root, nodes)
+                assert_tables_match_oracle(shared)
+                assert shared.problems == t.problems
+        assert seen["problems"] and all(seen[kind] for kind in MUTATIONS), seen
+
+    @pytest.mark.parametrize(
+        ("domains", "nodes", "problems"),
+        [
+            # one blocks object asked of agents with different domains
+            ([[1, 2], [2, 3]], {
+                0: QueryNode(0, 1, SHARED, (1, 2)),
+                1: LeafNode(1, (F(0), F(0))),
+                2: QueryNode(2, 0, SHARED, (3, 4)),
+                3: LeafNode(3, (F(0), F(0))),
+                4: LeafNode(4, (F(0), F(0))),
+            }, ("node 2: value 3 outside the current domain",
+                "node 2: domain values [Fraction(1, 1)] not covered")),
+            # a partition of {2, 3}, then the same blocks over {1}
+            ([[1, 2, 3]], {
+                0: QueryNode(0, 0, ((F(2), F(3)), (F(1),)), (1, 4)),
+                1: QueryNode(1, 0, SHARED, (2, 3)),
+                2: LeafNode(2, (F(0),)),
+                3: LeafNode(3, (F(0),)),
+                4: QueryNode(4, 0, SHARED, (5, 6)),
+                5: LeafNode(5, (F(0),)),
+                6: LeafNode(6, (F(0),)),
+            }, ("node 4: value 2 outside the current domain",
+                "node 4: value 3 outside the current domain",
+                "node 4: domain values [Fraction(1, 1)] not covered")),
+            # the same blocks below a clean block and below one with a
+            # foreign value, where the domain is the block as written
+            ([[2, 3]], {
+                0: QueryNode(0, 0, ((F(2), F(3)), (F(2), F(3), F(99))), (1, 4)),
+                1: QueryNode(1, 0, SHARED, (2, 3)),
+                2: LeafNode(2, (F(0),)),
+                3: LeafNode(3, (F(0),)),
+                4: QueryNode(4, 0, SHARED, (5, 6)),
+                5: LeafNode(5, (F(0),)),
+                6: LeafNode(6, (F(0),)),
+            }, ("node 0: value 2 in two blocks",
+                "node 0: value 3 in two blocks",
+                "node 0: value 99 outside the current domain",
+                "node 4: domain values [Fraction(99, 1)] not covered")),
+        ],
+        ids=["agent", "own_mask", "literal"],
+    )
+    def test_one_blocks_object_at_unlike_nodes(self, domains, nodes, problems):
+        # the walk's facts about a blocks object hold for one agent, own
+        # mask and literal flag only
+        tree = ImplementationTree(len(domains), domains, 0, nodes)
+        assert tree.problems == problems
+        assert_tables_match_oracle(tree)
+
+    def test_built_trees(self):
+        made = Counter()
+        for name, tree in built_trees():
+            assert_tables_match_oracle(tree)
+            made[name.split()[0]] += 1
+        assert set(made) == {
+            "extract", "compress", "serialize", "reveal_at_k2",
+            "synthesize_payments", "loads_mechanism", "english_auction_tree",
+        }, made
+
+    def test_sweep_trees_build_no_domains_or_depths(self):
+        # the experiment verb's chain reads neither table of either tree
+        ps, domain = materialize("single_item(5,5)")[1]
+        raw = extract_tree(ps, domain)
+        approx_ratio(ps, raw, domain)
+        rounds = compress(raw)
+        for tree in (raw, rounds):
+            assert "domain_at" not in vars(tree)
+            assert "depth" not in vars(tree)
+        assert "query_depth" not in vars(raw)
+        assert "leaves_under" not in vars(raw)
+        # a table read once is kept as a plain dict
+        assert type(rounds.depth) is dict and vars(rounds)["depth"] is rounds.depth
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -842,13 +1113,69 @@ def test_untraversable_shapes_are_refused(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    ("nodes", "message"),
+    [
+        # True hashes as 1: the tree used to take it as a node id, with
+        # no problems and leaf_ids [True, 2]
+        ({0: QueryNode(0, 0, ((1,), (2,)), (True, 2)),
+          True: LeafNode(True, (0,)), 2: LeafNode(2, (1,))},
+         "^node key True is not an int$"),
+        ({0: QueryNode(0, 0, ((1,), (2,)), (1, 2)),
+          1: LeafNode(True, (0,)), 2: LeafNode(2, (1,))},
+         "^node 1 carries id True, not an int$"),
+        ({0: QueryNode(0, 0, ((1,), (2,)), (True, 2)),
+          1: LeafNode(1, (0,)), 2: LeafNode(2, (1,))},
+         "^node 0: child True is not an int$"),
+        ({0: QueryNode(0, 0, ((1,), (2,)), (1.0, 2)),
+          1: LeafNode(1, (0,)), 2: LeafNode(2, (1,))},
+         "^node 0: child 1.0 is not an int$"),
+        ({0: QueryNode(0, 0, ((1,), (2,)), (1, 2)),
+          1.0: LeafNode(1, (0,)), 2: LeafNode(2, (1,))},
+         "^node key 1.0 is not an int$"),
+        # children the walk does not reach: one past the blocks, and one
+        # of an unreachable node
+        ({0: QueryNode(0, 0, ((1,), (2,)), (1, 2, "x")),
+          1: LeafNode(1, (0,)), 2: LeafNode(2, (1,))},
+         "^node 0: child 'x' is not an int$"),
+        ({**one_query_nodes(), 3: QueryNode(3, 0, ((1,), (2,)), (False, 2))},
+         "^node 3: child False is not an int$"),
+    ],
+    ids=["bool_key", "bool_id", "bool_child", "float_child", "float_key",
+         "extra_child", "unreachable_child"],
+)
+def test_node_ids_and_children_must_be_ints(nodes, message):
+    with pytest.raises(MechanismError, match=message):
+        ImplementationTree(1, [[1, 2]], 0, nodes)
+
+
+def test_domains_are_the_sorted_distinct_values():
+    # the old normal form, a sorted set of parsed values, on unsorted,
+    # repeated, negative and fractional values in text, int and Fraction
+    rng = random.Random(7)
+    pool = [-3, -1, 0, 2, 5, "1/2", "-7/3", "0.25", Fraction(5, 4), F(-2), "5", "2/4"]
+    for _ in range(300):
+        agents = rng.randint(1, 3)
+        doms = [rng.choices(pool, k=rng.randint(1, 6)) for _ in range(agents)]
+        if rng.random() < 0.3:
+            doms = [doms[0]] * len(doms)  # one object for every agent
+        want = tuple(tuple(sorted({parse_rational(v) for v in d})) for d in doms)
+        t = ImplementationTree(agents, doms, 0, {0: LeafNode(0, (F(0),) * agents)})
+        assert t.domains == want
+        assert t.positions == tuple(
+            {v.as_integer_ratio(): p for p, v in enumerate(d)} for d in want
+        )
+
+
 def test_integral_header_fields_are_read_as_ints():
     t = ImplementationTree(1.0, [[1, 2]], 0.0, one_query_nodes())
     assert (t.agents, t.root) == (1, 0)
     assert type(t.agents) is int and type(t.root) is int
 
 
-@pytest.mark.parametrize("k", [True, -1, 2.5, "x", float("-inf")])
+@pytest.mark.parametrize(
+    "k", [True, -1, 2.5, "x", float("-inf"), Fraction(5, 2), Fraction(-2)]
+)
 def test_bad_horizons_are_refused(k):
     with pytest.raises(MechanismError, match="^bad horizon"):
         normalize_horizon(k)
@@ -857,6 +1184,9 @@ def test_bad_horizons_are_refused(k):
 def test_horizons_are_ints_or_inf():
     assert normalize_horizon(1.0) == 1 and type(normalize_horizon(1.0)) is int
     assert normalize_horizon(3) == 3 and normalize_horizon(inf) == inf
+    # an integral Fraction is its int, as `as_integer` reads it
+    for k in (Fraction(2), Fraction(0)):
+        assert normalize_horizon(k) == k and type(normalize_horizon(k)) is int
 
 
 def test_tree_from_nested_refuses_a_bad_tag():
