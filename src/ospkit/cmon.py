@@ -19,8 +19,13 @@ the target's outcome bit, so edges are read off these lists in sorted
 (source, target) order, the order in which Bellman-Ford relaxes them and
 which therefore fixes the negative-cycle witness.  Shortest paths run on
 the weights scaled to integers by their least common denominator; labels
-and cycle weights are mapped back to Fractions at the end.  Payment
-synthesis builds its integer edges straight from the same target lists.
+and cycle weights are mapped back to Fractions at the end.
+
+The partition and the target lists are a pure function of the tree, the
+horizon and the agent, so they are built once per (k, agent) and kept in
+`tree.class_graphs` (`_class_graph`).  `build_k_osp_graph` weighs their
+edges in Fractions; payment synthesis weighs the same edges in integers,
+scaled by the lcd of the agent's types.
 
 Outcomes must be binary throughout this module.
 """
@@ -108,7 +113,9 @@ def build_profile_classes(
     path's endpoint: its leaf when that path queries the agent at most
     k+1 times, else the node of the (k+2)-th query.  A leaf's box lies
     whole in one class, so one pass over the leaves builds them.  Refuses
-    a tree that is not k-limited for the agent.
+    a tree that is not k-limited for the agent.  Built anew on every call:
+    the class graph and synthesis read the partition kept in
+    `tree.class_graphs`.
     """
     require_valid(tree)  # else leaf boxes need not split the profiles
     k = normalize_horizon(k)
@@ -180,9 +187,27 @@ def build_k_osp_graph(tree: ImplementationTree, k, agent: int) -> OspGraph:
     type of the source with the outcome difference, so a worse outcome
     prices at the largest type and a better one at the smallest.
     """
-    part = build_profile_classes(tree, k, agent)
-    edges = tuple(_edges(tree, part, _weights(part, lambda t: t, Fraction(0))))
+    part, targets = _class_graph(tree, k, agent)
+    edges = tuple(_edges(part, targets, _weights(part, lambda t: t, Fraction(0))))
     return OspGraph(agent, part.horizon, part.classes, edges)
+
+
+def _class_graph(tree: ImplementationTree, k, agent: int):
+    """The agent's `ClassPartition` at horizon k and each class's target
+    list (`_targets`), built on the first call for (k, agent) and kept in
+    `tree.class_graphs`.  Every call runs the checks of
+    `build_profile_classes`, the scale guard included, so a tree over
+    budget or a lowered guard is refused as on the first call; a refused
+    build keeps nothing."""
+    require_valid(tree)
+    k = normalize_horizon(k)
+    require_binary_outcomes(tree)
+    require_agent(tree, agent)  # before the lookup: True hashes as 1
+    if (k, agent) not in tree.class_graphs:
+        part = build_profile_classes(tree, k, agent)
+        tree.class_graphs[k, agent] = part, _targets(tree, part)
+    scale_guard(prod(map(len, tree.domains)))
+    return tree.class_graphs[k, agent]
 
 
 def _weights(part: ClassPartition, scale, zero) -> list[tuple]:
@@ -214,14 +239,14 @@ def _targets(tree: ImplementationTree, part: ClassPartition) -> list[list[int]]:
     return [sorted({*targets} - {a}) for a, targets in enumerate(out)]
 
 
-def _edges(tree: ImplementationTree, part: ClassPartition, weight) -> list:
-    """The class graph's edges in sorted (source, target) order; an edge
-    a -> b weighs weight[a][bit of b]."""
+def _edges(part: ClassPartition, targets: list[list[int]], weight) -> list:
+    """The class graph's edges in sorted (source, target) order, from the
+    `_targets` lists; an edge a -> b weighs weight[a][bit of b]."""
     bit = [v.bit for v in part.classes]
     return [
         (a, b, w[bit[b]])
-        for a, (w, targets) in enumerate(zip(weight, _targets(tree, part)))
-        for b in targets
+        for a, (w, ends) in enumerate(zip(weight, targets))
+        for b in ends
     ]
 
 
@@ -285,6 +310,15 @@ def _relax(agent: int, n: int, edges, lcd: int):
 
 
 def has_negative_cycle(graph: OspGraph) -> NegativeCycleWitness | None:
+    """A negative cycle of the class graph, or None when it has none.
+
+    Bellman-Ford from an implicit zero-source runs n full rounds over the
+    edges in their sorted (source, target) order, n the vertex count, and
+    stops early only after a round that lowers no label.  The witness is
+    found by walking the predecessors back from the last vertex lowered
+    in round n until it reaches a vertex twice.  The cycle is that loop
+    in edge direction, ending at the vertex reached twice; its weight is
+    the sum of the weights of the edges that last lowered its vertices."""
     _, witness = _bellman(graph)
     return witness
 
@@ -303,16 +337,16 @@ def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
     returned instead of a tree."""
     k = normalize_horizon(k)
     require_valid(tree)
-    # the budget is checked agent by agent in build_profile_classes
+    # the budget is checked agent by agent in _class_graph
     per_agent_payment: dict[int, dict[int, Rat]] = {}
     failures = []
     for agent in range(tree.agents):
-        part = build_profile_classes(tree, k, agent)
+        part, targets = _class_graph(tree, k, agent)
         # the class graph on ints: every type is one of the agent's, so
         # their lcd scales each class's weights to ints, once per class
         lcd = lcm(*(t.denominator for t in tree.domains[agent]))
         weight = _weights(part, lambda t: t.numerator * (lcd // t.denominator), 0)
-        edges = _edges(tree, part, weight)
+        edges = _edges(part, targets, weight)
         dist, witness = _relax(agent, len(part.classes), edges, lcd)
         if witness is not None:
             failures.append(witness)

@@ -220,7 +220,10 @@ class ImplementationTree:
       leaves_under[nid]      the leaves below nid in preorder
 
     `commitments` starts empty: the verifier keeps its commitment sets
-    there, one entry per horizon it tells apart.
+    there, one entry per horizon it tells apart.  `class_graphs` starts
+    empty too: `cmon` keeps there, under (horizon, agent), the agent's
+    profile-class partition and each class's target list, built once and
+    read by both the class graph and payment synthesis.
     """
 
     def __init__(self, agents: int, domains, root: int, nodes) -> None:
@@ -261,6 +264,7 @@ class ImplementationTree:
         checks: list[str | int] = []
         self.nonbinary: tuple[int, Rat] | None = None
         self.commitments: dict[int | float, dict[int, dict[int, int]]] = {}
+        self.class_graphs: dict[tuple[int | float, int], tuple] = {}
         self.parent: dict[int, int | None] = {self.root: None}
         self.mask_at = {self.root: tuple((1 << len(d)) - 1 for d in self.domains)}
         self.block_masks: dict[int, tuple[int, ...]] = {}
@@ -436,18 +440,25 @@ class ImplementationTree:
         return self.nodes[nid]
 
     def is_leaf(self, nid: int) -> bool:
-        return isinstance(self.nodes[nid], LeafNode)
+        return isinstance(self.node(nid), LeafNode)
 
     def as_profile(self, values) -> tuple[Rat, ...]:
-        prof = tuple(parse_rational(v) for v in values)
+        """The profile's values as rationals, one per agent."""
+        prof = []
+        for i, v in enumerate(values):
+            try:
+                prof.append(parse_rational(v))
+            except ValueError:
+                raise MechanismError(f"agent {i}: not a rational: {v!r}") from None
         if len(prof) != self.agents:
             raise MechanismError(f"profile length {len(prof)} != {self.agents} agents")
-        return prof
+        return tuple(prof)
 
     def route(self, nid: int, value: Rat) -> int:
         """Index of the block at nid containing value."""
-        node = self.nodes[nid]
-        assert isinstance(node, QueryNode)
+        node = self.node(nid)
+        if not isinstance(node, QueryNode):
+            raise MechanismError(f"node {nid} is not a query node")
         for idx, blk in enumerate(node.blocks):
             if value in blk:
                 return idx
@@ -479,6 +490,9 @@ class ImplementationTree:
 
     def box_min(self, nid: int) -> tuple[Rat, ...]:
         """Coordinate-wise smallest profile available at nid."""
+        require_node(self, nid)
+        if nid not in self.parent:
+            raise MechanismError(f"node {nid} unreachable from root")
         return tuple(d[0] for d in self.domain_at[nid])
 
     def __repr__(self) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import inf
@@ -147,6 +148,23 @@ class TestWalks:
         assert t.leaf_of((2, 1)).id == 6
         assert t.leaf_of((3, 1)).id == 7
         assert t.leaf_of((3, 3)).id == 8
+
+    @pytest.mark.parametrize(
+        ("walk", "profile", "message"),
+        [
+            ("leaf_of", (True, 1), "agent 0: not a rational: True"),
+            ("path_of", (1, 1.5j), "agent 1: not a rational: 1.5j"),
+            ("leaf_of", (1, "x"), "agent 1: not a rational: 'x'"),
+        ],
+    )
+    def test_walks_refuse_a_value_that_is_not_a_rational(
+        self, walk, profile, message
+    ):
+        t = two_agent_tree()
+        with pytest.raises(MechanismError, match=f"^{re.escape(message)}$"):
+            getattr(t, walk)(profile)
+        with pytest.raises(MechanismError, match=f"^{re.escape(message)}$"):
+            equivalence_class(t, 0, profile, 0)
 
     def test_leaf_of_rejects_foreign_type(self):
         t = two_agent_tree()
@@ -1046,10 +1064,13 @@ def test_unknown_node_id_is_refused(call):
         lambda t, nid: classify_query(t, nid),
         lambda t, nid: k_step_neighborhood(t, nid, 1),
         lambda t, nid: is_revealable(t, nid),
+        lambda t, nid: t.box_min(nid),
+        lambda t, nid: t.is_leaf(nid),
+        lambda t, nid: t.route(nid, t.domains[0][0]),
     ],
     ids=[
         "node", "query_count", "profile_leaves", "classify_query",
-        "k_step_neighborhood", "is_revealable",
+        "k_step_neighborhood", "is_revealable", "box_min", "is_leaf", "route",
     ],
 )
 def test_node_id_must_be_an_int_naming_a_node(call, nid):
@@ -1058,6 +1079,13 @@ def test_node_id_must_be_an_int_naming_a_node(call, nid):
     assert 1 in tree.nodes
     with pytest.raises(MechanismError, match=f"^unknown node {nid}$"):
         call(tree, nid)
+
+
+def test_route_refuses_a_leaf():
+    tree = english_auction_tree(2, [1, 2, 3])
+    leaf = tree.leaf_ids[0]
+    with pytest.raises(MechanismError, match=f"^node {leaf} is not a query node$"):
+        tree.route(leaf, tree.domains[0][0])
 
 
 def test_query_count_refuses_an_unreachable_node():
@@ -1081,6 +1109,13 @@ def one_query_nodes(agent=0):
         1: LeafNode(1, (F(0),)),
         2: LeafNode(2, (F(1),)),
     }
+
+
+def test_box_min_refuses_an_unreachable_node():
+    t = ImplementationTree(1, [[1, 2]], 0, {**one_query_nodes(), 3: LeafNode(3, (F(1),))})
+    assert t.box_min(2) == (F(2),)
+    with pytest.raises(MechanismError, match="^node 3 unreachable from root$"):
+        t.box_min(3)
 
 
 @pytest.mark.parametrize(
