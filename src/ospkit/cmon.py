@@ -113,15 +113,17 @@ def build_profile_classes(
     path's endpoint: its leaf when that path queries the agent at most
     k+1 times, else the node of the (k+2)-th query.  A leaf's box lies
     whole in one class, so one pass over the leaves builds them.  Refuses
-    a tree that is not k-limited for the agent.  Built anew on every call:
-    the class graph and synthesis read the partition kept in
-    `tree.class_graphs`.
+    a tree that is not k-limited for the agent.  The partition returned
+    is the one kept in `tree.class_graphs`, which the class graph and
+    synthesis read too.
     """
-    require_valid(tree)  # else leaf boxes need not split the profiles
-    k = normalize_horizon(k)
-    require_binary_outcomes(tree)
-    require_agent(tree, agent)
+    return _class_graph(tree, k, agent)[0]
 
+
+def _partition(tree: ImplementationTree, k, agent: int) -> ClassPartition:
+    """The agent's classes at normalized horizon k, for `_class_graph`,
+    which checks the tree, horizon and agent; the walk refuses a query
+    past the agent's budget as it meets one."""
     # a (k+2)-th query's effective side is read from its class, where the
     # allowed forms are stated: its only-effective top type, else its
     # only-effective bottom one, else none
@@ -136,7 +138,6 @@ def build_profile_classes(
             (1 << p for p in (top, bottom) if domain[p] in qc.only_types), 0
         )
         anchor_of.update(dict.fromkeys(tree.leaves_under[u], u))
-    scale_guard(prod(map(len, tree.domains)))
 
     # (anchor, slice, bit) -> the class's leaves, in class order: an
     # anchor's leaves are consecutive, and the first one lays out its
@@ -195,19 +196,20 @@ def build_k_osp_graph(tree: ImplementationTree, k, agent: int) -> OspGraph:
 def _class_graph(tree: ImplementationTree, k, agent: int):
     """The agent's `ClassPartition` at horizon k and each class's target
     list (`_targets`), built on the first call for (k, agent) and kept in
-    `tree.class_graphs`.  Every call runs the checks of
-    `build_profile_classes`, the scale guard included, so a tree over
-    budget or a lowered guard is refused as on the first call; a refused
-    build keeps nothing."""
-    require_valid(tree)
+    `tree.class_graphs`.  Every call checks the tree, the horizon, the
+    agent and the scale guard once, the budget before the guard, so a
+    lowered guard refuses a kept entry too and a refused build keeps
+    nothing."""
+    require_valid(tree)  # else leaf boxes need not split the profiles
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
     require_agent(tree, agent)  # before the lookup: True hashes as 1
-    if (k, agent) not in tree.class_graphs:
-        part = build_profile_classes(tree, k, agent)
-        tree.class_graphs[k, agent] = part, _targets(tree, part)
+    kept = tree.class_graphs.get((k, agent))
+    part = kept[0] if kept else _partition(tree, k, agent)
     scale_guard(prod(map(len, tree.domains)))
-    return tree.class_graphs[k, agent]
+    if not kept:
+        kept = tree.class_graphs[k, agent] = part, _targets(tree, part)
+    return kept
 
 
 def _weights(part: ClassPartition, scale, zero) -> list[tuple]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, log, log1p, log10, pi
 
 from .model import (
     ImplementationTree,
@@ -28,6 +28,7 @@ from .model import (
     QueryNode,
     Record,
     Verdict,
+    _magnitude_guard,
     _normal_domain,
     as_integer,
     bits,
@@ -85,12 +86,12 @@ class PSystem:
             if self._rank is not None:
                 # combinations come in lexicographic order: sorted already
                 r = min(self._rank, n)
-                scale_guard(comb(n, r), "maximal sets")
+                _comb_guard(n, r, "maximal sets")
                 self._maximal = tuple(
                     _mask(c) for c in itertools.combinations(range(n), r)
                 )
             else:
-                scale_guard(2**n, "subsets")
+                _power_guard(2, n, "subsets")
                 tops = _maximal_within(self, (1 << n) - 1)
                 self._maximal = tuple(sorted(tops, key=bits))
         return self._maximal
@@ -102,7 +103,7 @@ class PSystem:
     def validate(self) -> None:
         """Full downward-closure check (exponential; desk scale)."""
         n = self.ground_size
-        scale_guard(2**n, "subsets")
+        _power_guard(2, n, "subsets")
         # the cache holds the empty set as feasible: ask the oracle itself
         if not self._oracle(frozenset()):
             raise MechanismError("the empty set must be feasible")
@@ -176,7 +177,7 @@ def rank_quotient(ps: PSystem) -> Fraction:
     it equals 1 exactly on matroids.
     """
     n = ps.ground_size
-    scale_guard(3**n, "subset-submask pairs")
+    _power_guard(3, n, "subset-submask pairs")
     best: Fraction | None = None
     for sub in range(1, 2**n):
         sizes = [t.bit_count() for t in _maximal_within(ps, sub)]
@@ -187,6 +188,30 @@ def rank_quotient(ps: PSystem) -> Fraction:
         if best is None or q < best:
             best = q
     return best if best is not None else Fraction(1)
+
+
+def _power_guard(base: int, exponent: int, what: str) -> None:
+    """`scale_guard(base ** exponent, what)`, a power of more than a few
+    thousand bits built only once its digits pass `_magnitude_guard`.
+    The digits are rationals, as the exponent may be past any float."""
+    if exponent * base.bit_length() > 4300:
+        _magnitude_guard(exponent * Fraction(log10(base)), what)
+    scale_guard(base**exponent, what)
+
+
+def _comb_guard(n: int, r: int, what: str) -> None:
+    """`scale_guard(comb(n, r), what)`, a binomial of more than a few
+    thousand bits built only once its digits, by Stirling's formula
+    (within 1/(12k) nats for the smaller side k), pass
+    `_magnitude_guard`."""
+    k = min(r, n - r)
+    if k * n.bit_length() > 4300:  # comb(n, k) < n ** k
+        x = k / (n - k)
+        per = log(n) - log(k) + (log1p(x) / x if x else 1.0)  # nats per pick
+        rest = (log(2 * pi) + log(k) + log(n - k) - log(n)) / 2
+        nats = k * Fraction(per) - Fraction(rest)
+        _magnitude_guard(nats / Fraction(log(10)), what)
+    scale_guard(comb(n, r), what)
 
 
 def _mask(elements) -> int:
@@ -612,7 +637,7 @@ def extract_tree(ps: PSystem, domain) -> ImplementationTree:
     """
     dom0 = _valuation_domain(domain)
     n = ps.ground_size
-    scale_guard(len(dom0) ** n, "strategy profiles")
+    _power_guard(len(dom0), n, "strategy profiles")
     # the sorted cost domain: valuation position p is cost position d - 1 - p
     cost = tuple(-v for v in reversed(dom0))
     nodes: dict[int, QueryNode | LeafNode] = {}
@@ -844,6 +869,7 @@ def english_auction_tree(n: int, domain) -> ImplementationTree:
         raise MechanismError("at least one agent is required")
     # cost[i] is the cost type of the i-th smallest valuation
     cost = tuple(-v for v in _valuation_domain(domain))
+    _power_guard(len(cost), n, "strategy profiles")
     nodes: dict[int, QueryNode | LeafNode] = {}
     root = _clock(cost, tuple(range(n)), (0,) * n, (), -1, nodes, itertools.count())
     return ImplementationTree(n, [cost] * n, root, nodes)
@@ -908,7 +934,7 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
         if tuple(dm) != cost_dom:
             raise MechanismError("tree domain does not mirror the valuation domain")
     d = len(dom0)
-    scale_guard(d**n, "valuation profiles")
+    _power_guard(d, n, "valuation profiles")
     lcd = lcm(*(v.denominator for v in dom0))
     ints = [v.numerator * (lcd // v.denominator) for v in dom0]
     zeros = [0] * d

@@ -9,6 +9,9 @@ Mechanism files:
 Values are rationals in text form ("3", "7/2").  Payments may be omitted
 or null.  Format errors carry the line of the offending node where it
 can be located in the source text.
+
+Every json file and report is written by `render_report` as `json.dumps`
+writes it; it joins the values reports hold and hands json the rest.
 """
 
 from __future__ import annotations
@@ -70,6 +73,14 @@ def _line_of_node(text: str, ordinal: int) -> int:
     return text.count("\n", 0, where) + 1
 
 
+def _list(raw, field: str) -> list:
+    """raw, which must be a json list: a string or an object in its place
+    would be read one character or key at a time."""
+    if type(raw) is not list:
+        raise MechanismFormatError(f"'{field}' must be a list")
+    return raw
+
+
 def parse_horizon(text: str) -> int | float:
     s = str(text).strip().lower()
     if s in ("inf", "infinity", "oo"):
@@ -116,9 +127,9 @@ def loads_mechanism(text: str) -> ImplementationTree:
             seen[v] = parse_rational(v)
         return seen[v]
 
-    def vector(raw) -> tuple:
+    def vector(raw, field: str) -> tuple:
         if type(raw) is not list or {*map(type, raw)} != _TEXT:
-            return tuple(rational(v) for v in raw)
+            return tuple(rational(v) for v in _list(raw, field))
         key = tuple(raw)
         got = shared.get(key)
         if got is None:
@@ -131,7 +142,10 @@ def loads_mechanism(text: str) -> ImplementationTree:
             or {*map(type, raw)} != _LIST
             or {*map(type, chain.from_iterable(raw))} != _TEXT
         ):
-            return tuple(tuple(sorted(rational(v) for v in blk)) for blk in raw)
+            return tuple(
+                tuple(sorted(rational(v) for v in _list(blk, f"blocks[{i}]")))
+                for i, blk in enumerate(_list(raw, "blocks"))
+            )
         key = tuple(map(tuple, raw))
         got = shared.get(key)
         if got is None:
@@ -142,7 +156,10 @@ def loads_mechanism(text: str) -> ImplementationTree:
 
     try:
         agents = as_integer(data["agents"])
-        domains = [[rational(v) for v in dom] for dom in data["domains"]]
+        domains = [
+            [rational(v) for v in _list(dom, f"domains[{i}]")]
+            for i, dom in enumerate(_list(data["domains"], "domains"))
+        ]
         root = as_integer(data["root"])
     except (TypeError, ValueError) as exc:
         raise MechanismFormatError(f"bad header: {exc}") from exc
@@ -159,13 +176,13 @@ def loads_mechanism(text: str) -> ImplementationTree:
                 raise MechanismFormatError("duplicate node id")
             kind = entry["kind"]
             if kind == "leaf":
-                outcome = vector(entry["outcome"])
+                outcome = vector(entry["outcome"], "outcome")
                 payment = entry.get("payment")
-                pay = None if payment is None else vector(payment)
+                pay = None if payment is None else vector(payment, "payment")
                 nodes[nid] = LeafNode(nid, outcome, pay)
             elif kind == "query":
                 blocks = partition(entry["blocks"])
-                children = tuple(map(as_integer, entry["children"]))
+                children = tuple(map(as_integer, _list(entry["children"], "children")))
                 nodes[nid] = QueryNode(
                     nid, as_integer(entry["agent"]), blocks, children
                 )
@@ -246,20 +263,26 @@ def loads_instance(text: str):
     params = data.get("params", {}) or {}
     try:
         n = as_integer(data["n"])
-        domain = tuple(sorted(parse_rational(v) for v in data["domain"]))
+        domain = tuple(sorted(map(parse_rational, _list(data["domain"], "domain"))))
         if kind == "single_item":
             ps = PSystem.single_item(n)
         elif kind == "uniform":
             ps = PSystem.uniform(n, params["rank"])
         elif kind == "graphic":
-            edges = [tuple(map(as_integer, e)) for e in params["edges"]]
+            edges = [
+                tuple(map(as_integer, _list(e, f"params.edges[{i}]")))
+                for i, e in enumerate(_list(params["edges"], "params.edges"))
+            ]
             if len(edges) != n:
                 raise MechanismFormatError(
                     f"{len(edges)} edges for {n} elements"
                 )
             ps = PSystem.graphic(edges)
         elif kind == "explicit":
-            ps = PSystem.explicit(n, params["maximal_sets"])
+            tops = _list(params["maximal_sets"], "params.maximal_sets")
+            ps = PSystem.explicit(
+                n, [_list(t, f"params.maximal_sets[{i}]") for i, t in enumerate(tops)]
+            )
         else:
             raise MechanismFormatError(f"unknown instance kind {kind!r}")
     except MechanismFormatError:
@@ -334,77 +357,53 @@ def graph_to_data(graph) -> dict:
 
 
 def render_report(data: dict) -> str:
-    """Canonical report text: sorted keys, two-space indent, newline end.
-
-    The bytes are those of `json.dumps(data, sort_keys=True, indent=2)`
-    plus the newline; with an indent that call runs the pure-Python
-    encoder, so each container is joined here in one go instead, its
-    strings quoted by the C encoder.  A value json cannot write raises
-    the same TypeError."""
+    """The bytes of `json.dumps(data, sort_keys=True, indent=2)` and a
+    newline.  The values reports hold (str, int, bool and None, in lists,
+    tuples and dicts with str keys) are joined here, each container in
+    one go and its strings quoted by the C encoder, as the indented call
+    runs the pure-Python encoder.  Any other value (a subclass, a float,
+    a dict with other keys) is written by `json.dumps` itself, so its
+    bytes and its TypeError are json's own."""
     return _canonical(data, "\n") + "\n"
 
 
 def _canonical(o, indent: str) -> str:
-    # indent is the newline and the indent of the line o starts on; the
-    # exact types come first, and any other value, a subclass included,
-    # takes the checks in the order `json.encoder` makes them
+    # indent is the newline and the indent of the line o starts on
     kind = type(o)
     if kind is str:
         return _quote(o)
     if kind is int:
         return int.__repr__(o)
-    if kind is not dict and kind is not list and kind is not tuple:
-        if isinstance(o, str):
-            return _quote(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            if o != o:
-                return "NaN"
-            if o in (inf, -inf):
-                return "Infinity" if o > 0 else "-Infinity"
-            return float.__repr__(o)
-        if isinstance(o, (list, tuple)):
-            kind = list
-        elif isinstance(o, dict):
-            kind = dict
-        else:
-            raise TypeError(
-                f"Object of type {o.__class__.__name__} is not JSON serializable"
-            )
+    if kind is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
     inner = indent + "  "
     if kind is dict:
         if not o:
             return "{}"
-        items = [
-            (_quote(k) if type(k) is str else _key(k))
-            + ": "
-            + (_quote(v) if type(v) is str else _canonical(v, inner))
-            for k, v in sorted(o.items())
-        ]
+        try:
+            items = [
+                _quote(k)
+                + ": "
+                + (_quote(v) if type(v) is str else _canonical(v, inner))
+                for k, v in sorted(o.items())
+            ]
+        except TypeError:  # keys not all str, or a value json cannot write
+            return _by_json(o, indent)
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if not o:
-        return "[]"
-    # a str, the most common item, is quoted here and not in a call
-    items = [_quote(v) if type(v) is str else _canonical(v, inner) for v in o]
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is list or kind is tuple:
+        if not o:
+            return "[]"
+        # a str, the most common item, is quoted here and not in a call
+        items = [_quote(v) if type(v) is str else _canonical(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return _by_json(o, indent)
 
 
-def _key(key) -> str:
-    # json writes a scalar key as the quoted text of the scalar
-    if isinstance(key, str):
-        return _quote(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + _canonical(key, "") + '"'
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
+def _by_json(o, indent: str) -> str:
+    """o as `json.dumps` writes it at the depth where indent starts."""
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", indent)
 
 
 def write_report(data: dict, path: str | None) -> str:

@@ -70,23 +70,41 @@ class MechanismError(ValueError):
     """Malformed mechanism, unavailable profile, or exceeded scale guard."""
 
 
-def scale_guard(count: int, what: str = "profiles") -> None:
-    """Refuse enumerations larger than OSPKIT_SCALE_GUARD (default 100000)."""
+def _scale_limit() -> int:
     raw = os.environ.get("OSPKIT_SCALE_GUARD", DEFAULT_SCALE_GUARD)
     try:
-        limit = int(raw)
+        return int(raw)
     except ValueError:
         raise MechanismError(
             f"OSPKIT_SCALE_GUARD must be an integer, not {raw!r}"
         ) from None
+
+
+def _over(shown, what: str, limit: int) -> MechanismError:
+    return MechanismError(
+        f"enumeration of {shown} {what} exceeds scale guard {limit}; "
+        "raise OSPKIT_SCALE_GUARD to allow"
+    )
+
+
+def scale_guard(count: int, what: str = "profiles") -> None:
+    """Refuse enumerations larger than OSPKIT_SCALE_GUARD (default 100000)."""
+    limit = _scale_limit()
     if count > limit:
         # a count past 10^18 is shown by its magnitude: Python refuses to
         # print an int of more than 4300 digits
         shown = count if count < 10**18 else f"about 10^{int(log10(count))}"
-        raise MechanismError(
-            f"enumeration of {shown} {what} exceeds scale guard {limit}; "
-            "raise OSPKIT_SCALE_GUARD to allow"
-        )
+        raise _over(shown, what, limit)
+
+
+def _magnitude_guard(digits: float, what: str) -> None:
+    """Refuse a count of about 10^digits by that magnitude, before it is
+    built, when it has 4300 digits more than OSPKIT_SCALE_GUARD has bits:
+    it is surely over the guard, and building it may never end (2 ** n at
+    n = 10^20).  A smaller count is cheap to build for `scale_guard`."""
+    limit = _scale_limit()
+    if digits > 4300 + limit.bit_length():
+        raise _over(f"about 10^{int(digits)}", what, limit)
 
 
 def as_integer(value) -> int:
@@ -223,7 +241,7 @@ class ImplementationTree:
     there, one entry per horizon it tells apart.  `class_graphs` starts
     empty too: `cmon` keeps there, under (horizon, agent), the agent's
     profile-class partition and each class's target list, built once and
-    read by both the class graph and payment synthesis.
+    read by the class graph, payment synthesis and `build_profile_classes`.
     """
 
     def __init__(self, agents: int, domains, root: int, nodes) -> None:
@@ -277,7 +295,8 @@ class ImplementationTree:
         internal_ids, winners = self.internal_ids, self.winners
         # nodes below a block with a foreign or repeated value, where a
         # domain is the written block, not the types its mask names
-        literal: set[int] = set()
+        self._literal: set[int] = set()
+        literal = self._literal
         # the facts of each distinct blocks tuple (per agent, own mask and
         # literal flag) and of each distinct outcome vector, keyed by
         # identity: every keyed object stays alive in `nodes` meanwhile
@@ -378,11 +397,11 @@ class ImplementationTree:
     def domain_at(self) -> dict[int, tuple[tuple[Rat, ...], ...]]:
         # below a query the queried agent's domain is the child's block,
         # sorted: one tuple per mask, except below a block with a foreign
-        # or repeated value (`literal`), where it is the block as written
-        nodes = self.nodes
+        # or repeated value (the walk's `_literal`), where it is the block
+        # as written
+        nodes, literal = self.nodes, self._literal
         domain_at = {self.root: self.domains}
         named = [{(1 << len(d)) - 1: d} for d in self.domains]
-        literal: set[int] = set()
         for nid in self.internal_ids:
             node = nodes[nid]
             j, dom = node.agent, domain_at[nid]
@@ -391,8 +410,7 @@ class ImplementationTree:
             for blk, m, cid in reversed(list(zip(node.blocks, bms, node.children))):
                 if cid not in nodes:
                     continue
-                if nid in literal or len(blk) != m.bit_count():
-                    literal.add(cid)
+                if cid in literal:
                     mine = tuple(sorted(blk))
                 else:
                     mine = named[j].get(m)

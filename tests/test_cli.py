@@ -1,6 +1,9 @@
 """End-to-end runs of the command line through cli.main, checking the exit
 code contract and report bytes rather than internals."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,6 +23,7 @@ from ospkit import (
 )
 from ospkit.io import render_report
 from ospkit.rational import format_rational
+from test_io import LISTED, listed_with
 from test_verifier import random_priced_trees
 
 
@@ -776,3 +780,123 @@ class TestExperiment:
             "instance": "single_item(2,4)", "d": 4, "k": "inf",
             "verdict_k_limitable": "pass", "worst_ratio": "1", "queries_max": 2,
         }]
+
+
+# -- what reports hold --------------------------------------------------------
+
+# every verb, in an order where each reads the files the ones before wrote,
+# and its exit code: 1 is a verdict (a failed check, negative cycles, an
+# exhausted search)
+EVERY_VERB = [
+    (["fixtures"], 0),
+    (["fixtures", "english(3,5)"], 0),
+    (["fixtures", "appendix_b"], 0),
+    (["fixtures", "single_item(2,4)", "--out", "si.json"], 0),
+    (["fixtures", "uniform(4,2,4)"], 0),
+    (["verify", "--mechanism", "english_3_5.json", "--k", "1", "--out", "r.json"], 1),
+    (["verify", "--mechanism", "english_3_5.json", "--k", "2"], 0),
+    (["verify", "--mechanism", "appendix_b.json", "--k", "inf"], 0),
+    (["cmon", "--mechanism", "english_3_5.json", "--k", "2", "--dump-graph", "g.json"], 0),
+    (["greedy", "extract-tree", "--instance", "si.json", "--out", "t.json"], 0),
+    (["greedy", "extract-tree", "--instance", "si.json", "--out", "raw.json", "--raw"], 0),
+    (["payments", "--mechanism", "t.json", "--k", "0", "--out", "p.json"], 0),
+    (["verify", "--mechanism", "p.json", "--k", "0"], 0),
+    (["greedy", "extract-tree", "--instance", "uniform_4_2_4.json", "--out", "u.json"], 0),
+    (["payments", "--mechanism", "u.json", "--k", "0", "--out", "pu.json"], 1),
+    (["cmon", "--mechanism", "u.json", "--k", "0"], 1),
+    (["greedy", "--instance", "uniform_4_2_4.json", "--truth", "1,2,3,4"], 0),
+    (["approx", "--instance", "si.json"], 0),
+    (["search", "--instance", "si.json", "--k", "0", "--ratio", "1", "--out", "f.json"], 0),
+    (["search", "--instance", "si.json", "--k", "0", "--ratio", "1", "--greedy-outcome"], 1),
+    (["experiment", "--instance", "uniform(3,2,3)", "--instance",
+      "triangle_graphic(3)", "--ks", "0,1,2,inf"], 0),
+    (["experiment", "--instance", "uniform(3,2,3)", "--ks", "0,inf", "--format", "json"], 0),
+]
+
+
+def test_every_verb_writes_only_what_the_writer_joins(capsys, tmp_path, monkeypatch):
+    """render_report joins str, int, bool and None in lists, tuples and
+    dicts with str keys, and hands anything else to `json.dumps`.  With
+    that hand-off made to fail, every verb still runs as before: the
+    package writes no other value."""
+
+    def refuse(o, indent):
+        raise AssertionError(f"{type(o).__name__} handed to json.dumps")
+
+    monkeypatch.setattr("ospkit.io._by_json", refuse)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(AssertionError, match="float handed"):
+        render_report({"ratio": 0.5})
+    for argv, want in EVERY_VERB:
+        code, _, err = run(capsys, *argv)
+        assert (code, argv) == (want, argv), err
+
+
+@pytest.mark.parametrize(
+    "path,value,field",
+    [
+        (("domains", 0), "12", "domains[0]"),
+        (("nodes", 0, "blocks"), ["1", "2"], "blocks[0]"),
+        (("nodes", 0, "children"), "12", "children"),
+        (("nodes", 1, "outcome"), "10", "outcome"),
+        (("nodes", 1, "payment"), "00", "payment"),
+    ],
+)
+def test_text_in_a_mechanism_list_field_exits_2(capsys, tmp_path, path, value, field):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(LISTED))
+    code, _, _ = run(capsys, "verify", "--mechanism", str(p), "--k", "1")
+    assert code == 1  # the file as written gets a verdict
+    p.write_text(listed_with(path, value))
+    for argv in MECHANISM_VERBS:
+        code, out, err = run(capsys, *argv, "--mechanism", str(p))
+        assert (code, out) == (2, "")
+        assert f"'{field}' must be a list" in err
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"kind": "single_item", "n": 2, "domain": "12"}, "domain"),
+        ({"kind": "graphic", "n": 2, "domain": ["1", "2"],
+          "params": {"edges": ["01", "12"]}}, "params.edges[0]"),
+        ({"kind": "explicit", "n": 2, "domain": ["1", "2"],
+          "params": {"maximal_sets": ["01"]}}, "params.maximal_sets[0]"),
+    ],
+)
+def test_text_in_an_instance_list_field_exits_2(capsys, tmp_path, data, field):
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, "approx", "--instance", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: '{field}' must be a list\n"
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "--instance", "huge.json"],
+        ["greedy", "extract-tree", "--instance", "huge.json", "--out", "t.json"],
+        ["fixtures", "english(99999999999999999999,3)"],
+    ],
+)
+def test_astronomical_counts_exit_2_within_5_s(tmp_path, argv):
+    # 3^(10^20) profiles: the guard used to build the count first, and
+    # the clock had no guard at all
+    (tmp_path / "huge.json").write_text(json.dumps({
+        "kind": "single_item", "n": 10**20, "params": {}, "domain": ["1", "2", "3"],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ospkit", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: enumeration of about 10^47712125471966243539 strategy profiles "
+        "exceeds scale guard 100000; raise OSPKIT_SCALE_GUARD to allow\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]

@@ -720,14 +720,14 @@ class TestKeptClassGraphs:
     def test_class_graphs_once_per_horizon_and_agent(self, monkeypatch):
         built = Counter()
         target = None
-        real = cmon.build_profile_classes
+        real = cmon._partition
 
         def counted(tree, k, agent):
             if tree is target:
                 built[k, agent] += 1
             return real(tree, k, agent)
 
-        monkeypatch.setattr(cmon, "build_profile_classes", counted)
+        monkeypatch.setattr(cmon, "_partition", counted)
         rng = random.Random(23)
         seen = Counter()
         for target, _ in extra_query_draws(range(150)):

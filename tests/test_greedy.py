@@ -1,7 +1,10 @@
 import gc
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import inf
@@ -545,6 +548,76 @@ def test_profile_enumerations_respect_scale_guard(monkeypatch):
         approx_ratio(ps, tree, [1, 2, 3])
     monkeypatch.setenv("OSPKIT_SCALE_GUARD", "9")
     assert approx_ratio(ps, extract_tree(ps, [1, 2, 3]), [1, 2, 3])[0] == 1
+
+
+# each call counts 2^n, 3^n, comb(n, r) or d^n items for n = 10^20: the
+# guards used to build that count before comparing it, which never ended
+ASTRONOMICAL = [
+    ("PSystem(10**20, bool).maximal_sets()", "about 10^30102999566398119801 subsets"),
+    ("PSystem(10**20, bool).validate()", "about 10^30102999566398119801 subsets"),
+    ("rank_quotient(PSystem(10**20, bool))",
+     "about 10^47712125471966243539 subset-submask pairs"),
+    ("PSystem.uniform(10**20, 10**19).maximal_sets()",
+     "about 10^14118174150460748781 maximal sets"),
+    ("english_auction_tree(10**20, [1, 2, 3])",
+     "about 10^47712125471966243539 strategy profiles"),
+]
+
+
+@pytest.mark.parametrize("call,count", ASTRONOMICAL)
+def test_astronomical_counts_are_refused_within_5_s(call, count):
+    script = (
+        "from ospkit import *\n"
+        f"try:\n    {call}\nexcept MechanismError as exc:\n    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(greedy.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.stdout == (
+        f"enumeration of {count} exceeds scale guard 100000; "
+        "raise OSPKIT_SCALE_GUARD to allow\n"
+    ), proc.stderr
+
+
+def test_counts_past_the_guard_keep_their_message():
+    # counts a few digits long are built and shown whole, and counts past
+    # 10^18 by the log10 of the whole count, wherever it can be built
+    cases = [
+        (lambda: english_auction_tree(8, [1, 2, 3, 4, 5]), "390625 strategy profiles"),
+        (lambda: PSystem(10**6, bool).validate(), "about 10^301029 subsets"),
+        (lambda: PSystem(30, bool).validate(), "1073741824 subsets"),
+        (lambda: rank_quotient(PSystem(10**6, bool)),
+         "about 10^477121 subset-submask pairs"),
+        (lambda: PSystem.uniform(10**6, 5 * 10**5).maximal_sets(),
+         "about 10^301026 maximal sets"),
+        (lambda: PSystem.uniform(10**20, 2).maximal_sets(),
+         "about 10^39 maximal sets"),
+        (lambda: PSystem.uniform(10**20, 250).maximal_sets(),
+         "about 10^4507 maximal sets"),
+    ]
+    for call, count in cases:
+        with pytest.raises(MechanismError) as caught:
+            call()
+        assert str(caught.value) == (
+            f"enumeration of {count} exceeds scale guard 100000; "
+            "raise OSPKIT_SCALE_GUARD to allow"
+        )
+
+
+def test_a_guard_of_thousands_of_digits_is_obeyed(monkeypatch):
+    # a power is weighed by its magnitude only past a guard's own size:
+    # under a guard of 5001 digits, 2^16000 (4817 digits) is let through
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "1" + "0" * 5000)
+        greedy._power_guard(2, 16000, "subsets")
+        with pytest.raises(MechanismError, match=r"^enumeration of about 10\^6020 subsets"):
+            greedy._power_guard(2, 20000, "subsets")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 GEOMETRIC = [1, 2, 4, 8]

@@ -330,6 +330,91 @@ class TestMechanismFiles:
             loads_mechanism(text)
 
 
+# a two-agent mechanism file whose list fields are swapped one at a time
+# for text or an object, which iterate by character or key
+LISTED = {
+    "agents": 2,
+    "domains": [["1", "2"], ["1"]],
+    "root": 0,
+    "nodes": [
+        {"id": 0, "kind": "query", "agent": 0, "blocks": [["1"], ["2"]],
+         "children": [1, 2]},
+        {"id": 1, "kind": "leaf", "outcome": ["1", "0"], "payment": ["0", "0"]},
+        {"id": 2, "kind": "leaf", "outcome": ["0", "1"], "payment": ["0", "0"]},
+    ],
+}
+
+
+def listed_with(path, value) -> str:
+    """LISTED, one line per value, with the field at path set to value."""
+    data = json.loads(json.dumps(LISTED))
+    *head, last = path
+    here = data
+    for key in head:
+        here = here[key]
+    here[last] = value
+    return json.dumps(data, indent=1)
+
+
+class TestListFields:
+    """Every list field of a mechanism or instance file must be a json
+    list: text or an object in its place used to be read a character or a
+    key at a time, and the tree or system came out changed."""
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("domains",), "12", "bad header: 'domains' must be a list"),
+            (("domains", 0), "12", "bad header: 'domains[0]' must be a list"),
+            (("domains", 0), {"1": 0}, "bad header: 'domains[0]' must be a list"),
+            (("nodes", 0, "blocks"), ["1", "2"], "'blocks[0]' must be a list"),
+            (("nodes", 0, "blocks"), {"1": 0, "2": 1}, "'blocks' must be a list"),
+            (("nodes", 0, "children"), "12", "'children' must be a list"),
+            (("nodes", 0, "children"), {"1": 0, "2": 0}, "'children' must be a list"),
+            (("nodes", 1, "outcome"), "10", "'outcome' must be a list"),
+            (("nodes", 1, "payment"), "00", "'payment' must be a list"),
+            (("nodes", 2, "payment"), {"0": 0, "1": 0}, "'payment' must be a list"),
+        ],
+    )
+    def test_mechanism_fields(self, path, value, message):
+        text = listed_with(path, value)
+        if path[0] == "nodes":
+            nid = path[1]
+            line = text.splitlines().index(f'   "id": {nid},') + 1
+            message = f"node {nid} (line {line}): {message}"
+        with pytest.raises(MechanismFormatError) as caught:
+            loads_mechanism(text)
+        assert str(caught.value) == message
+        loads_mechanism(json.dumps(LISTED))  # the unchanged file loads
+
+    @pytest.mark.parametrize(
+        "kind,field,value,message",
+        [
+            ("single_item", "domain", "12", "'domain' must be a list"),
+            ("single_item", "domain", {"1": 0}, "'domain' must be a list"),
+            ("graphic", "edges", ["01", "12"], "'params.edges[0]' must be a list"),
+            ("graphic", "edges", {"01": 0, "12": 1}, "'params.edges' must be a list"),
+            ("explicit", "maximal_sets", ["01"],
+             "'params.maximal_sets[0]' must be a list"),
+            ("explicit", "maximal_sets", "01", "'params.maximal_sets' must be a list"),
+        ],
+    )
+    def test_instance_fields(self, kind, field, value, message):
+        data = {"kind": kind, "n": 2, "domain": ["1", "2"], "params": {}}
+        data["params"] = {
+            "graphic": {"edges": [[0, 1], [1, 2]]},
+            "explicit": {"maximal_sets": [[0, 1]]},
+        }.get(kind, {})
+        loads_instance(json.dumps(data))  # the unchanged file loads
+        if field == "domain":
+            data["domain"] = value
+        else:
+            data["params"][field] = value
+        with pytest.raises(MechanismFormatError) as caught:
+            loads_instance(json.dumps(data))
+        assert str(caught.value) == message
+
+
 class TestInstanceFiles:
     @pytest.mark.parametrize(
         "ps,domain",
