@@ -134,7 +134,13 @@ class PSystem:
 
     @classmethod
     def graphic(cls, edges) -> "PSystem":
-        edge_list = [(as_integer(u), as_integer(v)) for u, v in edges]
+        edge_list = []
+        for i, edge in enumerate(edges):
+            try:
+                u, v = edge
+                edge_list.append((as_integer(u), as_integer(v)))
+            except (TypeError, ValueError) as exc:  # not two integers
+                raise MechanismError(f"edge {i}: {exc}") from None
         if not edge_list:
             raise MechanismError("graphic system needs at least one edge")
 

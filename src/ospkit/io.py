@@ -269,10 +269,15 @@ def loads_instance(text: str):
         elif kind == "uniform":
             ps = PSystem.uniform(n, params["rank"])
         elif kind == "graphic":
-            edges = [
-                tuple(map(as_integer, _list(e, f"params.edges[{i}]")))
-                for i, e in enumerate(_list(params["edges"], "params.edges"))
-            ]
+            edges = []
+            for i, e in enumerate(_list(params["edges"], "params.edges")):
+                field = f"params.edges[{i}]"
+                if len(_list(e, field)) != 2:
+                    raise ValueError(f"'{field}' must list two endpoints")
+                try:
+                    edges.append((as_integer(e[0]), as_integer(e[1])))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"'{field}': {exc}") from None
             if len(edges) != n:
                 raise MechanismFormatError(
                     f"{len(edges)} edges for {n} elements"

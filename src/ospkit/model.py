@@ -25,13 +25,16 @@ Every domain is totally ordered, so a type's position in its agent's
 sorted domain keeps its order; the walk records every block and every
 current domain as an int mask over those positions (`block_masks`,
 `mask_at`), and `domain_at` holds every current domain as a tuple of
-types.  The tree builders and the loader hand many nodes one blocks
-tuple or one outcome vector, so the walk computes the masks and the
-partition verdict once per distinct blocks object (and agent, own mask
-and literal flag), and the winners once per distinct outcome object.
-It keys them by `id`, which is safe because every keyed object stays
-alive in the tree's own node map for the whole walk, so no id is
-reused for another object meanwhile.
+types.  While every query passes the mask test of `_split`, every
+domain is the types its mask names; once one fails, the tree is read
+by the definition, every query against its current domain as written.
+The tree builders and the loader hand many nodes one blocks tuple or
+one outcome vector, so the walk computes the masks and the mask test
+once per distinct blocks object (and agent and own mask), and the
+winners once per distinct outcome object.  It keys them by `id`, which
+is safe because every keyed object stays alive in the tree's own node
+map for the whole walk, so no id is reused for another object
+meanwhile.
 On a valid tree the blocks partition every current domain, so the
 profiles available at a node that reach a leaf below it are exactly the
 leaf's own box, `mask_at[leaf]` (as types, `domain_at[leaf]`): every table
@@ -101,10 +104,13 @@ def _magnitude_guard(digits: float, what: str) -> None:
     """Refuse a count of about 10^digits by that magnitude, before it is
     built, when it has 4300 digits more than OSPKIT_SCALE_GUARD has bits:
     it is surely over the guard, and building it may never end (2 ** n at
-    n = 10^20).  A smaller count is cheap to build for `scale_guard`."""
+    n = 10^20).  A smaller count is cheap to build for `scale_guard`.  An
+    exponent of more than 20 digits is shown by its own magnitude."""
     limit = _scale_limit()
     if digits > 4300 + limit.bit_length():
-        raise _over(f"about 10^{int(digits)}", what, limit)
+        e = int(digits)
+        shown = e if e < 10**20 else f"(10^{int(log10(e))})"
+        raise _over(f"about 10^{shown}", what, limit)
 
 
 def as_integer(value) -> int:
@@ -277,9 +283,9 @@ class ImplementationTree:
             raise MechanismError(f"root {root} not among nodes")
 
         structural: list[str] = []
-        # problem texts, and the ids of queries whose blocks are checked
-        # against their written current domain once the walk is done
+        # the leaves' problem texts and every query's id, in preorder
         checks: list[str | int] = []
+        failed = False
         self.nonbinary: tuple[int, Rat] | None = None
         self.commitments: dict[int | float, dict[int, dict[int, int]]] = {}
         self.class_graphs: dict[tuple[int | float, int], tuple] = {}
@@ -293,13 +299,9 @@ class ImplementationTree:
         parent, mask_at, block_masks = self.parent, self.mask_at, self.block_masks
         preorder, leaf_ids = self.preorder, self.leaf_ids
         internal_ids, winners = self.internal_ids, self.winners
-        # nodes below a block with a foreign or repeated value, where a
-        # domain is the written block, not the types its mask names
-        self._literal: set[int] = set()
-        literal = self._literal
-        # the facts of each distinct blocks tuple (per agent, own mask and
-        # literal flag) and of each distinct outcome vector, keyed by
-        # identity: every keyed object stays alive in `nodes` meanwhile
+        # the facts of each distinct blocks tuple (per agent and own mask)
+        # and of each distinct outcome vector, keyed by identity: every
+        # keyed object stays alive in `nodes` meanwhile
         splits: dict[tuple, tuple] = {}
         outcomes: dict[int, tuple[int, Rat | None]] = {}
 
@@ -327,22 +329,22 @@ class ImplementationTree:
                 raise MechanismError(f"node {nid} queries unknown agent {node.agent}")
             internal_ids.append(nid)
             masks, blocks = mask_at[nid], node.blocks
-            own, lit = masks[j], nid in literal
-            key = (j, id(blocks), own, lit)
+            key = (j, id(blocks), masks[j])
             facts = splits.get(key)
             if facts is None:
-                facts = splits[key] = _split(self.positions[j], own, lit, blocks)
-            bms, whole, lits = facts
+                facts = splits[key] = _split(self.positions[j], masks[j], blocks)
+            bms, whole = facts
             block_masks[nid] = bms
+            checks.append(nid)
             if not whole:
-                checks.append(nid)
+                failed = True
             if len(node.children) != len(blocks):
                 structural.append(
                     f"node {nid}: {len(blocks)} blocks, "
                     f"{len(node.children)} children"
                 )
             head, tail = masks[:j], masks[j + 1 :]
-            for m, lit, cid in reversed(list(zip(bms, lits, node.children))):
+            for m, cid in reversed(list(zip(bms, node.children))):
                 if type(cid) is not int:
                     raise MechanismError(f"node {nid}: child {cid!r} is not an int")
                 if cid not in nodes:
@@ -352,8 +354,6 @@ class ImplementationTree:
                     raise MechanismError(f"node {cid} is reached twice")
                 parent[cid] = nid
                 mask_at[cid] = head + (m,) + tail
-                if lit:
-                    literal.add(cid)
                 stack.append(cid)
 
         if len(preorder) < len(nodes):
@@ -372,18 +372,19 @@ class ImplementationTree:
             for i, dom in enumerate(self.domains)
             if not dom
         ]
-        if any(type(c) is int for c in checks):
+        if failed:  # every query's problems against its written domain
+            at = self.domain_at
             checks = [
                 problem
                 for c in checks
                 for problem in (
                     [c]
                     if type(c) is str
-                    else _block_problems(
-                        c, self.domain_at[c][nodes[c].agent], nodes[c].blocks
-                    )
+                    else _block_problems(c, at[c][nodes[c].agent], nodes[c].blocks)
                 )
             ]
+        else:  # every query partitions its domain
+            checks = [c for c in checks if type(c) is str]
         self.problems: tuple[str, ...] = tuple(structural + empty + checks)
 
     @cached_property
@@ -396,10 +397,9 @@ class ImplementationTree:
     @cached_property
     def domain_at(self) -> dict[int, tuple[tuple[Rat, ...], ...]]:
         # below a query the queried agent's domain is the child's block,
-        # sorted: one tuple per mask, except below a block with a foreign
-        # or repeated value (the walk's `_literal`), where it is the block
-        # as written
-        nodes, literal = self.nodes, self._literal
+        # sorted: a block with a foreign or repeated value (fewer bits than
+        # values) as written, any other as the one tuple of its mask's types
+        nodes = self.nodes
         domain_at = {self.root: self.domains}
         named = [{(1 << len(d)) - 1: d} for d in self.domains]
         for nid in self.internal_ids:
@@ -410,7 +410,7 @@ class ImplementationTree:
             for blk, m, cid in reversed(list(zip(node.blocks, bms, node.children))):
                 if cid not in nodes:
                     continue
-                if cid in literal:
+                if len(blk) != m.bit_count():
                     mine = tuple(sorted(blk))
                 else:
                     mine = named[j].get(m)
@@ -547,12 +547,15 @@ def _outcome_facts(outcome) -> tuple[int, Rat | None]:
     return won, other
 
 
-def _split(at: dict, own: int, literal: bool, blocks):
-    """The masks of `blocks` over one agent's positions `at`, whether they
-    surely partition her current domain `own`, and for each block whether
-    the domain below it is the written block (`literal`)."""
+def _split(at: dict, own: int, blocks):
+    """The masks of `blocks` over one agent's positions `at`, and whether
+    they pass the mask test: two or more nonempty blocks holding as many
+    values as `own` has bits, with masks adding up to `own`.  A foreign
+    or repeated value, or a carry, would lose a bit, so passing blocks
+    partition the types `own` names.  Once a query fails, a block may
+    hold a foreign or repeated value, and a domain below it is not its
+    mask's types: the tree checks every query against its written domain."""
     bms = []
-    lits = []
     for blk in blocks:
         m = 0
         for v in blk:
@@ -560,19 +563,13 @@ def _split(at: dict, own: int, literal: bool, blocks):
             if p is not None:
                 m |= 1 << p
         bms.append(m)
-        # a foreign or repeated value loses a bit
-        lits.append(literal or len(blk) != m.bit_count())
-    # nonempty blocks whose masks add up to the domain's, holding as many
-    # values: a partition; a domain differs from its mask only below a
-    # literal block, where the written domain decides
     whole = (
-        not literal
-        and len(bms) >= 2
+        len(bms) >= 2
         and all(blocks)
         and sum(map(len, blocks)) == own.bit_count()
         and sum(bms) == own
     )
-    return tuple(bms), whole, tuple(lits)
+    return tuple(bms), whole
 
 
 def _block_problems(nid: int, dom, blocks) -> list[str]:

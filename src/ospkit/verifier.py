@@ -612,6 +612,11 @@ def _taxation_case(tree, u, i, a, ci, di, leaf_at):
             break
         nid = tree.parent[nid]
 
+    # `outside` holds a type: a[i] is in the leaf's box and ci, di are in
+    # its commitment set, all in u's child on the leaf's path, so the trio
+    # lies in one block of u; u, a valid query to agent i, has another
+    # nonempty block, and the walk up from `split` ends at u.  That type
+    # lies above di, below a[i], or strictly between them.
     top = outside >> (di + 1) != 0
     bottom = outside & ((1 << a[i]) - 1) != 0
     inner = outside & ((1 << di) - (2 << a[i])) != 0
@@ -625,12 +630,10 @@ def _taxation_case(tree, u, i, a, ci, di, leaf_at):
         if va == vc:
             return None
         case, detail = "lower_pair", f"outcomes {va} and {vc} must coincide"
-    elif bottom:
+    else:  # bottom
         if vc == vd:
             return None
         case, detail = "upper_pair", f"outcomes {vc} and {vd} must coincide"
-    else:
-        return None
     prof = tuple(tree.domains[j][p] for j, p in enumerate(a))
     return TaxationFinding(
         u, i, prof, tree.domains[i][ci], tree.domains[i][di], case, detail

@@ -420,6 +420,37 @@ class TestErrorPaths:
         assert "about 10^477121 strategy profiles exceeds scale guard" in err
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "digits,magnitude", [(400, "10^(10^398)"), (4300, "10^(10^4298)")]
+    )
+    def test_huge_n_shows_its_exponent_by_magnitude(
+        self, capsys, tmp_path, digits, magnitude
+    ):
+        # n = 11...1 with 400 digits used to print a 400-digit exponent;
+        # 4300 digits is the most json reads into an int
+        p = tmp_path / "huge.json"
+        p.write_text('{"kind": "single_item", "n": ' + "1" * digits
+                     + ', "params": {}, "domain": ["1", "2", "3"]}')
+        code, out, err = run(capsys, "approx", "--instance", str(p))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: enumeration of about {magnitude} strategy profiles "
+            "exceeds scale guard 100000; raise OSPKIT_SCALE_GUARD to allow\n"
+        )
+        assert len(err) < 200
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["greedy", "extract-tree"], "error: extract-tree needs --out MECHFILE"),
+            (["greedy"], 'error: greedy needs --truth "a,b,..." (or extract-tree)'),
+        ],
+        ids=["extract_tree_without_out", "greedy_without_truth"],
+    )
+    def test_greedy_without_its_flag_exits_2(self, capsys, si24_file, argv, message):
+        code, out, err = run(capsys, *argv, "--instance", str(si24_file))
+        assert (code, out, err) == (2, "", message + "\n")
+
     def test_payments_without_out(self, capsys, tmp_path, monkeypatch, si24_file):
         # a payable tree used to end in a TypeError on open(None), exit 3
         monkeypatch.chdir(tmp_path)
@@ -870,6 +901,27 @@ def test_text_in_an_instance_list_field_exits_2(capsys, tmp_path, data, field):
     code, out, err = run(capsys, "approx", "--instance", str(p))
     assert (code, out) == (2, "")
     assert err == f"error: '{field}' must be a list\n"
+
+
+@pytest.mark.parametrize(
+    "edge,message",
+    [
+        ([0, 1, 2], " must list two endpoints"),
+        ([0], " must list two endpoints"),
+        ([0, "a"], ": invalid literal for int() with base 10: 'a'"),
+    ],
+    ids=["three_endpoints", "one_endpoint", "text_endpoint"],
+)
+def test_graphic_edge_that_is_not_two_ints_names_its_entry(
+    capsys, tmp_path, edge, message
+):
+    # these used to print only the unpacking or int() error
+    p = tmp_path / "i.json"
+    p.write_text(json.dumps({"kind": "graphic", "n": 2, "domain": ["1", "2"],
+                             "params": {"edges": [[0, 1], edge]}}))
+    code, out, err = run(capsys, "approx", "--instance", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad graphic instance: 'params.edges[1]'{message}\n"
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

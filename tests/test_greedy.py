@@ -41,7 +41,7 @@ from ospkit import (
     surviving_solutions,
     unremovable,
 )
-from ospkit import greedy
+from ospkit import greedy, model
 from ospkit.fixtures import materialize
 from ospkit.model import (
     ImplementationTree,
@@ -135,6 +135,22 @@ class TestPSystem:
             PSystem.uniform(2, -1)
         with pytest.raises(MechanismError):
             PSystem.graphic([])
+
+    @pytest.mark.parametrize(
+        "edge", [(0, 1, 2), (0,), (0, "a")], ids=["three", "one", "text"]
+    )
+    def test_graphic_edge_that_is_not_two_ints_is_named(self, edge):
+        # these used to raise a bare ValueError from unpacking or int()
+        with pytest.raises(MechanismError, match=r"^edge 1: "):
+            PSystem.graphic([(0, 1), edge])
+
+    def test_explicit_sets_stay_in_the_ground_set(self):
+        with pytest.raises(
+            MechanismError, match=r"^element outside ground set in \[0, 5\]$"
+        ):
+            PSystem.explicit(3, [{0, 1}, {0, 5}])
+        # no sets listed: only the empty set is feasible
+        assert PSystem.explicit(3, []).maximal_sets() == (frozenset(),)
 
     def test_sizes_follow_the_integer_rule(self):
         # int() used to truncate these: uniform(4, 1.5) had rank 1
@@ -390,6 +406,31 @@ class TestTwoWayShape:
         assert dumps_mechanism(english_auction_tree(2.0, [1, 2, 3])) == want
         assert dumps_mechanism(english_auction_tree("2", [1, 2, 3])) == want
 
+    def test_clock_needs_an_agent(self):
+        with pytest.raises(MechanismError, match="^at least one agent is required$"):
+            english_auction_tree(0, [1, 2, 3])
+
+    def test_fashion_change_needs_a_revealable_domain(self):
+        # agent 0 is asked greedily for {1}, then in reverse for {4}; below
+        # that query type 2 loses and type 3 wins, so neither side is pinned
+        t = tree_from_nested(1, [[1, 2, 3, 4]], (
+            "q", 0, [
+                ([1], ("leaf", (1,), None)),
+                ([2, 3, 4], ("q", 0, [
+                    ([2, 3], ("q", 0, [
+                        ([2], ("leaf", (0,), None)),
+                        ([3], ("leaf", (1,), None)),
+                    ])),
+                    ([4], ("leaf", (0,), None)),
+                ])),
+            ],
+        ))
+        assert not is_revealable(t, 2)
+        rep = is_two_way_greedy(t)
+        assert (rep.ok, rep.node, rep.reason) == (
+            False, 2, "fashion change without a revealable domain"
+        )
+
     def test_middle_split_fails(self):
         t = tree_from_nested(2, [[-3, -2, -1], [-1]], (
             "q", 0, [
@@ -561,6 +602,9 @@ ASTRONOMICAL = [
      "about 10^14118174150460748781 maximal sets"),
     ("english_auction_tree(10**20, [1, 2, 3])",
      "about 10^47712125471966243539 strategy profiles"),
+    # an exponent past 20 digits is shown by its own magnitude
+    ("english_auction_tree(10**400, [1, 2, 3])",
+     "about 10^(10^399) strategy profiles"),
 ]
 
 
@@ -602,6 +646,20 @@ def test_counts_past_the_guard_keep_their_message():
             call()
         assert str(caught.value) == (
             f"enumeration of {count} exceeds scale guard 100000; "
+            "raise OSPKIT_SCALE_GUARD to allow"
+        )
+
+
+def test_an_exponent_past_20_digits_is_shown_by_its_magnitude():
+    for digits, shown in [
+        (10**20 - 1, "10^99999999999999999999"),
+        (10**20, "10^(10^20)"),
+        (Fraction(10**4300) * 3, "10^(10^4300)"),
+    ]:
+        with pytest.raises(MechanismError) as caught:
+            model._magnitude_guard(digits, "subsets")
+        assert str(caught.value) == (
+            f"enumeration of about {shown} subsets exceeds scale guard 100000; "
             "raise OSPKIT_SCALE_GUARD to allow"
         )
 

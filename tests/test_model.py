@@ -140,6 +140,11 @@ class TestConstruction:
         assert t.leaf_of((1, 2)).id == 0
 
 
+def test_one_domain_per_agent():
+    with pytest.raises(MechanismError, match="^1 domains for 2 agents$"):
+        ImplementationTree(2, [[1, 2]], 0, {0: LeafNode(0, (F(0), F(0)))})
+
+
 class TestWalks:
     def test_leaf_of(self):
         t = two_agent_tree()
@@ -165,6 +170,24 @@ class TestWalks:
             getattr(t, walk)(profile)
         with pytest.raises(MechanismError, match=f"^{re.escape(message)}$"):
             equivalence_class(t, 0, profile, 0)
+
+    def test_walks_refuse_a_short_profile(self):
+        with pytest.raises(MechanismError, match="^profile length 1 != 2 agents$"):
+            two_agent_tree().path_of((1,))
+
+    def test_walks_on_a_malformed_tree_name_the_node(self):
+        # the root's blocks miss type 3, and its second child is unknown
+        t = ImplementationTree(1, [[1, 2, 3]], 0, {
+            0: QueryNode(0, 0, ((F(1),), (F(2),)), (1, 7)),
+            1: LeafNode(1, (F(0),)),
+        })
+        assert t.problems
+        with pytest.raises(MechanismError, match="^value 3 not in any block of node 0$"):
+            t.leaf_of((3,))
+        with pytest.raises(
+            MechanismError, match="^walk entered defective edge at node 0$"
+        ):
+            t.path_of((2,))
 
     def test_leaf_of_rejects_foreign_type(self):
         t = two_agent_tree()
@@ -1008,8 +1031,8 @@ class TestTablesAgainstOracle:
         ids=["agent", "own_mask", "literal"],
     )
     def test_one_blocks_object_at_unlike_nodes(self, domains, nodes, problems):
-        # the walk's facts about a blocks object hold for one agent, own
-        # mask and literal flag only
+        # the walk's facts about a blocks object hold for one agent and own
+        # mask only, and below a foreign value a domain is read as written
         tree = ImplementationTree(len(domains), domains, 0, nodes)
         assert tree.problems == problems
         assert_tables_match_oracle(tree)
