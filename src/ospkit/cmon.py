@@ -36,6 +36,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 from math import inf, lcm, prod
+from operator import sub
 
 from .model import (
     ImplementationTree,
@@ -273,7 +274,17 @@ def _bellman(graph: OspGraph):
 
 def _relax(agent: int, n: int, edges, lcd: int):
     """Bellman-Ford over n vertices on int edges in list order, the weights
-    scaled by lcd: (labels, None) or (None, witness), as `_bellman`."""
+    scaled by lcd: (labels, None) or (None, witness), as `_bellman`.
+
+    At most n rounds run, and a round that lowers no label returns the
+    labels.  The witness is the loop met by walking `pred` back from the
+    last vertex lowered in round n.  After a round that lowers labels, if
+    the two ends of every edge fell by the same amount in it, the loop
+    stops: the fall is one constant per connected component, so the next
+    round meets each comparison with that constant off both sides and
+    lowers the same labels through the same edges, as does every round
+    after it.  So `pred`, `via` and `last` already hold round n's values,
+    and labels that fall forever mean a negative cycle."""
     if n == 0:
         return [], None
     dist = [0] * n
@@ -281,6 +292,7 @@ def _relax(agent: int, n: int, edges, lcd: int):
     via = [0] * n  # the weight of the edge pred[b] -> b that lowered b
     last = None
     for _ in range(n):
+        before = dist[:]
         changed = False
         for a, b, w in edges:
             cand = dist[a] + w
@@ -292,10 +304,14 @@ def _relax(agent: int, n: int, edges, lcd: int):
                 last = b
         if not changed:
             return [Fraction(d, lcd) for d in dist], None
+        fall = list(map(sub, before, dist))
+        if all(fall[a] == fall[b] for a, b, _ in edges):
+            break
 
     # A cycle exists; walk predecessors until one closes on itself.  It
-    # does: a walk from `last`, lowered in round n, back to a vertex never
-    # lowered would have at most n-1 edges, and round n-1 priced it already.
+    # does: a walk from `last`, lowered in round n (or as round n would
+    # lower it, after the stop), back to a vertex never lowered would have
+    # at most n-1 edges, and round n-1 priced it already.
     x = last
     seen: dict[int, int] = {}
     order: list[int] = []
@@ -314,13 +330,15 @@ def _relax(agent: int, n: int, edges, lcd: int):
 def has_negative_cycle(graph: OspGraph) -> NegativeCycleWitness | None:
     """A negative cycle of the class graph, or None when it has none.
 
-    Bellman-Ford from an implicit zero-source runs n full rounds over the
-    edges in their sorted (source, target) order, n the vertex count, and
-    stops early only after a round that lowers no label.  The witness is
-    found by walking the predecessors back from the last vertex lowered
-    in round n until it reaches a vertex twice.  The cycle is that loop
-    in edge direction, ending at the vertex reached twice; its weight is
-    the sum of the weights of the edges that last lowered its vertices."""
+    Bellman-Ford from an implicit zero-source relaxes the edges in their
+    sorted (source, target) order, n rounds at most for n vertices.  It
+    stops early after a round that lowers no label, and after a round
+    whose fall is equal at both ends of every edge, since every later
+    round repeats that one (`_relax`).  The witness is what round n
+    leaves: the predecessors are walked back from the last vertex lowered
+    in round n until one is reached twice.  The cycle is that loop in
+    edge direction, ending at the vertex reached twice; its weight is the
+    sum of the weights of the edges that last lowered its vertices."""
     _, witness = _bellman(graph)
     return witness
 

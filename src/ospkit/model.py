@@ -57,12 +57,13 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import reprlib
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm, log10, prod
 
-from .rational import Rat, parse_rational
+from .rational import Rat, format_rational, parse_rational
 
 DEFAULT_SCALE_GUARD = 100_000
 
@@ -116,17 +117,22 @@ def _magnitude_guard(digits: float, what: str) -> None:
 def as_integer(value) -> int:
     """An integer field or size: an int, an integral float or integer text.
 
-    A bool, or a float or Fraction with a fractional part, raises
-    MechanismError; int() would read True as 1 and truncate 2.9 to 2."""
+    A bool, a float or Fraction with a fractional part, and any value
+    int() refuses raise MechanismError; int() would read True as 1 and
+    truncate 2.9 to 2."""
     if type(value) is int:  # the common case: a json int
         return value
     # isinstance against Fraction would run the abc machinery in Python
     fractional = (isinstance(value, float) and not value.is_integer()) or (
         type(value) is Fraction and value.denominator != 1
     )
-    if isinstance(value, bool) or fractional:
-        raise MechanismError(f"not an integer: {value!r}")
-    return int(value)
+    if not (isinstance(value, bool) or fractional):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    # reprlib keeps a long text short, such as digits past int()'s limit
+    raise MechanismError(f"not an integer: {reprlib.repr(value)}")
 
 
 def normalize_horizon(k) -> int | float:
@@ -590,7 +596,8 @@ def _block_problems(nid: int, dom, blocks) -> list[str]:
                 problems.append(f"node {nid}: value {v} outside the current domain")
     missing = sorted(set(dom) - seen)
     if missing:
-        problems.append(f"node {nid}: domain values {missing} not covered")
+        shown = ", ".join(map(format_rational, missing))
+        problems.append(f"node {nid}: domain values {shown} not covered")
     return problems
 
 

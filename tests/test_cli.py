@@ -379,13 +379,27 @@ class TestErrorPaths:
                 {"kind": "single_item", "n": float("inf"), "domain": ["1", "2"]},
                 "bad single_item instance",
             ),
+            (
+                ["approx"], "--instance",
+                {"kind": "uniform", "n": "x", "domain": ["1", "2"],
+                 "params": {"rank": 1}},
+                "bad uniform instance: not an integer: 'x'",
+            ),
+            (
+                ["approx"], "--instance",
+                {"kind": "uniform", "n": None, "domain": ["1", "2"],
+                 "params": {"rank": 1}},
+                "bad uniform instance: not an integer: None",
+            ),
         ],
-        ids=["mechanism_header", "uniform", "explicit", "graphic", "infinite_n"],
+        ids=["mechanism_header", "uniform", "explicit", "graphic", "infinite_n",
+             "text_n", "null_n"],
     )
     def test_fractional_integer_field_exits_2(
         self, capsys, tmp_path, argv, flag, data, message
     ):
-        # int() used to truncate these, and each file got a verdict
+        # int() used to truncate these, and each file got a verdict; a
+        # text or null n used to print int()'s own error
         if data == "english":
             data = json.loads(mechanism_text("english(2,3)"))
             data["agents"], data["root"] = 2.9, 0.4
@@ -908,7 +922,7 @@ def test_text_in_an_instance_list_field_exits_2(capsys, tmp_path, data, field):
     [
         ([0, 1, 2], " must list two endpoints"),
         ([0], " must list two endpoints"),
-        ([0, "a"], ": invalid literal for int() with base 10: 'a'"),
+        ([0, "a"], ": not an integer: 'a'"),
     ],
     ids=["three_endpoints", "one_endpoint", "text_endpoint"],
 )

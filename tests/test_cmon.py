@@ -3,7 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,11 +25,17 @@ from ospkit import (
 )
 from ospkit import cmon
 from ospkit.cmon import (
+    NegativeCycleWitness,
     OspGraph,
     ProfileClass,
     StickyResult,
     _bellman,
+    _class_graph,
+    _edges,
+    _relax,
+    _weights,
 )
+from ospkit.fixtures import materialize
 from ospkit.io import dumps_mechanism, loads_mechanism
 from ospkit.model import (
     LeafNode,
@@ -157,6 +163,84 @@ def reference_bellman(graph):
             return None, (cycle, total)
         relax_round()
     raise AssertionError("failed to close a negative cycle")
+
+
+def oracle_relax(agent, n, edges, lcd):
+    """`cmon._relax` without the repeat stop: all n rounds on a graph
+    with a negative cycle."""
+    if n == 0:
+        return [], None
+    dist = [0] * n
+    pred = [None] * n
+    via = [0] * n
+    last = None
+    for _ in range(n):
+        changed = False
+        for a, b, w in edges:
+            cand = dist[a] + w
+            if cand < dist[b]:
+                dist[b] = cand
+                pred[b] = a
+                via[b] = w
+                changed = True
+                last = b
+        if not changed:
+            return [Fraction(d, lcd) for d in dist], None
+
+    x = last
+    seen = {}
+    order = []
+    while x not in seen:
+        seen[x] = len(order)
+        order.append(x)
+        x = pred[x]
+    cycle = tuple(reversed(order[seen[x] :]))
+    total = sum(via[b] for b in cycle)
+    assert total < 0, "backtracked cycle must be negative"
+    return None, NegativeCycleWitness(
+        agent=agent, cycle=cycle, weight=Fraction(total, lcd)
+    )
+
+
+def random_edge_lists(seeds):
+    """(n, edges, lcd) per seed: 1-10 vertices in 1-3 components, int
+    weights in -4..9 on edges within a component, self-loops and
+    parallel edges among them, some edges repeated, all shuffled."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        comp = [rng.randrange(min(3, n)) for _ in range(n)]
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            a = rng.randrange(n)
+            b = rng.choice([v for v in range(n) if comp[v] == comp[a]])
+            edges.append((a, b, rng.randint(-4, 9)))
+        edges += rng.sample(edges, rng.randint(0, len(edges) // 3))
+        rng.shuffle(edges)
+        yield n, edges, rng.choice([1, 2, 6])
+
+
+def int_class_graph(tree, k, agent):
+    """(n, edges, lcd) of the agent's class graph, as synthesis relaxes it."""
+    part, targets = _class_graph(tree, k, agent)
+    lcd = lcm(*(t.denominator for t in tree.domains[agent]))
+    weight = _weights(part, lambda t: t.numerator * (lcd // t.denominator), 0)
+    return len(part.classes), _edges(part, targets, weight), lcd
+
+
+def fixture_tree(name):
+    _, (ps, domain) = materialize(name)
+    return compress(extract_tree(ps, list(domain)))
+
+
+class CountedEdges(list):
+    """An edge list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
 
 
 FRACTION_TYPES = [Fraction(v) for v in ("1/2", "1", "4/3", "2", "5/2", "3")]
@@ -344,6 +428,51 @@ class TestBellmanFord:
                     cheapest = enumerate_min_cycle(g)
                     verdict = has_negative_cycle(g) is not None
                     assert verdict == (cheapest is not None and cheapest < 0)
+
+
+class TestRepeatStop:
+    """`_relax` stops once a round's fall is equal at both ends of every
+    edge; the full-round loop is the oracle for labels and witnesses."""
+
+    def test_matches_full_rounds_on_random_edge_lists(self):
+        seen = Counter()
+        for n, edges, lcd in random_edge_lists(range(3000)):
+            got = _relax(0, n, edges, lcd)
+            assert got == oracle_relax(0, n, edges, lcd)
+            seen[got[1] is None] += 1
+        assert seen[True] > 500 and seen[False] > 500
+
+    @pytest.mark.parametrize(
+        "name,k",
+        [
+            ("uniform(4,2,4)", 0),
+            ("uniform(4,2,4)", 1),
+            # over budget at k = 0
+            ("triangle_graphic(6)", 1),
+            ("triangle_graphic(6)", inf),
+        ],
+    )
+    def test_matches_full_rounds_on_fixture_graphs(self, name, k):
+        tree = fixture_tree(name)
+        failing = 0
+        for agent in range(tree.agents):
+            n, edges, lcd = int_class_graph(tree, k, agent)
+            got = _relax(agent, n, edges, lcd)
+            assert got == oracle_relax(agent, n, edges, lcd)
+            failing += got[1] is not None
+        assert failing
+
+    def test_a_failing_graph_takes_few_passes(self):
+        tree = fixture_tree("uniform(4,2,4)")
+        n, edges, lcd = int_class_graph(tree, 0, 1)
+        assert n == 61
+        full, stopped = CountedEdges(edges), CountedEdges(edges)
+        want = oracle_relax(1, n, full, lcd)
+        assert want[1] is not None and full.passes == n
+        # each round that lowers labels is one pass to relax and one to
+        # compare the falls at the ends of the edges
+        assert _relax(1, n, stopped, lcd) == want
+        assert stopped.passes <= 6
 
 
 class TestGraphOracle:
@@ -937,6 +1066,12 @@ class TestHorizonEquivalence:
             rep = k_vs_infinity_equivalence(t, k)
             assert rep.agree
             assert len(rep.details) == t.agents
+
+    def test_uniform_5_2_4_agrees(self):
+        # agents 1-3 have negative cycles at k = 0 and at inf
+        rep = k_vs_infinity_equivalence(fixture_tree("uniform(5,2,4)"), 0)
+        assert rep.agree
+        assert rep.details == tuple((a, 1 <= a <= 3, 1 <= a <= 3) for a in range(5))
 
     def test_extra_query_trees_agree_or_are_refused(self):
         # within budget the verdicts coincide; over it the tree is refused

@@ -25,6 +25,7 @@ from ospkit.model import (
     MechanismError,
     QueryNode,
     _block_problems,
+    as_integer,
     equivalence_class,
     k_step_neighborhood,
     normalize_horizon,
@@ -133,6 +134,13 @@ class TestConstruction:
         problems = validate_tree(t)
         assert any("two blocks" in p or "in two blocks" in p for p in problems)
         assert any("not covered" in p for p in problems)
+
+    def test_uncovered_values_print_as_rationals(self):
+        # the values used to print as a list of Fraction reprs
+        q = QueryNode(0, 0, ((F("1/2"),), (F(1),)), (1, 2))
+        leaves = {i: LeafNode(i, (F(0),)) for i in (1, 2)}
+        t = ImplementationTree(1, [["1/2", 1, "3/2", 2]], 0, {0: q, **leaves})
+        assert validate_tree(t) == ["node 0: domain values 3/2, 2 not covered"]
 
     def test_single_leaf_tree(self):
         t = tree_from_nested(2, [[1], [1, 2]], ("leaf", [0, 0], None))
@@ -569,8 +577,9 @@ def oracle_validate_tree(tree):
         if seen != set(dom):
             missing = sorted(set(dom) - seen)
             if missing:
+                shown = ", ".join(str(v) for v in missing)
                 problems.append(
-                    f"node {nid}: domain values {missing} not covered"
+                    f"node {nid}: domain values {shown} not covered"
                 )
     return problems
 
@@ -1000,7 +1009,7 @@ class TestTablesAgainstOracle:
                 3: LeafNode(3, (F(0), F(0))),
                 4: LeafNode(4, (F(0), F(0))),
             }, ("node 2: value 3 outside the current domain",
-                "node 2: domain values [Fraction(1, 1)] not covered")),
+                "node 2: domain values 1 not covered")),
             # a partition of {2, 3}, then the same blocks over {1}
             ([[1, 2, 3]], {
                 0: QueryNode(0, 0, ((F(2), F(3)), (F(1),)), (1, 4)),
@@ -1012,7 +1021,7 @@ class TestTablesAgainstOracle:
                 6: LeafNode(6, (F(0),)),
             }, ("node 4: value 2 outside the current domain",
                 "node 4: value 3 outside the current domain",
-                "node 4: domain values [Fraction(1, 1)] not covered")),
+                "node 4: domain values 1 not covered")),
             # the same blocks below a clean block and below one with a
             # foreign value, where the domain is the block as written
             ([[2, 3]], {
@@ -1026,7 +1035,7 @@ class TestTablesAgainstOracle:
             }, ("node 0: value 2 in two blocks",
                 "node 0: value 3 in two blocks",
                 "node 0: value 99 outside the current domain",
-                "node 4: domain values [Fraction(99, 1)] not covered")),
+                "node 4: domain values 99 not covered")),
         ],
         ids=["agent", "own_mask", "literal"],
     )
@@ -1223,6 +1232,24 @@ def test_domains_are_the_sorted_distinct_values():
         assert t.positions == tuple(
             {v.as_integer_ratio(): p for p, v in enumerate(d)} for d in want
         )
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        ("x", "not an integer: 'x'"),
+        (None, "not an integer: None"),
+        ([1], "not an integer: [1]"),
+        # past int()'s digit limit, and shown short
+        ("1" * 5000, "not an integer: '" + "1" * 12 + "..." + "1" * 13 + "'"),
+    ],
+    ids=["text", "none", "list", "long_text"],
+)
+def test_as_integer_refuses_what_int_refuses(value, message):
+    # int()'s own ValueError or TypeError used to escape
+    with pytest.raises(MechanismError) as info:
+        as_integer(value)
+    assert str(info.value) == message
 
 
 def test_integral_header_fields_are_read_as_ints():
