@@ -45,9 +45,9 @@ from .model import (
     QueryNode,
     Record,
     Verdict,
+    _scale_limit,
     normalize_horizon,
     parting_node,
-    profile_leaves,
     require_agent,
     require_binary_outcomes,
     require_valid,
@@ -392,40 +392,40 @@ def synthesize_payments(tree: ImplementationTree, k) -> SynthesisResult:
 
 class StickyResult(Verdict, namedtuple("StickyResult", "ok witness")):
     """Verdict of `sticky_edges_check`; `witness` is (agent, class_a,
-    class_b, x, y, expected, got) or None."""
+    class_b, x, y, expected, got) or None, x and y the `box_min` profiles
+    of the first failing leaf pair."""
 
     __slots__ = ()
 
 
 def sticky_edges_check(tree: ImplementationTree, k) -> StickyResult:
     """On k-limited trees, any two classes joined by an edge are split in
-    one piece: every member pair parts at one and the same query node.
-    Returns the first counterexample otherwise; a tree over budget is
-    refused."""
+    one piece: every member pair parts at one and the same query node to
+    the agent.  Returns the first counterexample otherwise; a tree over
+    budget is refused.
+
+    All profiles of two leaves part where the leaves part (`parting_node`),
+    so an edge is decided on its classes' leaf pairs, in leaf order."""
     k = normalize_horizon(k)
-    leaf_at = profile_leaves(tree, tree.root)
+    limit = _scale_limit()  # read once, not once per edge
     for agent in range(tree.agents):
-        graph = build_k_osp_graph(tree, k, agent)
-        for ca, cb, _ in graph.edges:
-            if ca > cb:
-                continue
-            xs = graph.vertices[ca].members
-            ys = graph.vertices[cb].members
-            scale_guard(len(xs) * len(ys), "member pairs")
+        part, targets = _class_graph(tree, k, agent)
+        leaves: list[list[int]] = [[] for _ in part.classes]
+        for leaf, pos in part.leaf_class.items():  # each class's in order
+            leaves[pos].append(leaf)
+        edges = [(a, b) for a, ends in enumerate(targets) for b in ends if a < b]
+        for ca, cb in edges:
+            pairs = len(leaves[ca]) * len(leaves[cb])
+            if pairs > limit:
+                scale_guard(pairs, "leaf pairs")
             shared = None
-            for x in xs:
-                for y in ys:
-                    where = parting_node(tree, leaf_at[x], leaf_at[y])
-                    if where is None or tree.nodes[where].agent != agent:
-                        return StickyResult(
-                            False, (agent, ca, cb, x, y, shared, where)
-                        )
-                    if shared is None:
-                        shared = where
-                    elif where != shared:
-                        return StickyResult(
-                            False, (agent, ca, cb, x, y, shared, where)
-                        )
+            # the classes are disjoint, so the walks to x and y part
+            for x, y in itertools.product(leaves[ca], leaves[cb]):
+                where = parting_node(tree, x, y)
+                if tree.nodes[where].agent != agent or shared not in (None, where):
+                    xy = tree.box_min(x), tree.box_min(y)
+                    return StickyResult(False, (agent, ca, cb, *xy, shared, where))
+                shared = where
     return StickyResult(True, None)
 
 

@@ -260,7 +260,9 @@ def loads_instance(text: str):
 
     data = _json_object(text, "instance", ("kind", "n", "domain"))
     kind = data["kind"]
-    params = data.get("params", {}) or {}
+    params = {} if data.get("params") is None else data["params"]
+    if type(params) is not dict:
+        raise MechanismFormatError("'params' must be an object")
     try:
         n = as_integer(data["n"])
         domain = tuple(sorted(map(parse_rational, _list(data["domain"], "domain"))))

@@ -702,19 +702,6 @@ def types_of(tree: ImplementationTree, agent: int, mask: int) -> tuple[Rat, ...]
     return tuple(tree.domains[agent][p] for p in bits(mask))
 
 
-def profile_leaves(tree: ImplementationTree, node_id: int) -> dict[tuple, int]:
-    """The leaf each profile available at node_id reaches, from the boxes
-    of the leaves below it."""
-    require_valid(tree)
-    require_node(tree, node_id)
-    scale_guard(prod(m.bit_count() for m in tree.mask_at[node_id]))
-    return {
-        prof: leaf
-        for leaf in tree.leaves_under[node_id]
-        for prof in itertools.product(*tree.domain_at[leaf])
-    }
-
-
 def parting_node(tree: ImplementationTree, x: int, y: int) -> int | None:
     """The query node where the walks ending at leaves x and y part: their
     lowest common ancestor.  None when x == y, as such walks never part."""
@@ -732,29 +719,32 @@ def parting_node(tree: ImplementationTree, x: int, y: int) -> int | None:
 
 def equivalence_class(tree: ImplementationTree, node_id: int, profile, k):
     """Profiles the queried agent cannot distinguish from `profile` at
-    node_id under a k-step plan.
-
-    A candidate available at node_id belongs to the class when its walk
-    first parts from the walk of `profile` strictly below every node the
-    plan commits through (or never parts at all).  Returned sorted.
-    """
+    node_id under a k-step plan, sorted: those whose walk first parts from
+    the profile's strictly below every node the plan commits through (or
+    never parts).  That is one node's box.  Above the first endpoint of
+    `k_step_neighborhood` on the profile's walk lie only node_id and
+    covered nodes, so at k=0 the class is that endpoint's box; at k >= 1
+    the plan commits through a query endpoint too, so it is the box of
+    the child the profile takes there."""
     k = normalize_horizon(k)
     node = tree.node(node_id)
     if not isinstance(node, QueryNode):
         raise MechanismError(f"node {node_id} is not a query node")
     prof = tree.as_profile(profile)
-    leaf_at = profile_leaves(tree, node_id)
-    if prof not in leaf_at:
+    require_valid(tree)
+    if any(t not in dom for t, dom in zip(prof, tree.domain_at[node_id])):
         raise MechanismError(f"profile {prof} not available at node {node_id}")
-    covered, _ = k_step_neighborhood(tree, node_id, k)
-    forbidden = covered | {node_id}
-    own = leaf_at[prof]
-    members = [
-        cand
-        for cand, leaf in leaf_at.items()
-        if parting_node(tree, own, leaf) not in forbidden
-    ]
-    return tuple(sorted(members))
+    _, endpoints = k_step_neighborhood(tree, node_id, k)
+    path = tree.path_of(prof)
+    at = path.index(node_id) + 1
+    while path[at] not in endpoints:
+        at += 1
+    if k and at + 1 < len(path):  # a query the plan commits through
+        at += 1
+    box = tree.domain_at[path[at]]
+    scale_guard(prod(map(len, box)))
+    # the product of ascending tuples comes out ascending
+    return tuple(itertools.product(*box))
 
 
 def tree_from_nested(agents: int, domains, nested) -> ImplementationTree:

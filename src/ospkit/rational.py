@@ -22,9 +22,8 @@ def parse_rational(text: str | int | float | Fraction) -> Rat:
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, float):
-        # floats appear only via json numbers like 0.25; keep them exact
-        return Fraction(str(text))
+    # a float (only json numbers like 0.25) is read by its text, so it
+    # stays exact; json reads 1e400 as inf, whose text no Fraction reads
     s = str(text).strip()
     if not s:
         raise ValueError("empty rational")

@@ -40,7 +40,8 @@ violation names the leaf, lhs once per scaled payment gap, rhs once per
 (type, scaled outcome gap).  `taxation_diagnostics` fills one
 profile -> leaf map per call, a leaf's box the first time a node above
 it is visited, and at each node expands only the leaves whose
-commitment set holds two types above one of the leaf's own types; it
+commitment set holds two types above one of the leaf's own types, once
+the scale guard passes the node's count of (profile, c, d) triples; it
 sorts the node's findings by (profile, c, d), the order of a walk over
 the node's whole box, so a cap cuts at the same finding.
 """
@@ -556,6 +557,20 @@ def taxation_diagnostics(
         if all(cset.bit_count() < 3 for cset in csets.values()):
             continue
         i = tree.nodes[u].agent
+        # each leaf's own types with two commitment types above (none when
+        # the lowest one has fewer), and the node's (a, c, d) triples: per
+        # own type q, C(types above q, 2) for each opponent profile
+        todo, triples = [], 0
+        for leaf in tree.leaves_under[u]:
+            box, cset = tree.mask_at[leaf], csets[leaf]
+            if (cset >> (box[i] & -box[i]).bit_length()).bit_count() < 2:
+                continue
+            qs = bits(box[i])
+            above = [(cset >> (q + 1)).bit_count() for q in qs]
+            opponents = prod(m.bit_count() for m in box) // len(qs)
+            triples += opponents * sum(n * (n - 1) // 2 for n in above)
+            todo.append((box, cset, [q for q, n in zip(qs, above) if n > 1]))
+        scale_guard(triples, "taxation triples")
         scale_guard(prod(m.bit_count() for m in tree.mask_at[u]))
         for leaf in tree.leaves_under[u]:
             if leaf not in mapped:
@@ -563,13 +578,7 @@ def taxation_diagnostics(
                 for prof in itertools.product(*map(bits, tree.mask_at[leaf])):
                     leaf_at[prof] = leaf
         found = []
-        for leaf in tree.leaves_under[u]:
-            box, cset = tree.mask_at[leaf], csets[leaf]
-            # her own types at the leaf with two commitment types above:
-            # none when her lowest one has fewer
-            if (cset >> (box[i] & -box[i]).bit_length()).bit_count() < 2:
-                continue
-            own = [q for q in bits(box[i]) if (cset >> (q + 1)).bit_count() > 1]
+        for box, cset, own in todo:
             boxes = [*map(bits, box[:i]), own, *map(bits, box[i + 1 :])]
             for a in itertools.product(*boxes):
                 larger = (cset >> (a[i] + 1)) << (a[i] + 1)

@@ -233,6 +233,12 @@ def fixture_tree(name):
     return compress(extract_tree(ps, list(domain)))
 
 
+def materialize_tree(name):
+    """A mechanism fixture as it is, an instance's greedy tree compressed."""
+    kind, built = materialize(name)
+    return built if kind == "mechanism" else fixture_tree(name)
+
+
 class CountedEdges(list):
     """An edge list that counts the passes made over it."""
 
@@ -1029,11 +1035,66 @@ def oracle_sticky(tree, k):
     return StickyResult(True, None)
 
 
+def wide_tail_tree(m):
+    """Agent 0 (types 1 to 3) is asked {1} | {2,3}, then {2} | {3} at
+    node 2, her second query: at k=0 it anchors two tail classes, bit 0
+    under {2} and bit 1 under {3}, one leaf per type of agent 1 (types 1
+    to m).  The edge between them has m^2 leaf pairs over 3m profiles."""
+
+    def reveal(bit):
+        return ("q", 1, [([v], ("leaf", [bit, 0], None)) for v in range(1, m + 1)])
+
+    return tree_from_nested(2, [[1, 2, 3], list(range(1, m + 1))], (
+        "q", 0, [
+            ([1], reveal(0)),
+            ([2, 3], ("q", 0, [([2], reveal(0)), ([3], reveal(1))])),
+        ],
+    ))
+
+
 class TestSticky:
     def test_holds_on_limited_trees(self):
         assert sticky_edges_check(english_auction_tree(2, [1, 2, 3]), 1).ok
         t = compress(extract_tree(PSystem.single_item(2), [1, 2, 3, 4]))
         assert sticky_edges_check(t, 0).ok
+
+    @pytest.mark.parametrize(
+        "name,k", [("uniform(5,2,4)", 0), ("english(4,4)", 1)]
+    )
+    def test_holds_on_fixtures(self, name, k):
+        assert sticky_edges_check(materialize_tree(name), k) == StickyResult(True, None)
+
+    def test_fixture_matches_oracle(self):
+        t = fixture_tree("uniform(4,2,4)")
+        want = StickyResult(True, None)
+        assert sticky_edges_check(t, 0) == oracle_sticky(t, 0) == want
+
+    def test_leaf_pairs_meet_the_scale_guard(self, monkeypatch):
+        t = wide_tail_tree(10)
+        assert sticky_edges_check(t, 0).ok
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "99")
+        with pytest.raises(
+            MechanismError,
+            match="^enumeration of 100 leaf pairs exceeds scale guard 99;",
+        ):
+            sticky_edges_check(t, 0)
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "100")
+        assert sticky_edges_check(t, 0).ok
+
+    def test_witness_is_the_first_failing_leaf_pair(self, monkeypatch):
+        # every pair made to part at the root passes the root's agent and
+        # fails the other agent's first edge at its first leaf pair
+        t = english_auction_tree(2, [1, 2, 3])
+        agent = 1 - t.nodes[t.root].agent
+        monkeypatch.setattr(cmon, "parting_node", lambda tree, x, y: tree.root)
+        part, targets = _class_graph(t, 1, agent)
+        ca, cb = next((a, b) for a, ends in enumerate(targets) for b in ends if a < b)
+        x, y = (
+            next(leaf for leaf in t.leaf_ids if part.leaf_class[leaf] == pos)
+            for pos in (ca, cb)
+        )
+        want = (agent, ca, cb, t.box_min(x), t.box_min(y), None, t.root)
+        assert sticky_edges_check(t, 1) == StickyResult(False, want)
 
     def test_matches_oracle(self):
         # horizons below a tree's own k put some trees over budget, and
@@ -1066,6 +1127,10 @@ class TestHorizonEquivalence:
             rep = k_vs_infinity_equivalence(t, k)
             assert rep.agree
             assert len(rep.details) == t.agents
+
+    def test_english_4_4_agrees(self):
+        rep = k_vs_infinity_equivalence(materialize_tree("english(4,4)"), 1)
+        assert rep.agree and len(rep.details) == 4
 
     def test_uniform_5_2_4_agrees(self):
         # agents 1-3 have negative cycles at k = 0 and at inf

@@ -51,6 +51,16 @@ class TestRationals:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
+    @pytest.mark.parametrize(
+        "value,shown", [(inf, "inf"), (-inf, "-inf"), (float("nan"), "nan")]
+    )
+    def test_non_finite_float_is_not_a_rational(self, value, shown):
+        with pytest.raises(ValueError, match=f"^not a rational: {shown}$"):
+            parse_rational(value)
+        # the text forms keep the message they had
+        with pytest.raises(ValueError, match=f"^not a rational: '{shown}'$"):
+            parse_rational(shown)
+
     def test_format(self):
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(Fraction(-7, 2)) == "-7/2"
@@ -285,6 +295,25 @@ class TestMechanismFiles:
         ):
             loads_mechanism(text)
 
+    @pytest.mark.parametrize(
+        "number,shown", [("1e400", "inf"), ("-Infinity", "-inf"), ("NaN", "nan")]
+    )
+    def test_non_finite_outcome_is_not_a_rational(self, number, shown):
+        # json reads these as floats that no Fraction holds
+        text = (
+            '{"agents": 1, "domains": [["1", "2"]], "root": 0, "nodes": [\n'
+            '{"id": 0, "kind": "query", "agent": 0, "blocks": [["1"], ["2"]],'
+            ' "children": [1, 2]},\n'
+            '{"id": 1, "kind": "leaf", "outcome": ["0"]},\n'
+            f'{{"id": 2, "kind": "leaf", "outcome": [{number}]}}\n'
+            "]}"
+        )
+        with pytest.raises(
+            MechanismFormatError,
+            match=rf"^node 2 \(line 4\): not a rational: {shown}$",
+        ):
+            loads_mechanism(text)
+
     def test_duplicate_id_names_its_second_line(self):
         text = json.dumps(
             {
@@ -460,6 +489,37 @@ class TestInstanceFiles:
     )
     def test_shape_errors(self, text):
         with pytest.raises(MechanismFormatError):
+            loads_instance(text)
+
+    @pytest.mark.parametrize("params", ['"abc"', "[1]", "3", "false"])
+    def test_params_must_be_an_object(self, params):
+        text = (
+            '{"kind": "uniform", "n": 2, "domain": ["1"], '
+            f'"params": {params}}}'
+        )
+        with pytest.raises(
+            MechanismFormatError, match="^'params' must be an object$"
+        ):
+            loads_instance(text)
+
+    @pytest.mark.parametrize("params", ["", ', "params": null'])
+    def test_absent_or_null_params_read_as_empty(self, params):
+        text = f'{{"kind": "single_item", "n": 2, "domain": ["1", "2"]{params}}}'
+        ps, domain = loads_instance(text)
+        assert ps.maximal_sets() == PSystem.single_item(2).maximal_sets()
+        assert domain == (1, 2)
+        text = f'{{"kind": "uniform", "n": 2, "domain": ["1"]{params}}}'
+        with pytest.raises(
+            MechanismFormatError, match="^uniform instance needs params.rank$"
+        ):
+            loads_instance(text)
+
+    def test_non_finite_domain_value_is_not_a_rational(self):
+        text = '{"kind": "single_item", "n": 2, "domain": ["1", 1e400]}'
+        with pytest.raises(
+            MechanismFormatError,
+            match="^bad single_item instance: not a rational: inf$",
+        ):
             loads_instance(text)
 
     def test_graphic_edge_count_must_match(self):

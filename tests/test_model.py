@@ -3,7 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,11 +30,12 @@ from ospkit.model import (
     k_step_neighborhood,
     normalize_horizon,
     parting_node,
-    profile_leaves,
     query_count,
     random_k_limited_tree,
     require_binary_outcomes,
+    require_node,
     require_valid,
+    scale_guard,
     tree_from_nested,
     types_of,
     validate_tree,
@@ -271,6 +272,16 @@ class TestEquivalenceClass:
         with pytest.raises(MechanismError):
             equivalence_class(t, 5, (1, 1), 0)
 
+    def test_the_guard_counts_the_class_not_the_node_box(self, monkeypatch):
+        # the root's box holds 9 profiles, these classes 2 and 1
+        t = two_agent_tree()
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "1")
+        with pytest.raises(
+            MechanismError, match="^enumeration of 2 profiles exceeds scale guard 1;"
+        ):
+            equivalence_class(t, 0, (2, 1), 0)
+        assert equivalence_class(t, 0, (2, 1), 1) == ((F(2), F(1)),)
+
 
 def random_tree(seed, agents=2, dmax=3, k=2):
     rng = random.Random(seed)
@@ -353,6 +364,19 @@ def test_query_depth_matches_path_count(seed):
 
 
 # -- oracles: the walks the split and the parting helper replace -------------
+
+
+def profile_leaves(tree: ImplementationTree, node_id: int) -> dict[tuple, int]:
+    """The leaf each profile available at node_id reaches, from the boxes
+    of the leaves below it."""
+    require_valid(tree)
+    require_node(tree, node_id)
+    scale_guard(prod(m.bit_count() for m in tree.mask_at[node_id]))
+    return {
+        prof: leaf
+        for leaf in tree.leaves_under[node_id]
+        for prof in itertools.product(*tree.domain_at[leaf])
+    }
 
 
 def oracle_split_box(tree, node_id):
@@ -515,7 +539,7 @@ class TestPartingAgainstOracles:
                 parted += want is not None
         assert parted > 0
 
-    @pytest.mark.parametrize("k", [0, 1, 2, inf])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, inf])
     def test_equivalence_class_matches_loop(self, k):
         sizes = set()
         for t in small_trees(range(100)):
@@ -714,7 +738,7 @@ def mutate(rng, tree, kind):
 
 def seeded_trees(seen):
     """1000 seeded trees, each as (valid tree, the same with one to three
-    defects); `seen` counts the defects made and the refused node maps."""
+    defects); `seen` counts the defects made and the trees refused."""
     for seed in range(1000):
         rng = random.Random(seed)
         agents = rng.randint(1, 3)
@@ -777,10 +801,10 @@ class TestValidityAgainstOracles:
                 for nid in t.leaf_ids
             }
             # every analysis refuses a malformed tree before it reads a box
-            refused = raised(lambda tree: profile_leaves(tree, tree.root), t)
+            refused = raised(serialize, t)
             assert refused == message
-            seen["profiles refused"] += refused is not None
-            seen["profiles listed"] += refused is None
+            seen["serialize refused"] += refused is not None
+            seen["serialized"] += refused is None
             for nid in t.internal_ids:
                 # every value of a block has its bit, and a foreign one none
                 dom = t.domains[t.nodes[nid].agent]
@@ -789,7 +813,7 @@ class TestValidityAgainstOracles:
                         sorted({v for v in blk if v in dom})
                     )
         assert all(seen[kind] for kind in MUTATIONS), seen
-        assert seen["profiles refused"] and seen["profiles listed"], seen
+        assert seen["serialize refused"] and seen["serialized"], seen
 
     def test_domain_at_matches_walk_from_root(self):
         seen = Counter()
@@ -1092,7 +1116,6 @@ def test_unknown_node_id_is_refused(call):
     [
         lambda t, nid: t.node(nid),
         lambda t, nid: query_count(t, 0, nid),
-        lambda t, nid: profile_leaves(t, nid),
         lambda t, nid: classify_query(t, nid),
         lambda t, nid: k_step_neighborhood(t, nid, 1),
         lambda t, nid: is_revealable(t, nid),
@@ -1101,7 +1124,7 @@ def test_unknown_node_id_is_refused(call):
         lambda t, nid: t.route(nid, t.domains[0][0]),
     ],
     ids=[
-        "node", "query_count", "profile_leaves", "classify_query",
+        "node", "query_count", "classify_query",
         "k_step_neighborhood", "is_revealable", "box_min", "is_leaf", "route",
     ],
 )

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from math import inf
@@ -44,7 +45,6 @@ from ospkit.model import (
     LeafNode,
     QueryNode,
     normalize_horizon,
-    profile_leaves,
     random_k_limited_tree,
     tree_from_nested,
     types_of,
@@ -346,6 +346,86 @@ class TestTaxation:
     def test_cap(self):
         t = english_auction_tree(3, [1, 2, 3, 4, 5])
         assert len(taxation_diagnostics(t, 1, max_findings=5)) == 5
+
+    def test_a_long_chain_is_refused_by_its_triples(self):
+        # the node boxes hold at most 240 profiles, but the triples below
+        # the root alone number about 240^3 / 6
+        t = peeling_chain(240)
+        start = time.perf_counter()
+        with pytest.raises(
+            MechanismError,
+            match="^enumeration of 2246839 taxation triples exceeds scale guard",
+        ):
+            taxation_diagnostics(t, 0)
+        assert time.perf_counter() - start < 2
+
+    def test_a_lowered_guard_refuses_english_4_5(self, monkeypatch):
+        # its root has 625 profiles and 500 triples, the most of any node
+        t = english_auction_tree(4, [1, 2, 3, 4, 5])
+        want = taxation_diagnostics(t, 0)
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "499")
+        with pytest.raises(
+            MechanismError,
+            match="^enumeration of 500 taxation triples exceeds scale guard 499;",
+        ):
+            taxation_diagnostics(t, 0)
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "500")
+        with pytest.raises(
+            MechanismError,
+            match="^enumeration of 625 profiles exceeds scale guard 500;",
+        ):
+            taxation_diagnostics(t, 0)
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "625")
+        assert taxation_diagnostics(t, 0) == want
+
+    def test_triple_count_matches_the_walk(self, monkeypatch):
+        # the count each visited node passes to the guard against the
+        # (profile, c, d) triples a walk over the node's box lists
+        counted = []
+        guard = verifier.scale_guard
+
+        def spy(count, what="profiles"):
+            if what == "taxation triples":
+                counted.append(count)
+            guard(count, what)
+
+        monkeypatch.setattr(verifier, "scale_guard", spy)
+        seen = Counter()
+        for t, h in random_taxed_trees(range(300)):
+            if not has_binary_outcomes(t):
+                continue
+            counted.clear()
+            taxation_diagnostics(t, h, max_findings=10**9)
+            want = [oracle_triple_count(t, u, h) for u in t.internal_ids]
+            assert [c for c in counted if c] == [c for c in want if c]
+            seen["triples"] += sum(want)
+            seen["nodes"] += len(counted)
+        assert seen["triples"] > 1000 and seen["nodes"] > 200, seen
+
+
+def peeling_chain(n):
+    """One agent with types 1..n, asked at each query whether her type
+    is the lowest one left; every leaf has outcome 0 and payment 0."""
+    dom = [F(v) for v in range(1, n + 1)]
+    zero = (F(0),)
+    nodes = {2 * n - 2: LeafNode(2 * n - 2, zero, zero)}
+    for d in range(n - 1):
+        blocks = ((dom[d],), tuple(dom[d + 1 :]))
+        nodes[2 * d] = QueryNode(2 * d, 0, blocks, (2 * d + 1, 2 * d + 2))
+        nodes[2 * d + 1] = LeafNode(2 * d + 1, zero, zero)
+    return ImplementationTree(1, [dom], 0, nodes)
+
+
+def oracle_triple_count(tree, u, k):
+    """The (profile, c, d) triples at node u: per profile a in u's box,
+    the pairs c < d of commitment types above a's own type."""
+    i = tree.nodes[u].agent
+    count = 0
+    for a in itertools.product(*tree.domain_at[u]):
+        cset = oracle_commitment_types(tree, u, tree.path_of(a)[-1], k)
+        above = sum(v > a[i] for v in cset)
+        count += above * (above - 1) // 2
+    return count
 
 
 class TestStrongIneffectiveness:
@@ -1279,7 +1359,6 @@ ANALYSES = {
     "reveal_at_k2": lambda t: reveal_at_k2(t, 0),
     "reveal_at_k2 at inf": lambda t: reveal_at_k2(t, inf),
     "k_step_neighborhood": lambda t: k_step_neighborhood(t, t.root, 1),
-    "profile_leaves": lambda t: profile_leaves(t, t.root),
     "equivalence_class": lambda t: equivalence_class(
         t, t.root, t.box_min(t.root), 1
     ),
