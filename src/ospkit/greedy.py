@@ -167,6 +167,7 @@ class PSystem:
 
     @classmethod
     def explicit(cls, n: int, maximal_sets) -> "PSystem":
+        n = as_integer(n)
         tops = [frozenset(as_integer(e) for e in s) for s in maximal_sets]
         for t in tops:
             if not all(0 <= e < n for e in t):

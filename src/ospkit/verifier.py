@@ -5,9 +5,9 @@ characterize truthful play under k-step planning: whenever two profiles
 part ways at a query node, every type the agent may still believe
 possible must weakly prefer her own branch.  Every constraint belongs to
 one ordered leaf pair below one divergence node.  The checker finds all
-commitment sets in one pass over the leaves' root paths, then decides
-each node from each child's largest payment per outcome level, and lists
-leaf pairs one by one only in the rows where that envelope shows a gain;
+commitment sets in one walk up from each leaf, then decides each node
+from each child's largest payment per outcome level, and lists leaf
+pairs one by one only in the rows where that envelope shows a gain;
 reported witnesses are concrete profile pairs.
 
 The remaining entry points probe structure rather than payments: the
@@ -43,7 +43,11 @@ it is visited, and at each node expands only the leaves whose
 commitment set holds two types above one of the leaf's own types, once
 the scale guard passes the node's count of (profile, c, d) triples; it
 sorts the node's findings by (profile, c, d), the order of a walk over
-the node's whole box, so a cap cuts at the same finding.
+the node's whole box, so a cap cuts at the same finding.  A triple's
+split is the lowest node above a's leaf whose box holds all three
+types; the outside types, those the queries from the node down to the
+split set apart from all three, are read off the two nodes' masks and
+the split's blocks.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ from .model import (
     Verdict,
     bits,
     normalize_horizon,
-    parting_node,
     require_binary_outcomes,
     require_valid,
     scale_guard,
@@ -77,9 +80,10 @@ def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, int]]:
     types the agent queried at u may still hold, k own moves into a plan
     that ends at the leaf, for each query node u and each leaf below it.
 
-    Walks each leaf's root path once.  Where u is the m-th query to agent
-    i on that path, the set is i's domain at the node just after the
-    (m+k)-th query to i, or at the leaf when fewer queries remain.
+    Walks up once from each leaf, keeping per agent the masks just after
+    each of her queries met so far, the lowest first.  At u, the last of
+    them is u's own; the set is the one k places before it, or the
+    lowest (the leaf's) when fewer queries to her lie below.
 
     Built once per tree and horizon, kept in `tree.commitments` and
     shared by every caller, which only reads it.  A horizon at or beyond
@@ -89,22 +93,17 @@ def _commitment_sets(tree: ImplementationTree, k) -> dict[int, dict[int, int]]:
         k = inf
     if k in tree.commitments:
         return tree.commitments[k]
+    nodes, parent, mask_at = tree.nodes, tree.parent, tree.mask_at
     sets: dict[int, dict[int, int]] = {u: {} for u in tree.internal_ids}
     for leaf in tree.leaf_ids:
-        path = []
-        nid = leaf
+        seen: dict[int, list[int]] = {}  # agent -> masks after her queries
+        below, nid = leaf, parent[leaf]
         while nid is not None:
-            path.append(nid)
-            nid = tree.parent[nid]
-        path.reverse()
-        asked: dict[int, list[int]] = {}  # agent -> path positions of her queries
-        for pos in range(len(path) - 1):
-            asked.setdefault(tree.nodes[path[pos]].agent, []).append(pos)
-        for i, positions in asked.items():
-            for m, pos in enumerate(positions):
-                end = m + k
-                h = leaf if end >= len(positions) else path[positions[end] + 1]
-                sets[path[pos]][leaf] = tree.mask_at[h][i]
+            i = nodes[nid].agent
+            after = seen.setdefault(i, [])
+            after.append(mask_at[below][i])
+            sets[nid][leaf] = after[max(len(after) - 1 - k, 0)]
+            below, nid = nid, parent[nid]
     tree.commitments[k] = sets
     return sets
 
@@ -283,7 +282,7 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
         # the smallest commitment type (position) over each child's
         # outcome-0 leaves; with binary outcomes only outcome-1 leaves face those
         floors = [
-            min((bits(c)[0] for _, fb, c in side if fb == 0), default=None)
+            min(((c & -c).bit_length() - 1 for _, f, c in side if f == 0), default=None)
             for side in rows
         ]
         for ia, side_a in enumerate(rows):
@@ -598,34 +597,29 @@ def _taxation_case(tree, u, i, a, ci, di, leaf_at):
     """The finding of the triple a[i] < ci < di at query node u for agent
     i, or None: `a` is a profile of positions in u's box, ci and di are
     positions of her types and `leaf_at` maps each profile in u's box to
-    its leaf."""
-    trips = (a[i], ci, di)
-    la, lc, ld = (leaf_at[a[:i] + (v,) + a[i + 1 :]] for v in trips)
-    cuts = [
-        x for x in (parting_node(tree, la, lc), parting_node(tree, la, ld))
-        if x is not None
-    ]
-    if not cuts:
-        return None
-    split = min(cuts, key=tree.depth.__getitem__)
+    its leaf.
 
+    The split, the agent-i query that parts the three profiles, is the
+    lowest node above a's leaf whose agent-i mask holds all three.  The
+    outside types are the blocks holding none of them at the agent-i
+    queries from u down to the split: above the split, every block off
+    the path, which is u's mask less the split's."""
     trio = 1 << a[i] | 1 << ci | 1 << di
-    outside = 0
-    nid = split
-    while True:
-        if tree.nodes[nid].agent == i:
-            for m in tree.block_masks[nid]:
-                if not m & trio:
-                    outside |= m
-        if nid == u:
-            break
-        nid = tree.parent[nid]
+    la, lc, ld = (leaf_at[a[:i] + (v,) + a[i + 1 :]] for v in (a[i], ci, di))
+    if tree.mask_at[la][i] & trio == trio:  # all three reach la
+        return None
+    split = tree.parent[la]
+    while tree.mask_at[split][i] & trio != trio:
+        split = tree.parent[split]
+    outside = tree.mask_at[u][i] & ~tree.mask_at[split][i]
+    for m in tree.block_masks[split]:
+        if not m & trio:
+            outside |= m
 
     # `outside` holds a type: a[i] is in the leaf's box and ci, di are in
-    # its commitment set, all in u's child on the leaf's path, so the trio
-    # lies in one block of u; u, a valid query to agent i, has another
-    # nonempty block, and the walk up from `split` ends at u.  That type
-    # lies above di, below a[i], or strictly between them.
+    # its commitment set, all in u's child on the leaf's path, so the
+    # split lies below u, whose other blocks are nonempty on a valid tree.
+    # That type lies above di, below a[i], or strictly between them.
     top = outside >> (di + 1) != 0
     bottom = outside & ((1 << a[i]) - 1) != 0
     inner = outside & ((1 << di) - (2 << a[i])) != 0

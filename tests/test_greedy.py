@@ -154,7 +154,8 @@ class TestPSystem:
 
     def test_sizes_follow_the_integer_rule(self):
         # int() used to truncate these: uniform(4, 1.5) had rank 1; the
-        # last three used to raise int()'s own TypeError or ValueError
+        # two explicit sizes and the last three used to raise a bare
+        # TypeError or ValueError
         for make in (
             lambda: PSystem.uniform(4, 1.5),
             lambda: PSystem.uniform(4, True),
@@ -163,6 +164,8 @@ class TestPSystem:
             lambda: PSystem.single_item(Fraction(5, 2)),
             lambda: PSystem.graphic([(0, 1.5)]),
             lambda: PSystem.explicit(3, [{0.5}]),
+            lambda: PSystem.explicit("x", [[0]]),
+            lambda: PSystem.explicit(None, [[0]]),
             lambda: PSystem.uniform(None, 1),
             lambda: PSystem.uniform(4, "x"),
             lambda: PSystem.single_item([3]),

@@ -1138,10 +1138,34 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("k", [0, 1, 2, inf])
     def test_fixture_trees_match_oracles(self, k):
         seen = Counter()
+        english = english_auction_tree(3, [1, 2, 3, 4, 5])
+        # up to one past the most queries to one agent on a path, where
+        # the sets fold into those of inf
+        deepest = max(map(max, english.query_depth.values()))
+        for h in range(deepest + 2):
+            assert _commitment_sets(english, h) == oracle_commitment_sets(english, h)
         trees = [
-            english_auction_tree(3, [1, 2, 3, 4, 5]),
+            english,
             compress(extract_tree(PSystem.single_item(3), [1, 2, 3])),
             appendix_b(),
+            # at the root, type 1 leaves the trio 2 < 3 < 4 at a query
+            # above its split, so the trio's case is all_equal, not
+            # lower_pair
+            tree_from_nested(1, [[1, 2, 3, 4, 5]], (
+                "q", 0, [
+                    ([5], ("leaf", (1,), (0,))),
+                    ([1, 2, 3, 4], ("q", 0, [
+                        ([1], ("leaf", (0,), (0,))),
+                        ([2, 3, 4], ("q", 0, [
+                            ([2], ("leaf", (0,), (0,))),
+                            ([3, 4], ("q", 0, [
+                                ([3], ("leaf", (0,), (0,))),
+                                ([4], ("leaf", (1,), (0,))),
+                            ])),
+                        ])),
+                    ])),
+                ],
+            )),
         ]
         for t in trees:
             if any(t.nodes[nid].payment is None for nid in t.leaf_ids):
@@ -1163,7 +1187,36 @@ class TestAgainstOracles:
                 for cap in (1, 3, 200):
                     got = taxation_diagnostics(t, k, max_findings=cap)
                     assert got == oracle_taxation(t, k, max_findings=cap)
+                seen["query above the split"] += trios_split_below_a_query(t, k)
         assert seen["one-type opponent"] and seen["mixed radix"]
+        # english(3,5) has 56 such trios at k=0 and at k=1, and none of
+        # these trees has one at k >= 2
+        if k in (0, 1):
+            assert seen["query above the split"] > 0
+
+
+def trios_split_below_a_query(tree, k):
+    """The trios a[i] < c < d that oracle_taxation meets at a query u to
+    agent i whose split lies below another query to agent i under u:
+    their outside types come from the blocks of three queries or more."""
+    count = 0
+    for u in tree.internal_ids:
+        i = tree.nodes[u].agent
+        for a in itertools.product(*tree.domain_at[u]):
+            path = tree.path_of(a)
+            below = path[path.index(u) + 1 : -1]
+            cset = oracle_commitment_types(tree, u, path[-1], k)
+            larger = [v for v in cset if v > a[i]]
+            for c, d in itertools.combinations(larger, 2):
+                passed = 0
+                for nid in below:
+                    if tree.nodes[nid].agent != i:
+                        continue
+                    if len({tree.route(nid, v) for v in (a[i], c, d)}) > 1:
+                        count += passed > 0
+                        break
+                    passed += 1
+    return count
 
 
 def oracle_commitment_sets(tree, k):
