@@ -316,7 +316,7 @@ def cmd_experiment(args) -> int:
     from .verifier import is_k_limited
 
     names = args.instance or []
-    ks = [parse_horizon(part) for part in args.ks.split(",")] if args.ks else [0]
+    ks = [parse_horizon(part) for part in args.ks.split(",")]
     cells = []
     for name in names:
         kind, built = materialize(name)

@@ -6,9 +6,13 @@ part ways at a query node, every type the agent may still believe
 possible must weakly prefer her own branch.  Every constraint belongs to
 one ordered leaf pair below one divergence node.  The checker finds all
 commitment sets in one walk up from each leaf, then decides each node
-from each child's largest payment per outcome level, and lists leaf
-pairs one by one only in the rows where that envelope shows a gain;
-reported witnesses are concrete profile pairs.
+from each child's largest payment per outcome level.  Against that
+envelope, a leaf with outcome fa and commitment types cmin..cmax gains
+exactly when its payment lies below the bound max over levels (f, p) of
+p - c * (f - fa), with c = cmin above fa and cmax below it; the bound is
+computed once per (fa, commitment set) and child pair.  Leaf pairs are
+listed one by one only for the leaves under their bound; reported
+witnesses are concrete profile pairs.
 
 The remaining entry points probe structure rather than payments: the
 ordering of commitment ranges across branches, the taxonomy of a single
@@ -41,7 +45,8 @@ violation names the leaf, lhs once per scaled payment gap, rhs once per
 profile -> leaf map per call, a leaf's box the first time a node above
 it is visited, and at each node expands only the leaves whose
 commitment set holds two types above one of the leaf's own types, once
-the scale guard passes the node's count of (profile, c, d) triples; it
+the scale guard passes the node's count of (profile, c, d) triples and
+only if the leaves below the node differ in the agent's (f, p); it
 sorts the node's findings by (profile, c, d), the order of a walk over
 the node's whole box, so a cap cuts at the same finding.  A triple's
 split is the lowest node above a's leaf whose box holds all three
@@ -156,6 +161,14 @@ def _would_gain(dp, df, cmin, cmax) -> bool:
     return dp > cmax * df
 
 
+def _gain_bound(top, fa, cmin, cmax):
+    """The payment below which a leaf with outcome fa and commitment
+    types cmin..cmax would gain against some level (f, p) of `top`:
+    `_would_gain(p - pa, f - fa, cmin, cmax)` holds for some level
+    exactly when pa is below it."""
+    return max(p - (cmin if f > fa else cmax) * (f - fa) for f, p in top)
+
+
 def check_k_step_osp(
     tree: ImplementationTree, k, max_violations: int = 1000
 ) -> CheckResult:
@@ -213,13 +226,19 @@ def check_k_step_osp(
                 if ia == ib:
                     continue
                 top_b = tops[ib]
+                # a leaf gains against b's envelope when its payment lies
+                # below the bound its (outcome, commitment set) fixes
+                bounds: dict[tuple[int, int], tuple[int, int, int]] = {}
                 for la, fa, pa in side_a:
                     cset = csets[la]
-                    cmin = types[(cset & -cset).bit_length() - 1]
-                    cmax = types[cset.bit_length() - 1]
-                    if not any(
-                        _would_gain(p - pa, f - fa, cmin, cmax) for f, p in top_b
-                    ):
+                    known = bounds.get((fa, cset))
+                    if known is None:
+                        cmin = types[(cset & -cset).bit_length() - 1]
+                        cmax = types[cset.bit_length() - 1]
+                        bound = _gain_bound(top_b, fa, cmin, cmax)
+                        known = bounds[fa, cset] = bound, cmin, cmax
+                    bound, cmin, cmax = known
+                    if pa >= bound:
                         checked += len(side_b)
                         continue
                     for lb, fb, pb in side_b:
@@ -263,39 +282,48 @@ def is_almost_ordered(tree: ImplementationTree, k) -> AlmostOrderedResult:
     must lie strictly below every type on b's plan.  The witness quotes
     the node, both profiles, and the two offending types c >= d; it is
     the first failing leaf pair in the order of `check_k_step_osp`.
+
+    With binary outcomes a child pair (a, b) fails exactly when the top
+    type of the union of a's outcome-1 commitment sets reaches the lowest
+    type of the union of b's outcome-0 ones, so one pass per child builds
+    the two unions, and leaves are walked only for pairs that fail.
     """
     require_valid(tree)
     k = normalize_horizon(k)
     require_binary_outcomes(tree)
     sets = _commitment_sets(tree, k)
+    winners = tree.winners
     for u in tree.internal_ids:
         node = tree.nodes[u]
         i = node.agent
         csets = sets[u]
-        rows = [
-            [
-                (leaf, tree.winners[leaf] >> i & 1, csets[leaf])
-                for leaf in tree.leaves_under[cid]
-            ]
-            for cid in node.children
-        ]
-        # the smallest commitment type (position) over each child's
-        # outcome-0 leaves; with binary outcomes only outcome-1 leaves face those
-        floors = [
-            min(((c & -c).bit_length() - 1 for _, f, c in side if f == 0), default=None)
-            for side in rows
-        ]
-        for ia, side_a in enumerate(rows):
-            for ib, side_b in enumerate(rows):
-                if ia == ib or floors[ib] is None:
+        unders = [tree.leaves_under[cid] for cid in node.children]
+        ones, zeros = [], []
+        for under in unders:
+            one = zero = 0
+            for leaf in under:
+                if winners[leaf] >> i & 1:
+                    one |= csets[leaf]
+                else:
+                    zero |= csets[leaf]
+            ones.append(one)
+            zeros.append(zero)
+        for ia, under_a in enumerate(unders):
+            top = ones[ia].bit_length() - 1
+            for ib, under_b in enumerate(unders):
+                floor = (zeros[ib] & -zeros[ib]).bit_length() - 1
+                # a pair fails exactly when its highest outcome-1 type
+                # reaches its lowest outcome-0 type
+                if ia == ib or floor < 0 or top < floor:
                     continue
-                for la, fa, ca in side_a:
-                    cmax_a = ca.bit_length() - 1
-                    if fa != 1 or cmax_a < floors[ib]:
+                for la in under_a:
+                    cmax_a = csets[la].bit_length() - 1
+                    if not winners[la] >> i & 1 or cmax_a < floor:
                         continue
-                    for lb, fb, cb in side_b:
+                    for lb in under_b:
+                        cb = csets[lb]
                         cmin_b = (cb & -cb).bit_length() - 1
-                        if fb == 0 and cmax_a >= cmin_b:
+                        if not winners[lb] >> i & 1 and cmax_a >= cmin_b:
                             return AlmostOrderedResult(
                                 False,
                                 (
@@ -558,9 +586,14 @@ def taxation_diagnostics(
         i = tree.nodes[u].agent
         # each leaf's own types with two commitment types above (none when
         # the lowest one has fewer), and the node's (a, c, d) triples: per
-        # own type q, C(types above q, 2) for each opponent profile
+        # own type q, C(types above q, 2) for each opponent profile; a
+        # finding names two leaves whose (f, p) differ, so a node whose
+        # leaves all share one has none
         todo, triples = [], 0
+        first = _pair(tree, tree.leaves_under[u][0], i)
+        varied = False
         for leaf in tree.leaves_under[u]:
+            varied = varied or _pair(tree, leaf, i) != first
             box, cset = tree.mask_at[leaf], csets[leaf]
             if (cset >> (box[i] & -box[i]).bit_length()).bit_count() < 2:
                 continue
@@ -571,6 +604,8 @@ def taxation_diagnostics(
             todo.append((box, cset, [q for q, n in zip(qs, above) if n > 1]))
         scale_guard(triples, "taxation triples")
         scale_guard(prod(m.bit_count() for m in tree.mask_at[u]))
+        if not varied:
+            continue
         for leaf in tree.leaves_under[u]:
             if leaf not in mapped:
                 mapped.add(leaf)

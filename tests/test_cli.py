@@ -170,6 +170,16 @@ class TestErrorPaths:
         code, _, err = run(capsys, "verify", "--mechanism", str(appendix_file), "--k", "-3")
         assert code == 2
 
+    @pytest.mark.parametrize("ks", ["", ",", "0,,1"])
+    def test_bad_horizon_in_a_list(self, capsys, ks):
+        # an explicit empty value is refused as a horizon, not read as
+        # the default 0
+        code, out, err = run(
+            capsys, "experiment", "--instance", "single_item(2,4)", "--ks", ks
+        )
+        assert (code, out) == (2, "")
+        assert "bad horizon ''" in err
+
     def test_csv_not_offered(self, capsys, appendix_file):
         code, _, err = run(
             capsys, "verify", "--mechanism", str(appendix_file), "--k", "0",

@@ -359,6 +359,33 @@ class TestTaxation:
             taxation_diagnostics(t, 0)
         assert time.perf_counter() - start < 2
 
+    def test_a_chain_of_equal_leaves_has_no_case_to_try(self, monkeypatch):
+        # every leaf pays (0, 0), so no node has two leaves whose (f, p)
+        # differ, which every finding names
+        calls = Counter()
+        case = verifier._taxation_case
+
+        def spy(*args):
+            calls["cases"] += 1
+            return case(*args)
+
+        monkeypatch.setattr(verifier, "_taxation_case", spy)
+        assert taxation_diagnostics(peeling_chain(60), 0) == []
+        assert calls["cases"] == 0
+        # one leaf paying 1 makes the nodes above it differ
+        found = Counter()
+        chain = peeling_chain(7)
+        for paid in chain.leaf_ids:
+            nodes = dict(chain.nodes)
+            nodes[paid] = LeafNode(paid, (F(0),), (F(1),))
+            t = ImplementationTree(1, chain.domains, chain.root, nodes)
+            for k in (0, 1, 2):
+                got = taxation_diagnostics(t, k)
+                assert got == oracle_taxation(t, k)
+                found[paid] += len(got)
+        assert calls["cases"] > 0
+        assert sum(found.values()) > 0 and 0 in found.values(), found
+
     def test_a_lowered_guard_refuses_english_4_5(self, monkeypatch):
         # its root has 625 profiles and 500 triples, the most of any node
         t = english_auction_tree(4, [1, 2, 3, 4, 5])
@@ -1134,6 +1161,62 @@ class TestAgainstOracles:
         # nodes where the sort by profile, not the walk over the leaves,
         # gives the oracle's order
         assert seen["reordered"] > 0
+
+    def test_child_summaries_match_the_pair_definitions(self):
+        """The per-child summaries the fast paths decide on, against the
+        per-pair definitions: a leaf's gain bound against one
+        `_would_gain` per envelope level and per leaf of the other child,
+        and the almost-ordered unions against every leaf pair of a child
+        pair.  Commitment sets come from the path oracle."""
+        seen = Counter()
+        for t, k in random_priced_trees(range(1000)):
+            binary = has_binary_outcomes(t)
+            for u in t.internal_ids:
+                i = t.nodes[u].agent
+                csets = {
+                    leaf: oracle_commitment_types(t, u, leaf, k)
+                    for leaf in t.leaves_under[u]
+                }
+                sides = [
+                    [(leaf, *verifier._pair(t, leaf, i)) for leaf in t.leaves_under[c]]
+                    for c in t.nodes[u].children
+                ]
+                tops = []
+                for side in sides:
+                    top = {}
+                    for _, f, p in side:
+                        top[f] = max(p, top.get(f, p))
+                    tops.append(list(top.items()))
+                for (ia, side_a), (ib, side_b) in itertools.permutations(
+                    enumerate(sides), 2
+                ):
+                    for la, fa, pa in side_a:
+                        cmin, cmax = csets[la][0], csets[la][-1]
+                        under = pa < verifier._gain_bound(tops[ib], fa, cmin, cmax)
+                        by_level = any(
+                            verifier._would_gain(p - pa, f - fa, cmin, cmax)
+                            for f, p in tops[ib]
+                        )
+                        by_leaf = any(
+                            verifier._would_gain(pb - pa, fb - fa, cmin, cmax)
+                            for _, fb, pb in side_b
+                        )
+                        assert under == by_level == by_leaf
+                        seen["under the bound" if under else "at or above it"] += 1
+                    if not binary:
+                        continue
+                    ones = [c for la, fa, _ in side_a if fa == 1 for c in csets[la]]
+                    zeros = [c for lb, fb, _ in side_b if fb == 0 for c in csets[lb]]
+                    ruled_out = not ones or not zeros or max(ones) < min(zeros)
+                    fails = any(
+                        fa > fb and csets[la][-1] >= csets[lb][0]
+                        for la, fa, _ in side_a
+                        for lb, fb, _ in side_b
+                    )
+                    assert ruled_out != fails
+                    seen["pairs skipped" if ruled_out else "pairs walked"] += 1
+        assert seen["under the bound"] and seen["at or above it"], seen
+        assert seen["pairs skipped"] and seen["pairs walked"], seen
 
     @pytest.mark.parametrize("k", [0, 1, 2, inf])
     def test_fixture_trees_match_oracles(self, k):
