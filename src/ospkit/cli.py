@@ -315,8 +315,10 @@ def cmd_experiment(args) -> int:
     from .rational import format_rational
     from .verifier import is_k_limited
 
-    names = args.instance or []
-    ks = [parse_horizon(part) for part in args.ks.split(",")]
+    # rows are keyed by (instance, d, k): each name and each horizon value
+    # (inf and infinity alike) runs once
+    names = list(dict.fromkeys(args.instance or []))
+    ks = list(dict.fromkeys(parse_horizon(part) for part in args.ks.split(",")))
     cells = []
     for name in names:
         kind, built = materialize(name)

@@ -18,8 +18,9 @@ non-binary outcome in `ImplementationTree.nonbinary`.  `validate_tree`,
 `require_valid` and `require_binary_outcomes` read those facts, so each
 costs O(1) however often a caller asks.  The walk does only what
 validation needs; the tables that no check reads (`depth`, `domain_at`,
-`query_depth`, `leaves_under`) are built on first read, and many trees,
-such as the rounds of an extraction, never read some of them.
+`query_depth`, `leaves_under`, `shapes`) are built on first read, and
+many trees, such as the rounds of an extraction, never read some of
+them.
 
 Every domain is totally ordered, so a type's position in its agent's
 sorted domain keeps its order; the walk records every block and every
@@ -248,6 +249,12 @@ class ImplementationTree:
       query_depth[nid]       per-agent query counts on the root..nid path,
                              counting nid itself when it is a query
       leaves_under[nid]      the leaves below nid in preorder
+      shapes[nid]            an int naming nid's subtree: two nodes share
+                             it exactly when their subtrees match, keyed
+                             by (agent, block_masks[nid], the children's
+                             shapes in order) for a query and by
+                             (id(outcome), id(payment)) for a leaf, so
+                             equal vectors in separate objects differ
 
     `commitments` starts empty: the verifier keeps its commitment sets
     there, one entry per horizon it tells apart.  `class_graphs` starts
@@ -457,6 +464,21 @@ class ImplementationTree:
                     acc.extend(leaves_under.get(cid, ()))
                 leaves_under[nid] = tuple(acc)
         return leaves_under
+
+    @cached_property
+    def shapes(self) -> dict[int, int]:
+        nodes, block_masks = self.nodes, self.block_masks
+        shapes: dict[int, int] = {}
+        numbered: dict[tuple, int] = {}
+        for nid in reversed(self.preorder):  # children before their parent
+            node = nodes[nid]
+            if isinstance(node, LeafNode):
+                key = (id(node.outcome), id(node.payment))
+            else:
+                kids = tuple(map(shapes.get, node.children))
+                key = (node.agent, block_masks[nid], kids)
+            shapes[nid] = numbered.setdefault(key, len(numbered))
+        return shapes
 
     def node(self, nid: int) -> QueryNode | LeafNode:
         """The node with id nid; MechanismError when the tree has none."""

@@ -21,7 +21,10 @@ and the rewrite that turns the last allowed query into a revelation.
 `query_class` states the allowed forms of an extra query once, as a
 function of the query's parts.  It is read by `is_k_limited`,
 `reveal_at_k2` and `cmon`, all through `_past_budget`, the one walk over
-the queries past an agent's budget, and by the search in `greedy`.
+the queries past an agent's budget, and by the search in `greedy`.  The
+walk classifies each distinct subtree (`ImplementationTree.shapes`)
+once: a (k+2)-th query whose subtree matches an earlier one's takes
+that query's class, after the scale guard has passed its own box.
 
 All of it runs on type positions and masks (`model`): commitment sets
 are masks, payments compare as ints scaled by common denominators, and
@@ -519,7 +522,15 @@ def _past_budget(tree: ImplementationTree, k, agent: int | None = None):
     """Each query past an agent's (k+1)-th on its path, in preorder (only
     the queries to `agent` when given): yields (node, its `QueryClass`
     when it is her (k+2)-th query else None, why it busts the budget or
-    None).  The one place the budget rule is read."""
+    None).  The one place the budget rule is read.
+
+    Each distinct subtree (`ImplementationTree.shapes`) is classified
+    once per call.  On a valid tree every agent queried inside two
+    matching subtrees has the same current types at both roots, and an
+    agent never queried there only repeats table columns, so a repeat
+    takes its first node's class.  It still runs the scale guard on its
+    own box, which counts the agents outside the subtree too."""
+    classes: dict[int, QueryClass] = {}  # shape -> its first node's class
     for u in tree.internal_ids:
         i = tree.nodes[u].agent
         nth = tree.query_depth[u][i]
@@ -528,7 +539,13 @@ def _past_budget(tree: ImplementationTree, k, agent: int | None = None):
         if nth >= k + 3:
             yield u, None, f"query number {nth} to agent {i} on a single path"
             continue
-        qc = classify_query(tree, u)
+        shape = tree.shapes[u]
+        qc = classes.get(shape)
+        if qc is None:
+            qc = classes[shape] = classify_query(tree, u)
+        else:
+            scale_guard(prod(m.bit_count() for m in tree.mask_at[u]))
+            qc = qc._replace(node=u)
         bust = None if qc.extra_allowed else (
             f"extra query to agent {i} is not of an allowed form"
         )

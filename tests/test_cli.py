@@ -821,6 +821,22 @@ class TestExperiment:
             assert code == 0
             assert out == EXPECTED_CSV
 
+    @pytest.mark.parametrize(
+        "repeated, once",
+        [
+            (["--ks", "0,0"], ["--ks", "0"]),
+            (["--ks", "1,0,inf,1,infinity"], ["--ks", "0,1,inf"]),
+            (["--instance", "single_item(2,4)"], []),
+        ],
+    )
+    def test_each_instance_and_horizon_once(self, capsys, repeated, once):
+        # rows are keyed by (instance, d, k): a repeat adds no row
+        base = ("experiment", "--instance", "single_item(2,4)")
+        code, out, _ = run(capsys, *base, *repeated)
+        assert code == 0
+        assert out == run(capsys, *base, *once)[1]
+        assert len(set(out.splitlines())) == len(out.splitlines())
+
     def test_no_instances_gives_header(self, capsys):
         code, out, _ = run(capsys, "experiment")
         assert code == 0

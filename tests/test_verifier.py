@@ -38,7 +38,8 @@ from ospkit import (
     taxation_diagnostics,
 )
 from ospkit import verifier
-from ospkit.fixtures import appendix_b
+from ospkit.fixtures import appendix_b, materialize
+from ospkit.io import dumps_mechanism, loads_mechanism
 from ospkit.rational import format_rational
 from ospkit.model import (
     ImplementationTree,
@@ -1405,6 +1406,145 @@ class TestFastPathsAgainstOracles:
             seen[len(t.commitments)] += 1
         # the horizons of a tree share entries only at or past its depth
         assert seen[1] and seen[2] and seen[3] and seen[4] == 1
+
+
+def oracle_past_budget(tree, k, agent=None):
+    """`_past_budget` by its definition: every query past an agent's
+    (k+1)-th on its path in preorder, each (k+2)-th one classified on its
+    own node."""
+    for u in tree.internal_ids:
+        i = tree.nodes[u].agent
+        nth = tree.query_depth[u][i]
+        if nth <= k + 1 or agent is not None and i != agent:
+            continue
+        if nth >= k + 3:
+            yield u, None, f"query number {nth} to agent {i} on a single path"
+            continue
+        qc = classify_query(tree, u)
+        bust = None if qc.extra_allowed else (
+            f"extra query to agent {i} is not of an allowed form"
+        )
+        yield u, qc, bust
+
+
+def shape_trees():
+    """The extracted fixture trees raw, compressed and loaded back, and
+    two clock auctions and `appendix_b` as built and loaded back."""
+    from test_greedy import ORACLE_FIXTURES  # test_greedy imports this module
+
+    for name in ORACLE_FIXTURES:
+        raw = extract_tree(*materialize(name)[1])
+        short = compress(raw)
+        yield from (raw, short, loads_mechanism(dumps_mechanism(short)))
+    for t in (
+        english_auction_tree(3, [1, 2, 3, 4, 5]),
+        english_auction_tree(4, [1, 2, 3, 4, 5]),
+        appendix_b(),
+    ):
+        yield from (t, loads_mechanism(dumps_mechanism(t)))
+
+
+def random_shape_trees(seeds):
+    """One tree per seed, drawn with 1-3 agents, domains 1..2-4, at most
+    1-4 queries per agent on a path, and payments half the time."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        agents = rng.randint(1, 3)
+        domains = [list(range(1, rng.randint(2, 4) + 1)) for _ in range(agents)]
+        k = rng.choice([0, 1, 2, 3])
+        yield random_k_limited_tree(
+            rng, agents, domains, k, with_payments=rng.random() < 0.5
+        )
+
+
+class TestShapes:
+    """`_past_budget` classifies each distinct subtree once: against the
+    per-node walk, on extracted, built, loaded and random trees."""
+
+    @staticmethod
+    def assert_past_budget_matches(t, seen):
+        for k in (0, 1, 2, inf):
+            for agent in (None, *range(t.agents)):
+                got = list(verifier._past_budget(t, k, agent))
+                assert got == list(oracle_past_budget(t, k, agent))
+                seen["classified"] += sum(qc is not None for _, qc, _ in got)
+                seen["bust"] += sum(bust is not None for _, _, bust in got)
+
+    def test_fixture_trees_match_the_per_node_walk(self):
+        seen = Counter()
+        for t in shape_trees():
+            self.assert_past_budget_matches(t, seen)
+            first = {}
+            for u in t.internal_ids:
+                qc = classify_query(t, u)
+                shape = t.shapes[u]
+                if shape in first:
+                    assert qc == first[shape]._replace(node=u)
+                    seen["repeat"] += 1
+                else:
+                    first[shape] = qc
+        assert seen["classified"] and seen["bust"] and seen["repeat"] > 1000
+
+    def test_random_trees_match_the_per_node_walk(self):
+        seen = Counter()
+        for t in random_shape_trees(range(1500)):
+            for tree in (t, loads_mechanism(dumps_mechanism(t))):
+                self.assert_past_budget_matches(tree, seen)
+        assert seen["classified"] > 1000 and seen["bust"] > 500
+
+    def test_each_shape_is_classified_once(self, monkeypatch):
+        t = compress(extract_tree(*materialize("uniform(6,3,4)")[1]))
+        calls = []
+
+        def spy(tree, u):
+            calls.append(u)
+            return classify_query(tree, u)
+
+        monkeypatch.setattr(verifier, "classify_query", spy)
+        assert is_k_limited(t, 0).ok
+        assert len(calls) == 227
+        assert len(list(oracle_past_budget(t, 0))) == 1002
+
+    def test_a_repeat_runs_the_guard_on_its_own_box(self, monkeypatch):
+        t = twin_subtrees(pay=0)
+        small, large = twin_extra_queries(t)
+        assert t.shapes[small] == t.shapes[large]
+        assert is_k_limited(t, 0).ok
+        monkeypatch.setenv("OSPKIT_SCALE_GUARD", "5")
+        with pytest.raises(
+            MechanismError,
+            match=r"^enumeration of 9 profiles exceeds scale guard 5;",
+        ):
+            is_k_limited(t, 0)
+
+    def test_a_payment_tells_subtrees_apart(self):
+        t = twin_subtrees(pay=1)
+        small, large = twin_extra_queries(t)
+        assert t.shapes[small] != t.shapes[large]
+        why = "extra query to agent 0 is not of an allowed form"
+        assert is_k_limited(t, 0) == verifier.KLimitedResult(False, large, why)
+        assert list(verifier._past_budget(t, 0)) == list(oracle_past_budget(t, 0))
+
+
+def twin_subtrees(pay):
+    """Two queries to agent 0 under agent 1's type 1, and again under her
+    types 2-4, loaded back so that equal vectors share one object.  The
+    second query to agent 0 reveals 2, 3 and 4, has 3 profiles below it
+    the first time and 9 the second, and the second time its leaf at 4
+    pays `pay` to agent 0."""
+
+    def sub(p):
+        extra = [([v], ("leaf", (0, 0), (p if v == 4 else 0, 0))) for v in (2, 3, 4)]
+        return ("q", 0, [([1], ("leaf", (1, 0), (0, 0))), ([2, 3, 4], ("q", 0, extra))])
+
+    nested = ("q", 1, [([1], sub(0)), ([2, 3, 4], sub(pay))])
+    t = tree_from_nested(2, [[1, 2, 3, 4], [1, 2, 3, 4]], nested)
+    return loads_mechanism(dumps_mechanism(t))
+
+
+def twin_extra_queries(t):
+    """The second query to agent 0 under agent 1's one type, then her three."""
+    return [u for u in t.internal_ids if t.query_depth[u] == (2, 1)]
 
 
 def malformed_trees():
