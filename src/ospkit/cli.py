@@ -311,22 +311,27 @@ def cmd_fixtures(args) -> int:
 def cmd_experiment(args) -> int:
     from .fixtures import materialize
     from .greedy import approx_ratio, compress, extract_tree
-    from .io import render_csv, render_report
+    from .io import instance_data_for, render_csv, render_report
     from .rational import format_rational
     from .verifier import is_k_limited
 
-    # rows are keyed by (instance, d, k): each name and each horizon value
-    # (inf and infinity alike) runs once
-    names = list(dict.fromkeys(args.instance or []))
+    # rows are keyed by (instance, d, k): each instance, however its name
+    # is spelled, and each horizon value (inf and infinity alike) runs
+    # once; an instance's row keeps its first spelling
     ks = list(dict.fromkeys(parse_horizon(part) for part in args.ks.split(",")))
+    seen = set()
     cells = []
-    for name in names:
+    for name in args.instance or []:
         kind, built = materialize(name)
         if kind != "instance":
             raise MechanismError(
                 f"experiment needs instance fixtures, {name!r} is a {kind}"
             )
         ps, domain = built
+        key = render_report(instance_data_for(ps, domain))
+        if key in seen:
+            continue
+        seen.add(key)
         tree = extract_tree(ps, domain)
         ratio, _ = approx_ratio(ps, tree, domain)
         rounds = compress(tree)

@@ -912,6 +912,50 @@ def _clock(cost, available, lo, queue, clock, nodes: dict, counter) -> int:
     return nid
 
 
+def _optimum(masks, n: int, ints: list[int]) -> list[int]:
+    """Best welfare of any of the maximal sets ``masks`` at every
+    valuation profile of n agents, each agent's valuations being
+    ``ints``; the column is indexed as ``approx_ratio``'s.
+
+    One max-plus pass, agent by agent.  After agents 0..j-1 a state is
+    the family of suffixes ``t >> j`` of the maximal sets t that agree
+    with one choice of those agents' bits, and it holds the best welfare
+    of such a choice on every profile of those agents.  Agent j splits
+    each state by bit j and extends its column by the valuations or by
+    zeros; states that land on one family are merged by elementwise max.
+    That is exact: two choices with the same family have the same
+    completions, so the one that is worse on a profile stays worse on
+    every extension of it.  The states of a layer partition the maximal
+    sets, so a layer builds at most one column per maximal set, and at
+    most r + 1 on a uniform system of rank r (the family depends only on
+    how many bits were chosen).  After n agents one state is left, {0}.
+    """
+    zeros = [0] * len(ints)
+    states = {frozenset(masks): [0]}
+    for _ in range(n):
+        merged: dict[frozenset, list[int]] = {}
+        for family, col in states.items():
+            ones = frozenset([s >> 1 for s in family if s & 1])
+            if not ones:
+                split = ((frozenset([s >> 1 for s in family]), zeros),)
+            elif len(ones) == len(family):
+                split = ((ones, ints),)
+            else:
+                rest = frozenset([s >> 1 for s in family if not s & 1])
+                split = ((rest, zeros), (ones, ints))
+            for sub, add in split:
+                ext = [c + v for c in col for v in add]
+                have = merged.get(sub)
+                # a comparison per entry: map(max, ...) pays a call for each
+                merged[sub] = (
+                    ext if have is None
+                    else [a if a >= b else b for a, b in zip(have, ext)]
+                )
+        states = merged
+    (best,) = states.values()
+    return best
+
+
 def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     """Worst welfare ratio of the tree's allocation against the optimum.
 
@@ -921,14 +965,14 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     Needs binary outcomes.
 
     Works in columns over the whole valuation product, each indexed in
-    that order (mixed radix, the last agent's digit fastest): every
-    maximal set's welfare column is built once and folded into the
-    optimum entry by entry, and the tree's welfare column is filled from
-    its leaf boxes, a one-type coordinate adding a scalar offset.  So
-    memory is O(d**n), a few int lists of that length.  Welfare is
-    summed on ints, the valuations scaled by their least common
-    denominator, and ratios are compared by cross-multiplication over a
-    positive denominator.
+    that order (mixed radix, the last agent's digit fastest).  The
+    optimum column comes from ``_optimum``'s layered pass over the
+    maximal sets, which costs the family's width times d**n, and the
+    tree's welfare column is filled from its leaf boxes, a one-type
+    coordinate adding a scalar offset.  So memory is O(d**n), a few int
+    lists of that length.  Welfare is summed on ints, the valuations
+    scaled by their least common denominator, and ratios are compared by
+    cross-multiplication over a positive denominator.
     """
     require_valid(tree)
     require_binary_outcomes(tree)
@@ -945,14 +989,7 @@ def approx_ratio(ps: PSystem, tree: ImplementationTree, domain):
     lcd = lcm(*(v.denominator for v in dom0))
     ints = [v.numerator * (lcd // v.denominator) for v in dom0]
     zeros = [0] * d
-    best = None
-    for t in ps._masks():
-        col = [0]
-        for j in range(n):
-            add = ints if t >> j & 1 else zeros
-            col = [c + v for c in col for v in add]
-        # a comparison per entry: map(max, best, col) pays a call for each
-        best = col if best is None else [b if b >= c else c for b, c in zip(best, col)]
+    best = _optimum(ps._masks(), n, ints)
     # the cost type at position p is the valuation at position d - 1 - p
     place = [d ** (n - 1 - j) for j in range(n)]
     got = [0] * d**n

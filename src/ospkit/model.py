@@ -662,6 +662,12 @@ def require_node(tree: ImplementationTree, nid) -> None:
 
 def query_count(tree: ImplementationTree, agent: int, leaf_id: int) -> int:
     """Number of queries to agent on the path from the root to leaf_id."""
+    # the table first (it holds only reachable nodes); any other input
+    # meets the checks below in their order
+    if type(agent) is int and type(leaf_id) is int and 0 <= agent < tree.agents:
+        depth = tree.query_depth.get(leaf_id)
+        if depth is not None:
+            return depth[agent]
     require_node(tree, leaf_id)
     depth = tree.query_depth.get(leaf_id)
     if depth is None:

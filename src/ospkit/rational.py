@@ -28,6 +28,10 @@ def parse_rational(text: str | int | float | Fraction) -> Rat:
     if not s:
         raise ValueError("empty rational")
     try:
+        # plain ASCII integer text is read by int(), which is faster than
+        # Fraction's pattern; int() refuses the same over-long digit runs
+        if s.isascii() and (s.isdigit() or s[0] == "-" and s[1:].isdigit()):
+            return Fraction(int(s))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
@@ -38,7 +42,11 @@ def format_rational(value: Rat) -> str:
 
     Any value other than a Fraction or an int is read as `parse_rational`
     reads it, so a float gives its decimal text's value and a bool raises."""
-    # str of a Fraction already is that form
-    if type(value) is Fraction or type(value) is int:
+    # str's form of a Fraction, read off its two ints: str() and
+    # as_integer_ratio() each pay a Python-level method call
+    if type(value) is Fraction:
+        den = value._denominator
+        return str(value._numerator) if den == 1 else f"{value._numerator}/{den}"
+    if type(value) is int:
         return str(value)
     return str(parse_rational(value))

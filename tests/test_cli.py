@@ -837,6 +837,22 @@ class TestExperiment:
         assert out == run(capsys, *base, *once)[1]
         assert len(set(out.splitlines())) == len(out.splitlines())
 
+    @pytest.mark.parametrize("first", ["single_item(2,4)", "single_item(2, 4)"])
+    def test_each_instance_once_however_spelled(self, capsys, first):
+        # names are keyed by the instance they build; a row keeps the
+        # first spelling, and uniform(2,1,4) is a system of its own kind
+        spellings = [first, "single_item(2, 4)", "single_item(2,04)", " single_item(2,4)"]
+        args = [a for name in spellings for a in ("--instance", name)]
+        code, out, _ = run(capsys, "experiment", *args, "--ks", "0,1")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert rows == [f'"{first}",4,0,pass,1,2', f'"{first}",4,1,pass,1,2']
+        code, out, _ = run(
+            capsys, "experiment", *args, "--instance", "uniform(2,1,4)", "--ks", "0"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
     def test_no_instances_gives_header(self, capsys):
         code, out, _ = run(capsys, "experiment")
         assert code == 0

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1303,6 +1303,81 @@ class TestStepperAgainstOracles:
                     state.step(True)
                     no.step(False)
                     stack += [state, no]
+
+
+def oracle_optimum(ps, ints):
+    """approx_ratio's optimum column as one welfare column per maximal
+    set, folded into the best by elementwise max."""
+    n = ps.ground_size
+    zeros = [0] * len(ints)
+    best = None
+    for t in ps._masks():
+        col = [0]
+        for j in range(n):
+            add = ints if t >> j & 1 else zeros
+            col = [c + v for c in col for v in add]
+        # a comparison per entry: map(max, best, col) pays a call for each
+        best = col if best is None else [b if b >= c else c for b, c in zip(best, col)]
+    return best
+
+
+def scaled_ints(domain):
+    """The sorted valuations on ints over their least common
+    denominator, as approx_ratio sums them."""
+    dom0 = greedy._valuation_domain(domain)
+    lcd = lcm(*(v.denominator for v in dom0))
+    return [v.numerator * (lcd // v.denominator) for v in dom0]
+
+
+class TestOptimum:
+    """The layered optimum column against the per-set loop, entry for
+    entry, and against the closed form of uniform systems."""
+
+    @pytest.mark.parametrize("name", ORACLE_FIXTURES)
+    def test_fixture_instances(self, name):
+        ps, domain = materialize(name)[1]
+        ints = scaled_ints(domain)
+        got = greedy._optimum(ps._masks(), ps.ground_size, ints)
+        assert got == oracle_optimum(ps, ints)
+
+    def test_seeded_systems(self):
+        seen = Counter()
+        for seed in range(1500):
+            ps, domain = random_instance(random.Random(seed))
+            ints = scaled_ints(domain)
+            masks = ps._masks()
+            got = greedy._optimum(masks, ps.ground_size, ints)
+            assert got == oracle_optimum(ps, ints)
+            assert len(got) == len(domain) ** ps.ground_size
+            seen[ps.name] += 1
+            seen["one set"] += len(masks) == 1
+            seen["empty set"] += masks == (0,)
+            seen["fractional"] += any(v.denominator > 1 for v in domain)
+            seen["zero"] += 0 in domain
+            seen["negative"] += domain[0] < 0
+        kinds = ("explicit", "graphic", "one set", "empty set", "fractional",
+                 "zero", "negative")
+        assert all(seen[kind] for kind in kinds)
+
+    def test_uniform_closed_form(self):
+        # every maximal set of uniform(n, r) has min(r, n) elements, so the
+        # best welfare of a profile is the sum of its r largest values
+        checked = 0
+        for ints in ([-2, 3], [-2, 0, 3], [-1, 0, 2, 5]):
+            d = len(ints)
+            for n in range(1, 13):
+                if d**n > 100000:
+                    break
+                for r in range(n + 1):
+                    ps = PSystem.uniform(n, r)
+                    want = [
+                        sum(sorted(prof, reverse=True)[:r])
+                        for prof in itertools.product(ints, repeat=n)
+                    ]
+                    assert greedy._optimum(ps._masks(), n, ints) == want
+                    checked += 1
+        assert len(PSystem.uniform(12, 6)._masks()) == 924
+        assert checked == 90 + 65 + 44
 
 
 # -- oracles: the p-system and its survivors on frozensets ------------------

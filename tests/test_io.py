@@ -51,6 +51,47 @@ class TestRationals:
             with pytest.raises(ValueError):
                 parse_rational(bad)
 
+    # what the Fraction pattern alone read before plain integer text took
+    # int(): a result, or the error's full text
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("0012", Fraction(12)),
+            ("-0", Fraction(0)),
+            ("-007", Fraction(-7)),
+            ("+3", Fraction(3)),
+            ("1_000", Fraction(1000)),
+            ("\u0663", Fraction(3)),
+            ("-\u0663", Fraction(-3)),
+            (" 7 ", Fraction(7)),
+            ("7/2", Fraction(7, 2)),
+            ("0.25", Fraction(1, 4)),
+            ("", "empty rational"),
+            (True, "not a rational: True"),
+            ("-", "not a rational: '-'"),
+            ("--1", "not a rational: '--1'"),
+            ("- 3", "not a rational: '- 3'"),
+            ("\u00b2", "not a rational: '\u00b2'"),
+            ("9" * 5000, "not a rational: '" + "9" * 5000 + "'"),
+            ("-" + "9" * 5000, "not a rational: '-" + "9" * 5000 + "'"),
+        ],
+        ids=lambda v: repr(v)[:12],
+    )
+    def test_forms_read_as_before(self, text, want):
+        if isinstance(want, Fraction):
+            got = parse_rational(text)
+            assert type(got) is Fraction and got == want
+        else:
+            with pytest.raises(ValueError) as info:
+                parse_rational(text)
+            assert str(info.value) == want
+
+    def test_format_is_the_fraction_text(self):
+        values = [Fraction(n, d) for n in range(-12, 13) for d in range(1, 7)]
+        values += [Fraction(10**30 + 1, 7), Fraction(-(10**40))]
+        for v in values:
+            assert format_rational(v) == str(v)
+
     @pytest.mark.parametrize(
         "value,shown", [(inf, "inf"), (-inf, "-inf"), (float("nan"), "nan")]
     )

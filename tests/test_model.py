@@ -1143,6 +1143,22 @@ def test_route_refuses_a_leaf():
         tree.route(leaf, tree.domains[0][0])
 
 
+@pytest.mark.parametrize(
+    "agent, nid, want",
+    [
+        (5, 999, "unknown node 999"),
+        (True, True, "unknown node True"),
+        (5, 1, "unknown agent 5"),
+        (1.0, 1, "unknown agent 1.0"),
+    ],
+)
+def test_query_count_checks_the_node_before_the_agent(agent, nid, want):
+    tree = english_auction_tree(2, [1, 2, 3])
+    assert query_count(tree, 1, 1) == tree.query_depth[1][1]
+    with pytest.raises(MechanismError, match=f"^{re.escape(want)}$"):
+        query_count(tree, agent, nid)
+
+
 def test_query_count_refuses_an_unreachable_node():
     t = ImplementationTree(
         1, [[1, 2]], 0,
@@ -1154,8 +1170,10 @@ def test_query_count_refuses_an_unreachable_node():
         },
     )
     assert query_count(t, 0, 2) == 1
-    with pytest.raises(MechanismError, match="^node 3 unreachable from root$"):
-        query_count(t, 0, 3)
+    # an unreachable node is named before an unknown agent
+    for agent in (0, 5):
+        with pytest.raises(MechanismError, match="^node 3 unreachable from root$"):
+            query_count(t, agent, 3)
 
 
 def one_query_nodes(agent=0):
